@@ -21,8 +21,8 @@ from .core import (
     BalancedPacking,
     PackingError,
     derive_subdesign,
+    load_document,
     load_packing,
-    parse_document,
     save_packing,
     verify,
 )
@@ -155,26 +155,23 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.file, encoding="ascii") as fh:
-            text = fh.read()
+        packing, classes = load_document(args.file)
+        # A class-partitioned family: each class must be a packing on its
+        # own and no block may repeat across classes.  The flat family is
+        # generally *not* a packing, so it is not checked as one.
+        part = (None if classes is None
+                else factorization.partitionable_from_document(packing, classes))
     except OSError as exc:
         return _usage(str(exc))
-    try:
-        packing, classes = parse_document(text)
-        if classes is not None:
-            # A class-partitioned family: each class must be a packing on
-            # its own and no block may repeat across classes.  The flat
-            # family is generally *not* a packing, so it is not checked
-            # as one.
-            part = factorization.load_large_set(args.file)
-            print(f"classes: {part.n_classes}")
-            print(f"blocks: {len(part.all_blocks)}")
-            print(f"per-class strength: {part.t_prime}")
-            print("result: PASS")
-            return EXIT_OK
     except PackingError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    if part is not None:
+        print(f"classes: {part.n_classes}")
+        print(f"blocks: {len(part.all_blocks)}")
+        print(f"per-class strength: {part.t_prime}")
+        print("result: PASS")
+        return EXIT_OK
     report = verify(packing)
     for line in report.lines():
         print(line)

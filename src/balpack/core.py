@@ -17,8 +17,10 @@ the parser is strict and rejects unknown keys.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 __all__ = [
     "PackingError",
@@ -41,6 +43,7 @@ __all__ = [
     "parse_document",
     "from_json",
     "save_packing",
+    "load_document",
     "load_packing",
 ]
 
@@ -172,20 +175,84 @@ def discrepancy(block, labeling: Labeling) -> int:
     return total
 
 
+def _shared_pair(blocks, low, top):
+    """Two blocks sharing an m-subset, for the largest such m in [low, top].
+
+    ``blocks`` are sorted, duplicate-free tuples.  Levels m = top, ...,
+    low are searched from the top down.  Hashing the m-subsets of every
+    block touches m * sum C(|b|, m) points; counting the points each pair
+    of blocks shares through the point-to-block incidence touches about
+    sum_x deg(x)^2, whatever m is.  Before each level the cheaper of the
+    two is taken from these counts, and an incidence count, once taken,
+    settles every level left.  The subset hash is what keeps regular
+    families far below the n^2 pairs; the incidence count is what keeps
+    wide blocks, where C(|b|, m) explodes, within reach.
+
+    Returns ``(i, j)``, ``i < j``, or None when no level has a repeat.
+    Searched from ``top`` = the second largest block size down, the pair
+    shares the largest intersection of the family, and it is the first
+    such pair by (j, i): both ways of counting find the same one.
+    """
+    sizes = Counter(map(len, blocks))
+    incidence_cost = sum(d * d for d in Counter(chain.from_iterable(blocks)).values())
+    for m in range(top, low - 1, -1):
+        subsets = {s: comb(s, m) for s in sizes}
+        if m * sum(c * subsets[s] for s, c in sizes.items()) > incidence_cost:
+            shared, pair = _incidence_pair(blocks)
+            return pair if shared >= low else None
+        seen = set()
+        for j, b in enumerate(blocks):
+            before = len(seen)
+            seen.update(combinations(b, m))
+            if len(seen) - before < subsets[len(b)]:
+                points = set(b)
+                i = next(i for i in range(j) if len(points.intersection(blocks[i])) >= m)
+                return i, j
+    return None
+
+
+def _incidence_pair(blocks):
+    """``(shared, pair)``: the largest number of points two blocks share
+    and the first pair ``(i, j)`` by (j, i) that shares it (None when
+    every two blocks are disjoint), counted through the blocks each point
+    lies in."""
+    earlier = {}  # point -> indices of the blocks already passed that hold it
+    best, pair = 0, None
+    for j, b in enumerate(blocks):
+        counts = Counter(chain.from_iterable([earlier.get(x, ()) for x in b]))
+        if counts:
+            most = max(counts.values())
+            if most > best:
+                best = most
+                pair = (min(i for i, c in counts.items() if c == most), j)
+        for x in b:
+            earlier.setdefault(x, []).append(j)
+    return best, pair
+
+
+def _canonical(blocks):
+    return [tuple(sorted(set(b))) for b in blocks]
+
+
+def _largest_overlap(blocks):
+    """``(i, j, shared points)`` for the first pair of blocks by (j, i)
+    with the largest intersection, or None when every two blocks are
+    disjoint.  ``blocks`` are sorted, duplicate-free tuples."""
+    if len(blocks) < 2:
+        return None
+    pair = _shared_pair(blocks, 1, sorted(map(len, blocks))[-2])
+    if pair is None:
+        return None
+    i, j = pair
+    return i, j, tuple(sorted(set(blocks[i]).intersection(blocks[j])))
+
+
 def max_pairwise_intersection(blocks) -> int:
     """Largest |A ∩ B| over distinct blocks; needs at least two blocks."""
     if len(blocks) < 2:
         raise TooFewBlocks("need at least two blocks to compare")
-    sets = [frozenset(b) for b in blocks]
-    best = 0
-    n = len(sets)
-    for i in range(n):
-        si = sets[i]
-        for j in range(i + 1, n):
-            m = len(si & sets[j])
-            if m > best:
-                best = m
-    return best
+    overlap = _largest_overlap(_canonical(blocks))
+    return 0 if overlap is None else len(overlap[2])
 
 
 def is_packing(t: int, blocks) -> bool:
@@ -200,13 +267,7 @@ def is_packing(t: int, blocks) -> bool:
         raise PreconditionViolated("t must be >= 0")
     if t == 0:
         return len(blocks) <= 1
-    seen = set()
-    for b in blocks:
-        for sub in combinations(b, t):
-            if sub in seen:
-                return False
-            seen.add(sub)
-    return True
+    return _shared_pair(_canonical(blocks), t, t) is None
 
 
 @dataclass(frozen=True)
@@ -215,7 +276,11 @@ class VerificationReport:
 
     ``passed`` is the conjunction of the three booleans regular/packing/
     balanced.  ``bound``/``bound_ok`` carry the counting-bound cross-check
-    (None when the bound's preconditions don't apply).
+    (None when the bound's preconditions don't apply).  The witnesses are
+    None unless their check failed: ``overlap`` is ``(i, j, shared
+    points)`` for two blocks, by input index, sharing the largest
+    intersection, and ``unbalanced`` is ``(index, discrepancy)`` of the
+    first block whose discrepancy leaves {-1, 0, +1}.
     """
 
     regular: bool
@@ -229,6 +294,8 @@ class VerificationReport:
     mixed_signs: bool
     bound: int
     bound_ok: bool
+    overlap: tuple = None
+    unbalanced: tuple = None
 
     @property
     def passed(self) -> bool:
@@ -252,6 +319,12 @@ class VerificationReport:
         if self.bound is not None:
             status = "ok" if self.bound_ok else "EXCEEDED"
             out.append(f"counting bound: {self.bound} ({status})")
+        if self.overlap is not None:
+            i, j, shared = self.overlap
+            out.append(f"overlap: blocks {i} and {j} share {list(shared)}")
+        if self.unbalanced is not None:
+            index, d = self.unbalanced
+            out.append(f"unbalanced: block {index} has discrepancy {d}")
         out.append("result: " + ("PASS" if self.passed else "FAIL"))
         return out
 
@@ -262,16 +335,24 @@ def verify(p: BalancedPacking) -> VerificationReport:
     The overall verdict is the conjunction of exactly three booleans:
     every block has the claimed size (vacuous for the k=0 sentinel), the
     t-subset packing condition holds (skipped for t=0), and every
-    discrepancy lies in {-1, 0, +1}.  The counting bound is cross-checked
-    on every call whenever its preconditions apply; a genuine balanced
-    packing can never exceed it, so a False ``bound_ok`` flags an internal
-    inconsistency to the caller without changing the three-boolean verdict.
+    discrepancy lies in {-1, 0, +1}.  The largest intersection is measured
+    once and decides the packing condition: a t-subset lies in two blocks
+    exactly when two blocks share t points.  The counting bound is
+    cross-checked on every call whenever its preconditions apply; a
+    genuine balanced packing can never exceed it, so a False ``bound_ok``
+    flags an internal inconsistency to the caller without changing the
+    three-boolean verdict.
     """
     regular = p.k == 0 or all(len(b) == p.k for b in p.blocks)
-    packing = True if p.t == 0 else is_packing(p.t, p.blocks)
-    discs = tuple(sorted(discrepancy(b, p.labeling) for b in p.blocks))
-    balanced = all(-1 <= d <= 1 for d in discs)
-    maxint = max_pairwise_intersection(p.blocks) if len(p.blocks) >= 2 else None
+    overlap = _largest_overlap(p.blocks)
+    maxint = None
+    if len(p.blocks) >= 2:
+        maxint = 0 if overlap is None else len(overlap[2])
+    packing = p.t == 0 or maxint is None or maxint < p.t
+    discs = [discrepancy(b, p.labeling) for b in p.blocks]
+    unbalanced = next(((i, d) for i, d in enumerate(discs) if not -1 <= d <= 1), None)
+    balanced = unbalanced is None
+    discs = tuple(sorted(discs))
     mixed = any(d > 0 for d in discs) and any(d < 0 for d in discs)
 
     p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus
@@ -296,6 +377,8 @@ def verify(p: BalancedPacking) -> VerificationReport:
         mixed_signs=mixed,
         bound=bound,
         bound_ok=bound_ok,
+        overlap=None if packing else overlap,
+        unbalanced=unbalanced,
     )
 
 
@@ -375,7 +458,9 @@ def parse_document(text: str):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise FormatError("not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
@@ -461,6 +546,18 @@ def save_packing(p: BalancedPacking, path, classes=None) -> None:
         fh.write(to_json(p, classes=classes))
 
 
+def load_document(path):
+    """Read and strictly parse a packing file: ``(packing, classes)`` as
+    ``parse_document`` gives them.  A file that cannot be read raises
+    ``OSError``; one that is not ASCII JSON raises ``FormatError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not an ASCII document: {exc}") from exc
+    return parse_document(text)
+
+
 def load_packing(path) -> BalancedPacking:
-    with open(path, "r", encoding="ascii") as fh:
-        return from_json(fh.read())
+    return load_document(path)[0]

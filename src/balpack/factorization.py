@@ -25,7 +25,7 @@ from .core import (
     PackingError,
     PreconditionViolated,
     is_packing,
-    parse_document,
+    load_document,
     to_json,
 )
 
@@ -371,12 +371,16 @@ def save_large_set(m: PartitionablePacking, path) -> None:
         fh.write(to_json(packing, classes=classes))
 
 
-def load_large_set(path) -> PartitionablePacking:
-    with open(path, encoding="ascii") as fh:
-        packing, classes = parse_document(fh.read())
-    if classes is None:
-        raise PreconditionViolated(f"{path}: no classes field")
+def partitionable_from_document(packing: BalancedPacking, classes) -> PartitionablePacking:
+    """The partitionable packing a parsed document with classes describes."""
     grouped = tuple(
         tuple(packing.blocks[i] for i in cls) for cls in classes
     )
     return PartitionablePacking(packing.t, packing.k, packing.v, grouped)
+
+
+def load_large_set(path) -> PartitionablePacking:
+    packing, classes = load_document(path)
+    if classes is None:
+        raise PreconditionViolated(f"{path}: no classes field")
+    return partitionable_from_document(packing, classes)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from balpack import cli, core, factorization
 from balpack.cli import main
 from balpack.core import load_packing, verify
 
@@ -198,6 +199,36 @@ def test_verify_unreadable_and_malformed(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("{ not json")
     assert main(["verify", str(junk)]) == 3
+
+
+@pytest.mark.parametrize("content", [b"\xff", b"[" * 200_000], ids=["0xff", "nested"])
+def test_verify_and_derive_reject_undecodable_files(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["verify", str(bad)]) == 3
+    out = tmp_path / "out.json"
+    assert main(["derive", str(bad), "0", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.count("FAIL: ") == 2
+    assert not out.exists()
+
+
+def test_verify_reads_a_class_document_once(tmp_path, capsys, monkeypatch):
+    ls = tmp_path / "large.json"
+    factorization.save_large_set(factorization.large_set_sts(9), ls)
+    reads, load = [], core.load_document
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_document", counted)
+    monkeypatch.setattr(core, "load_document", counted)
+    monkeypatch.setattr(factorization, "load_document", counted)
+    assert main(["verify", str(ls)]) == 0
+    assert reads == [str(ls)]
+    assert capsys.readouterr().out.splitlines() == [
+        "classes: 7", "blocks: 84", "per-class strength: 2", "result: PASS",
+    ]
 
 
 def test_bound_output(capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from balpack import core
 from balpack.core import (
@@ -308,3 +309,42 @@ def test_save_and_load_files(tmp_path):
     path = tmp_path / "family.json"
     core.save_packing(p, path)
     assert core.load_packing(path) == p
+
+
+def test_parser_maps_deep_nesting_and_long_integers_to_format_error():
+    with pytest.raises(FormatError):
+        parse_document("[" * 200_000)
+    with pytest.raises(FormatError):
+        parse_document('{"version": ' + "1" * 5000 + "}")
+
+
+_GOOD_DOCUMENT = to_json(triangle_packing()).encode("ascii")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with a few bytes overwritten, inserted or cut."""
+    data = bytearray(_GOOD_DOCUMENT)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("put", "insert", "cut")))
+        if op == "cut":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            byte = draw(st.integers(0, 255))
+            if op == "insert" or at == len(data):
+                data.insert(at, byte)
+            else:
+                data[at] = byte
+    return bytes(data)
+
+
+@given(st.one_of(st.binary(max_size=200), mutated_documents()))
+def test_any_bytes_load_as_a_packing_or_a_packing_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(data)
+    try:
+        packing, _ = core.load_document(path)
+    except PackingError:
+        return
+    assert isinstance(packing, BalancedPacking)
