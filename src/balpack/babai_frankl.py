@@ -9,60 +9,33 @@ pairwise intersections stay below ``t``.
 
 from __future__ import annotations
 
-import itertools
-
 from . import gf
 from .core import BalancedPacking, Labeling, PackingError, PreconditionViolated
-from .gf import FieldElement, FieldSpec
 
 
 class NotInA(PackingError):
     """First argument of the point encoding is not in the evaluation set."""
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q == p**m, or raise PreconditionViolated."""
-    if q < 2:
-        raise PreconditionViolated(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p:
-            continue
-        m = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        if rest != 1:
-            raise PreconditionViolated(f"q={q} is not a prime power")
-        return p, m
-    raise PreconditionViolated(f"q={q} is not a prime power")
-
-
-def evaluation_set(field: FieldSpec, k: int) -> tuple[FieldElement, ...]:
+def evaluation_set(field: gf.FieldSpec, k: int) -> tuple[int, ...]:
     """The k evaluation points: zero, then the first k-1 powers of xi.
 
     Their discrete indices are exactly 0, 1, ..., k-1.
     """
     if not 1 <= k <= field.q:
         raise PreconditionViolated(f"need 1 <= k <= q, got k={k}, q={field.q}")
-    points = [gf.zero(field)]
-    a = gf.one(field)
-    for _ in range(k - 1):
-        points.append(a)
-        a = gf.mul(a, gf.xi(field))
-    return tuple(points)
+    return (0,) + field.exp[: k - 1]
 
 
-def sigma(field: FieldSpec, k: int, a: FieldElement, b: FieldElement) -> int:
+def sigma(field: gf.FieldSpec, k: int, a: int, b: int) -> int:
     """Encode the pair (evaluation point, value) as a point in [0, k*q).
 
     Row-major: evaluation point ``a`` selects the row, the discrete index
     of ``b`` selects the position inside it.
     """
-    points = evaluation_set(field, k)
-    if a not in points:
+    if a not in evaluation_set(field, k):
         raise NotInA(f"{a!r} is not one of the {k} evaluation points")
-    return field.q * gf.discrete_index(a) + gf.discrete_index(b)
+    return field.q * field.discrete_index(a) + field.discrete_index(b)
 
 
 def label_points(q: int, k: int) -> Labeling:
@@ -87,22 +60,17 @@ def construct(q: int, k: int, t: int) -> BalancedPacking:
     are at most t-1 and all block discrepancies agree (0 for even k,
     -1 for odd k).
     """
-    p, m = _prime_power(q)
+    p, m = gf._prime_power(q)
     if not 1 <= t <= k <= q:
         raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
     field = gf.make_field(p, m)
-    points = evaluation_set(field, k)
-    rows = [q * gf.discrete_index(a) for a in points]
-    blocks = []
-    for coeffs in itertools.product(range(q), repeat=t):
-        f = tuple(gf.element_at(field, c) for c in coeffs)
-        block = tuple(
-            sorted(
-                row + gf.discrete_index(gf.eval_poly(f, a))
-                for row, a in zip(rows, points)
-            )
-        )
-        blocks.append(block)
+    # the evaluation point with discrete index r owns row r, so the points
+    # of a block come out in increasing order
+    code = [[q * r + field.discrete_index(b) for b in range(q)] for r in range(k)]
+    blocks = [
+        tuple(row[b] for row, b in zip(code, values))
+        for values in gf._poly_values(field, t, evaluation_set(field, k))
+    ]
     # distinct polynomials give distinct blocks: the row encodes the
     # evaluation point, so equal blocks would agree at k >= t points
     assert len(set(blocks)) == q**t

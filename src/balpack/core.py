@@ -17,6 +17,7 @@ the parser is strict and rejects unknown keys.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -74,6 +75,16 @@ class FormatError(PackingError):
 
 Block = tuple  # tuple[int, ...]; strictly increasing point indices
 
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxlist = 3, 4
+
+
+def _short(value) -> str:
+    """A repr of a block or a value read from a document, at most 60
+    characters, for error messages."""
+    text = _SHORT.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
 
 @dataclass(frozen=True)
 class Labeling:
@@ -130,13 +141,14 @@ class BalancedPacking:
                 f"labeling covers {self.labeling.v} points, ground set has {self.v}"
             )
         prev = None
-        for b in self.blocks:
+        for index, b in enumerate(self.blocks):
             if not isinstance(b, tuple) or not b:
                 raise PackingError("blocks must be nonempty tuples")
             if any(not 0 <= x < self.v for x in b):
-                raise OutOfRange(f"block {b} leaves the ground set [0, {self.v})")
+                raise OutOfRange(
+                    f"block {index} leaves the ground set [0, {self.v}): {_short(b)}")
             if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-                raise PackingError(f"block {b} is not strictly increasing")
+                raise PackingError(f"block {index} is not strictly increasing: {_short(b)}")
             if prev is not None and b <= prev:
                 raise PackingError("blocks must be sorted and duplicate-free")
             prev = b
@@ -155,7 +167,7 @@ def make_packing(v, t, k, signs, blocks) -> BalancedPacking:
     for b in blocks:
         tb = tuple(sorted(b))
         if len(set(tb)) != len(tb):
-            raise PackingError(f"block {b} repeats a point")
+            raise PackingError(f"block {_short(b)} repeats a point")
         canonical.add(tb)
     return BalancedPacking(v, t, k, Labeling(tuple(signs)), tuple(sorted(canonical)))
 
@@ -467,12 +479,12 @@ def parse_document(text: str):
     allowed = set(_REQUIRED_KEYS) | {"classes"}
     unknown = set(doc) - allowed
     if unknown:
-        raise FormatError(f"unknown keys: {sorted(unknown)}")
+        raise FormatError(f"unknown keys: {_short(sorted(unknown))}")
     missing = [key for key in _REQUIRED_KEYS if key not in doc]
     if missing:
         raise FormatError(f"missing keys: {missing}")
     if doc["version"] != 1:
-        raise FormatError(f"unsupported version {doc['version']!r}")
+        raise FormatError(f"unsupported version {_short(doc['version'])}")
 
     v, t, k = doc["v"], doc["t"], doc["k"]
     for name, val in (("v", v), ("t", t), ("k", k)):
@@ -489,14 +501,15 @@ def parse_document(text: str):
         raise FormatError("blocks must be a list")
     blocks = []
     prev = None
-    for row in raw_blocks:
+    for index, row in enumerate(raw_blocks):
         if not isinstance(row, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in row
         ):
-            raise FormatError(f"block {row!r} must be a list of integers")
+            raise FormatError(
+                f"block {index} must be a list of integers, got {_short(row)}")
         b = tuple(row)
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise FormatError(f"block {row!r} is not strictly increasing")
+            raise FormatError(f"block {index} is not strictly increasing: {_short(row)}")
         if prev is not None and b <= prev:
             raise FormatError("blocks must be sorted and duplicate-free")
         prev = b
@@ -527,7 +540,7 @@ def _parse_classes(raw, n_blocks: int):
             raise FormatError("class indices must be strictly increasing")
         for x in row:
             if not 0 <= x < n_blocks:
-                raise FormatError(f"class references block {x} of {n_blocks}")
+                raise FormatError(f"class references block {_short(x)} of {n_blocks}")
             if x in seen:
                 raise FormatError(f"block {x} appears in more than one class")
             seen.add(x)

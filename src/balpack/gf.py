@@ -1,9 +1,10 @@
 """Arithmetic in small finite fields GF(p^m) with a canonical element order.
 
-Elements are coefficient tuples ``(c0, ..., c_{m-1})`` over Z_p, identified
-with the integer ``c0 + c1*p + ... + c_{m-1}*p^(m-1)``.  That integer is the
-element's *canonical index*, and every deterministic choice in this module is
-made in canonical-index order:
+An element is a plain int, its *canonical index*: the coefficient tuple
+``(c0, ..., c_{m-1})`` over Z_p of a polynomial in x, read as the integer
+``c0 + c1*p + ... + c_{m-1}*p^(m-1)``.  So 0 is zero, 1 is one, and in a
+prime field the index is the residue itself.  Every deterministic choice
+in this module is made in canonical-index order:
 
 * the field modulus is the monic irreducible degree-m polynomial whose
   coefficient tuple has the smallest canonical index, and
@@ -18,34 +19,25 @@ The first few moduli this rule selects:
     GF(16)  x^4 + x + 1
     GF(25)  x^2 + 2
 
-Field sizes are capped at 2^16; everything here is desk-scale and all tables
-(element list, discrete logs) are built lazily and cached per field.
+Addition is digit-wise mod p; multiplication reads exp/log tables to the
+base xi.  Field sizes are capped at 2^16; the tables are built lazily,
+once per field, in time linear in q.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+from .core import PreconditionViolated
 
 __all__ = [
     "FieldError",
     "NotPrime",
     "TooLarge",
-    "SpecMismatch",
     "FieldSpec",
-    "FieldElement",
     "make_field",
-    "element_at",
-    "index_of",
-    "zero",
-    "one",
-    "xi",
-    "add",
-    "sub",
-    "mul",
-    "pow",
-    "eval_poly",
-    "discrete_index",
 ]
 
 SIZE_CAP = 2**16
@@ -63,18 +55,14 @@ class TooLarge(FieldError):
     """The requested field size exceeds the 2^16 cap."""
 
 
-class SpecMismatch(FieldError):
-    """Operands of a binary operation belong to different fields."""
-
-
 # ---------------------------------------------------------------------------
-# field construction
+# fields
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Immutable description of one field GF(p^m).
+    """Immutable description of one field GF(p^m), with its arithmetic.
 
     Attributes
     ----------
@@ -98,42 +86,59 @@ class FieldSpec:
     def q(self) -> int:
         return self.p**self.m
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FieldSpec(GF({self.p}^{self.m}), modulus={self.modulus})"
+    @cached_property
+    def exp(self) -> tuple[int, ...]:
+        """``exp[j]`` is xi^j for 0 <= j <= 2(q-2): the cycle of powers
+        twice over, so ``mul`` adds two logarithms without reducing them.
 
+        The powers are walked as coefficient lists, so the build is
+        linear in q.
+        """
+        p, m = self.p, self.m
+        weights = [p**i for i in range(m)]
+        xi = list(_digits(self.xi_index, p, m))
+        while xi[-1] == 0:  # no shifts past the top digit
+            xi.pop()
+        cur = [1] + [0] * (m - 1)
+        walk = []
+        for _ in range(self.q - 1):
+            walk.append(sum(c * w for c, w in zip(cur, weights)))
+            cur = _times(cur, xi, p, self.modulus)
+        return tuple(walk + walk[:-1])
 
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of a field, as a base-p coefficient tuple."""
+    @cached_property
+    def log(self) -> tuple[int, ...]:
+        """``log[a]`` is the j with xi^j == a; ``log[0]`` is -1."""
+        log = [-1] * self.q
+        for j, a in enumerate(self.exp[: self.q - 1]):
+            log[a] = j
+        return tuple(log)
 
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+    def add(self, a: int, b: int) -> int:
+        """a + b: the base-p digits added mod p."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a + b) % p
+        out, place = 0, 1
+        while a or b:
+            out += (a % p + b % p) % p * place
+            a, b, place = a // p, b // p, place * p
+        return out
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        log = self.log
+        return self.exp[log[a] + log[b]]
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return sub(self, other)
+    def discrete_index(self, a: int) -> int:
+        """r(a): zero maps to 0, and xi^j maps to j+1.
 
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return pow(self, e)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+        A bijection from the field onto {0, ..., q-1}.
+        """
+        return self.log[a] + 1
 
 
 def _digits(index: int, p: int, length: int) -> tuple[int, ...]:
@@ -148,14 +153,8 @@ def _digits(index: int, p: int, length: int) -> tuple[int, ...]:
 # -- polynomial helpers over Z_p (tuples, lowest degree first) --------------
 
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of ``num`` modulo monic ``den`` over Z_p."""
+def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> list[int]:
+    """Remainder of ``num`` modulo monic ``den`` over Z_p, untrimmed."""
     rem = list(num)
     dd = len(den) - 1
     while len(rem) - 1 >= dd and rem:
@@ -165,29 +164,16 @@ def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, 
             for i, c in enumerate(den):
                 rem[shift + i] = (rem[shift + i] - lead * c) % p
         rem.pop()
-    return _poly_trim(rem)
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_trim(out)
+    return rem
 
 
 def _irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Exhaustive trial division by all monic polynomials of degree <= m/2."""
     m = len(poly) - 1
-    if m == 1:
-        return True
     for d in range(1, m // 2 + 1):
         for idx in range(p**d):
             divisor = _digits(idx, p, d) + (1,)
-            if not _poly_mod(poly, divisor, p):
+            if not any(_poly_mod(poly, divisor, p)):
                 return False
     return True
 
@@ -206,6 +192,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _prime_power(q: int) -> tuple[int, int]:
+    """Return (p, m) with q == p**m, or raise PreconditionViolated.
+
+    The size cap is checked before q is factored, so an oversized q is
+    rejected at once.
+    """
+    if q > SIZE_CAP:
+        raise PreconditionViolated(f"q={q} exceeds the field size cap {SIZE_CAP}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise PreconditionViolated(f"q={q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m < q:
+        m += 1
+    return p, m
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldSpec:
     """Build the canonical GF(p^m) description.
@@ -213,9 +216,9 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     The modulus is the first irreducible monic degree-m polynomial in
     canonical-index order, and ``xi_index`` points at the first element of
     multiplicative order q-1.  Both searches are exhaustive, which is fine
-    under the 2^16 size cap.
+    under the 2^16 size cap.  No table is built here.
     """
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:
         raise FieldError(f"extension degree must be >= 1, got {m}")
@@ -230,145 +233,63 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
             break
     assert modulus is not None  # irreducibles of every degree exist
 
-    # Provisional spec (xi unknown) lets us run arithmetic during the search.
-    probe = FieldSpec(p=p, m=m, modulus=modulus, xi_index=-1)
-    q = p**m
-    group_order = q - 1
-    prime_divs = _prime_factors(group_order)
-    xi_index = None
-    for idx in range(1, q):
-        a = FieldElement(probe, _digits(idx, p, m))
-        if _order_is(a, group_order, prime_divs):
-            xi_index = idx
-            break
-    assert xi_index is not None  # the multiplicative group is cyclic
+    # a^(q-1) == 1 for every a != 0, so a has order q-1 unless
+    # a^((q-1)/ell) == 1 for some prime ell dividing q-1
+    q, one = p**m, [1] + [0] * (m - 1)
+    xi_index = next(
+        idx for idx in range(1, q)
+        if all(_power(list(_digits(idx, p, m)), (q - 1) // ell, p, modulus) != one
+               for ell in _prime_factors(q - 1))
+    )
 
     return FieldSpec(p=p, m=m, modulus=modulus, xi_index=xi_index)
 
 
-def _order_is(a: FieldElement, n: int, prime_divs: list[int]) -> bool:
-    """True iff the multiplicative order of ``a`` is exactly ``n``."""
-    if pow(a, n).coeffs != _one_coeffs(a.field):
-        return False
-    for ell in prime_divs:
-        if pow(a, n // ell).coeffs == _one_coeffs(a.field):
-            return False
-    return True
+def _times(a: list[int], b, p: int, modulus) -> list[int]:
+    """Product of two elements given as coefficient lists, lowest first:
+    ``a`` times x^j is a shift and one reduction by the monic ``modulus``,
+    once per digit of ``b``."""
+    acc, y = [0] * len(a), a
+    for j, d in enumerate(b):
+        if j:
+            top, y = y[-1], [0] + y[:-1]
+            if top:
+                y = [(c - top * r) % p for c, r in zip(y, modulus)]
+        if d:
+            acc = [s + d * c for s, c in zip(acc, y)]
+    return [s % p for s in acc]
 
 
-def _one_coeffs(field: FieldSpec) -> tuple[int, ...]:
-    return (1,) + (0,) * (field.m - 1)
-
-
-# ---------------------------------------------------------------------------
-# element access
-# ---------------------------------------------------------------------------
-
-
-def element_at(field: FieldSpec, index: int) -> FieldElement:
-    """The element with the given canonical index (0 <= index < q)."""
-    if not 0 <= index < field.q:
-        raise FieldError(f"element index {index} out of range for GF({field.q})")
-    return FieldElement(field, _digits(index, field.p, field.m))
-
-
-def index_of(a: FieldElement) -> int:
-    """Canonical index of ``a`` (base-p value of its coefficient tuple)."""
-    acc = 0
-    for c in reversed(a.coeffs):
-        acc = acc * a.field.p + c
-    return acc
-
-
-def zero(field: FieldSpec) -> FieldElement:
-    return FieldElement(field, (0,) * field.m)
-
-
-def one(field: FieldSpec) -> FieldElement:
-    return FieldElement(field, _one_coeffs(field))
-
-
-def xi(field: FieldSpec) -> FieldElement:
-    """The designated primitive element."""
-    return element_at(field, field.xi_index)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
-
-def _check_same(a: FieldElement, b: FieldElement) -> None:
-    if a.field != b.field:
-        raise SpecMismatch("operands belong to different field specs")
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same(a, b)
-    p = a.field.p
-    return FieldElement(a.field, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same(a, b)
-    p = a.field.p
-    return FieldElement(a.field, tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same(a, b)
-    field = a.field
-    prod = _poly_mul(a.coeffs, b.coeffs, field.p)
-    rem = _poly_mod(prod, field.modulus, field.p)
-    return FieldElement(field, rem + (0,) * (field.m - len(rem)))
-
-
-def pow(a: FieldElement, e: int) -> FieldElement:
-    """``a`` raised to an integer power by square-and-multiply (e >= 0)."""
-    if e < 0:
-        raise FieldError("negative exponents are not supported")
-    result = one(a.field)
-    base = a
+def _power(a: list[int], e: int, p: int, modulus) -> list[int]:
+    """``a`` to the power e >= 0, by square-and-multiply."""
+    result = [1] + [0] * (len(a) - 1)
     while e:
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = _times(result, a, p, modulus)
+        a = _times(a, a, p, modulus)
         e >>= 1
     return result
 
 
-def eval_poly(coeffs, x: FieldElement) -> FieldElement:
-    """Horner evaluation of a polynomial with FieldElement coefficients.
-
-    ``coeffs`` lists the coefficients lowest degree first, so
-    ``eval_poly((c0, c1, c2), x) == c0 + c1*x + c2*x^2``.
-    """
-    acc = zero(x.field)
-    for c in reversed(tuple(coeffs)):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
-# discrete index
+# polynomial evaluation
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dlog_table(field: FieldSpec) -> dict:
-    """coeffs -> r(a) where r(0)=0 and r(xi^j) = j+1."""
-    table = {zero(field).coeffs: 0}
-    g = xi(field)
-    a = one(field)
-    for j in range(field.q - 1):
-        table[a.coeffs] = j + 1
-        a = mul(a, g)
-    return table
+def _poly_values(field: FieldSpec, t: int, points) -> list[tuple[int, ...]]:
+    """The values at ``points`` of every polynomial of degree < t.
 
-
-def discrete_index(a: FieldElement) -> int:
-    """r(a): zero maps to 0, and xi^j maps to j+1.
-
-    A bijection from the field onto {0, ..., q-1}.
+    One tuple per polynomial c0 + c1*x + ... + c_{t-1}*x^(t-1), in
+    ``itertools.product(range(q), repeat=t)`` order of (c0, ..., c_{t-1}).
     """
-    return _dlog_table(a.field)[a.coeffs]
+    q, add = field.q, field.add
+
+    def horner(row, coeffs):  # row[v] == v * a
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add(row[acc], c)
+        return acc
+
+    times = [[field.mul(v, a) for v in range(q)] for a in points]
+    return [tuple(horner(row, coeffs) for row in times)
+            for coeffs in itertools.product(range(q), repeat=t)]

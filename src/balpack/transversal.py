@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf
-from .babai_frankl import _prime_power
 from .core import BalancedPacking, Labeling, PreconditionViolated
 from .factorization import one_factorization
 
@@ -58,20 +57,14 @@ def construct_td(t: int, k: int, q: int) -> TransversalDesign:
     degree-<t polynomials at the g-th field element.  q**t blocks;
     requires 1 <= t <= k <= q with q a prime power.
     """
-    p, m = _prime_power(q)
+    p, m = gf._prime_power(q)
     if not 1 <= t <= k <= q:
         raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
     field = gf.make_field(p, m)
-    points = [gf.element_at(field, g) for g in range(k)]
-    blocks = []
-    for coeffs in itertools.product(range(q), repeat=t):
-        f = tuple(gf.element_at(field, c) for c in coeffs)
-        blocks.append(
-            tuple(
-                g * q + gf.index_of(gf.eval_poly(f, a))
-                for g, a in enumerate(points)
-            )
-        )
+    blocks = [
+        tuple(g * q + value for g, value in enumerate(values))
+        for values in gf._poly_values(field, t, range(k))
+    ]
     return TransversalDesign(t, k, q, tuple(sorted(blocks)))
 
 
@@ -208,13 +201,9 @@ def augment_34_char2(m: int) -> BalancedPacking:
     """
     if m < 2 or m & (m - 1):
         raise PreconditionViolated(f"m={m} must be a power of two and >= 2")
-    field = gf.make_field(2, m.bit_length())  # 2m elements
     by_sum: dict = {}
     for i, j in itertools.combinations(range(2 * m), 2):
-        s = gf.index_of(
-            gf.add(gf.element_at(field, i), gf.element_at(field, j))
-        )
-        by_sum.setdefault(s, []).append((i, j))
+        by_sum.setdefault(i ^ j, []).append((i, j))  # addition in GF(2m)
     blocks = []
     for pairs in by_sum.values():
         for a1, a2 in pairs:

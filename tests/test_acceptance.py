@@ -282,12 +282,10 @@ def test_criterion_12_property_suite():
     # Field axioms, exhaustively, for every prime power up to 64.
     for p, m, q in _prime_powers(64):
         field = gf.make_field(p, m)
-        els = [gf.element_at(field, i) for i in range(q)]
-        add = [[gf.index_of(gf.add(a, b)) for b in els] for a in els]
-        mul = [[gf.index_of(gf.mul(a, b)) for b in els] for a in els]
-        zero_i = gf.index_of(gf.zero(field))
-        one_i = gf.index_of(gf.one(field))
         rng = range(q)
+        add = [[field.add(a, b) for b in rng] for a in rng]
+        mul = [[field.mul(a, b) for b in rng] for a in rng]
+        zero_i, one_i = 0, 1
         for a in rng:
             assert add[a][zero_i] == a and mul[a][one_i] == a
             assert sorted(add[a]) == list(rng)

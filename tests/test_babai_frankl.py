@@ -19,9 +19,9 @@ def test_evaluation_set_indices():
     # discrete indices of the evaluation points are 0..k-1 by construction
     for k in range(1, 6):
         pts = evaluation_set(field, k)
-        assert [gf.discrete_index(a) for a in pts] == list(range(k))
+        assert [field.discrete_index(a) for a in pts] == list(range(k))
     # GF(5) has xi=2: the points are 0, 1, 2, 4, 3
-    assert [gf.index_of(a) for a in evaluation_set(field, 5)] == [0, 1, 2, 4, 3]
+    assert list(evaluation_set(field, 5)) == [0, 1, 2, 4, 3]
 
 
 def test_evaluation_set_rejects_oversized_k():
@@ -31,11 +31,11 @@ def test_evaluation_set_rejects_oversized_k():
 
 def test_sigma_values_and_rejection():
     field = gf.make_field(5)
-    three = gf.element_at(field, 3)  # 3 = xi^3, discrete index 4
-    assert sigma(field, 3, gf.one(field), three) == 9
-    assert sigma(field, 3, gf.zero(field), gf.zero(field)) == 0
+    three = 3  # 3 = xi^3, discrete index 4
+    assert sigma(field, 3, 1, three) == 9
+    assert sigma(field, 3, 0, 0) == 0
     with pytest.raises(NotInA):
-        sigma(field, 3, three, gf.zero(field))  # 3 is outside {0, 1, 2}
+        sigma(field, 3, three, 0)  # 3 is outside {0, 1, 2}
 
 
 def test_label_split_even_and_odd():

@@ -180,3 +180,20 @@ def test_type_lp_bound_holds_against_oracle(t, k, v, exact):
     result = max_balanced_packing(t, k, v)
     assert result.exact and result.size == exact
     assert result.size <= type_lp_bound(t, k, v)
+
+
+def test_oracle_lp_and_corollary_bounds_are_ordered():
+    # every point the oracle reaches quickly: exact <= type LP <= corollary
+    checked = 0
+    for v in range(3, 9):
+        for k in range(2, v):
+            for t in range(1, k):
+                try:
+                    lp, cb = type_lp_bound(t, k, v), corollary_bound(t, k, v)
+                except PreconditionViolated:
+                    continue
+                result = max_balanced_packing(t, k, v)
+                assert result.exact
+                assert result.size <= lp <= cb, (t, k, v, result.size, lp, cb)
+                checked += 1
+    assert checked == 37

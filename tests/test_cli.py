@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,21 @@ def test_construct_td(tmp_path):
     p = load_packing(out)
     assert (p.v, p.t, p.k, p.n_blocks) == (9, 2, 3, 9)
     assert verify(p).passed
+
+
+@pytest.mark.parametrize("argv", [
+    ("td", "--t", "1", "--k", "1", "--q", "1000000000039"),  # a 13-digit prime
+    ("td", "--t", "2", "--k", "3", "--q", "131072"),  # 2^17
+    ("babai-frankl", "--q", "131072", "--k", "3", "--t", "2"),
+])
+def test_construct_oversized_q_is_usage_error(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    code, out = construct(tmp_path, "x.json", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the field size cap 65536" in err
+    assert not out.exists()
 
 
 def test_construct_td_augment(tmp_path):
@@ -210,6 +226,27 @@ def test_verify_and_derive_reject_undecodable_files(tmp_path, capsys, content):
     assert main(["derive", str(bad), "0", "1", "--out", str(out)]) == 3
     assert capsys.readouterr().err.count("FAIL: ") == 2
     assert not out.exists()
+
+
+def _document(**fields):
+    doc = {"version": 1, "v": 4, "t": 2, "k": 2, "labels": "++--",
+           "blocks": [[0, 2], [1, 3]]}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc,names", [
+    (_document(blocks=[[0, 2], json.loads("[" * 900 + "]" * 900)]), "block 1"),
+    (_document(version=[0] * 2000), "version"),
+    (_document(blocks=[[0, 2], list(range(1, 3000))]), "block 1"),
+], ids=["nested-block", "long-version", "long-block"])
+def test_format_errors_print_a_short_line(tmp_path, capsys, doc, names):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("FAIL: ") and names in line
+    assert len(line) < 200
 
 
 def test_verify_reads_a_class_document_once(tmp_path, capsys, monkeypatch):

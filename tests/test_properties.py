@@ -125,11 +125,7 @@ def test_block_encoding_is_injective(q, p, m):
     field = gf.make_field(p, m)
     k = min(q, 5)
     points = evaluation_set(field, k)
-    codes = {
-        sigma(field, k, a, gf.element_at(field, i))
-        for a in points
-        for i in range(q)
-    }
+    codes = {sigma(field, k, a, b) for a in points for b in range(q)}
     assert len(codes) == k * q
     assert all(0 <= c < k * q for c in codes)
 
