@@ -337,6 +337,37 @@ def test_derive_roundtrip(tmp_path):
     assert main(["derive", str(src), "0", "1", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "latin", "--v", "8", "--out", "{missing}/x.json"],
+    ["oracle", "2", "3", "6", "--out", "{missing}/x.json"],
+    ["derive", "{src}", "0", "8", "--out", "{missing}/x.json"],
+    ["oracle", "2", "3", "6", "--log", "{missing}/x.log"],
+    ["construct", "mds", "--source", "lts:9",
+     "--write-large-set", "{missing}/ls.json", "--out", "{tmp}/x.json"],
+    ["oracle", "2", "3", "6", "--budget-nodes", "0"],
+    ["oracle", "0", "3", "6"],
+    ["oracle", "2", "3", "10", "--baseline", "--trials", "5", "--seed", "1"],
+    ["derive", "{src}", "0", "99", "--out", "{tmp}/x.json"],
+    ["derive", "{missing}/src.json", "0", "8", "--out", "{tmp}/x.json"],
+    ["construct", "product", "--first", "file:{missing}.json",
+     "--second", "singletons:3", "--out", "{tmp}/x.json"],
+    ["bound", "3", "3", "9"],
+], ids=[
+    "construct-out", "oracle-out", "derive-out", "oracle-log",
+    "mds-write-large-set", "budget-nodes-0", "oracle-t0", "baseline-indivisible",
+    "derive-out-of-range", "derive-missing-file", "product-missing-file",
+    "bound-t-equals-k",
+])
+def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
+    src = tmp_path / "src.json"
+    assert construct(tmp_path, "src.json", "td-augment34", "--v", "16")[0] == 0
+    capsys.readouterr()
+    paths = {"tmp": tmp_path, "src": src, "missing": tmp_path / "missing"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_no_arguments_is_usage_error():
     assert main([]) == 2
     assert main(["construct"]) == 2
