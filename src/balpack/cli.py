@@ -6,14 +6,16 @@ self-verifies before anything is written, so a packing file on disk
 always passes ``verify``; identical invocations write byte-identical
 files.
 
-Exit codes: 0 pass, 2 usage or parameter error, 3 verification
-failure, 4 search budget exhausted.
+Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
+3 verification failure or a malformed file given to verify or derive,
+4 search budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import babai_frankl, bounds, factorization, latin, sumcode, transversal
 from . import oracle as oracle_mod
@@ -48,10 +50,7 @@ def _save_verified(packing: BalancedPacking, out_path: str) -> int:
         for line in report.lines():
             print(line, file=sys.stderr)
         return EXIT_VERIFY
-    try:
-        save_packing(packing, out_path)
-    except OSError as exc:
-        return _usage(str(exc))
+    save_packing(packing, out_path)
     print(
         f"balanced ({packing.t},{packing.k},{packing.v}) family, "
         f"{packing.n_blocks} blocks -> {out_path}"
@@ -143,7 +142,7 @@ def _build_packing(args) -> BalancedPacking:
 def _cmd_construct(args) -> int:
     try:
         packing = _build_packing(args)
-    except (PackingError, ValueError, OSError) as exc:
+    except ValueError as exc:
         return _usage(str(exc))
     return _save_verified(packing, args.out)
 
@@ -161,8 +160,6 @@ def _cmd_verify(args) -> int:
         # generally *not* a packing, so it is not checked as one.
         part = (None if classes is None
                 else factorization.partitionable_from_document(packing, classes))
-    except OSError as exc:
-        return _usage(str(exc))
     except PackingError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -181,28 +178,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    has_split = args.p_plus is not None or args.p_minus is not None
-    try:
-        if has_split:
-            if args.p_plus is None or args.p_minus is None:
-                return _usage("--p-plus and --p-minus must be given together")
-            if args.p_plus + args.p_minus != args.v:
-                return _usage(
-                    f"split {args.p_plus}+{args.p_minus} does not cover v={args.v}"
-                )
-            print(bounds.lemma1_bound(args.t, args.k, args.p_plus, args.p_minus))
-        else:
-            print(bounds.corollary_bound(args.t, args.k, args.v))
-    except PackingError as exc:
-        return _usage(str(exc))
+    if args.p_plus is None and args.p_minus is None:
+        print(bounds.corollary_bound(args.t, args.k, args.v))
+        return EXIT_OK
+    if args.p_plus is None or args.p_minus is None:
+        return _usage("--p-plus and --p-minus must be given together")
+    if args.p_plus + args.p_minus != args.v:
+        return _usage(f"split {args.p_plus}+{args.p_minus} does not cover v={args.v}")
+    print(bounds.lemma1_bound(args.t, args.k, args.p_plus, args.p_minus))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    try:
-        gap = bounds.theorem1_gap(args.t, args.k, args.v)
-    except PackingError as exc:
-        return _usage(str(exc))
+    gap = bounds.theorem1_gap(args.t, args.k, args.v)
     rel = "<" if gap.strict else ">="
     print(f"{gap.bound} {rel} {_fraction_str(gap.steiner)}")
     return EXIT_OK
@@ -212,36 +200,18 @@ def _cmd_oracle(args) -> int:
     if args.baseline:
         if args.trials is None or args.seed is None:
             return _usage("--baseline requires explicit --trials and --seed")
-        try:
-            blocks, _ = oracle_mod.structured_random(
-                args.v, args.k, args.t, args.trials, args.seed
-            )
-        except PackingError as exc:
-            return _usage(str(exc))
+        blocks, _ = oracle_mod.structured_random(
+            args.v, args.k, args.t, args.trials, args.seed
+        )
         ref = oracle_mod.existence_reference(args.v, args.k, args.t)
         print(f"retained {len(blocks)} structured sets over {args.trials} trials")
         print(f"reference (v*t/k^2)^t = {_fraction_str(ref)}")
         return EXIT_OK
-    try:
-        budget = oracle_mod.SearchBudget(args.budget_nodes, args.time_cap)
-    except PackingError as exc:
-        return _usage(str(exc))
-    log_fh = None
-    try:
-        if args.log:
-            try:
-                log_fh = open(args.log, "w", encoding="ascii")
-            except OSError as exc:
-                return _usage(str(exc))
-        try:
-            result = oracle_mod.max_balanced_packing(
-                args.t, args.k, args.v, budget, log=log_fh
-            )
-        except PackingError as exc:
-            return _usage(str(exc))
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    budget = oracle_mod.SearchBudget(args.budget_nodes, args.time_cap)
+    with open(args.log, "w", encoding="ascii") if args.log else nullcontext() as log_fh:
+        result = oracle_mod.max_balanced_packing(
+            args.t, args.k, args.v, budget, log=log_fh
+        )
     status = "exact" if result.exact else "incomplete"
     print(f"A({args.t},{args.k},{args.v}) = {result.size} [{status}] "
           f"nodes={result.nodes}")
@@ -255,16 +225,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_derive(args) -> int:
     try:
         packing = load_packing(args.file)
-    except OSError as exc:
-        return _usage(str(exc))
     except PackingError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    try:
-        derived = derive_subdesign(packing, args.e1, args.e2)
-    except PackingError as exc:
-        return _usage(str(exc))
-    return _save_verified(derived, args.out)
+    return _save_verified(derive_subdesign(packing, args.e1, args.e2), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +353,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args._handlers[args.command](args)
+    try:
+        return args._handlers[args.command](args)
+    except (PackingError, OSError) as exc:  # every parameter and I/O error
+        return _usage(str(exc))
 
 
 if __name__ == "__main__":

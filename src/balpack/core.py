@@ -11,7 +11,8 @@ actually holds and reports it.
 Files: packings are exchanged as a small JSON document with keys exactly
 ``version, v, t, k, labels, blocks`` (plus an optional ``classes`` list of
 block-index groups for partitioned families).  The writer is deterministic;
-the parser is strict and rejects unknown keys.
+the parser is strict, checks the document's shape, and leaves the blocks
+to ``BalancedPacking``: every malformed document is a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class BalancedPacking:
     ``k == 0`` is the irregular sentinel (no common block size claimed);
     ``t == 0`` records that no intersection bound is claimed (as for
     sub-designs derived from t=2 families).  Structural invariants —
-    sorted, duplicate-free blocks over [0, v) — are enforced here;
+    sorted, duplicate-free blocks of ints over [0, v) — are enforced here,
+    and only here, block by block in one pass;
     the semantic booleans (regular / packing / balanced) are ``verify``'s
     job, so that failing families can still be represented and reported.
     """
@@ -140,17 +142,20 @@ class BalancedPacking:
             raise LabelConstraint(
                 f"labeling covers {self.labeling.v} points, ground set has {self.v}"
             )
-        prev = None
+        prev = ()
         for index, b in enumerate(self.blocks):
-            if not isinstance(b, tuple) or not b:
-                raise PackingError("blocks must be nonempty tuples")
-            if any(not 0 <= x < self.v for x in b):
-                raise OutOfRange(
-                    f"block {index} leaves the ground set [0, {self.v}): {_short(b)}")
+            if not (isinstance(b, tuple) and b and all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in b)):
+                raise PackingError(
+                    f"block {index} must be a nonempty tuple of integers, got {_short(b)}")
             if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
                 raise PackingError(f"block {index} is not strictly increasing: {_short(b)}")
-            if prev is not None and b <= prev:
-                raise PackingError("blocks must be sorted and duplicate-free")
+            if b[0] < 0 or b[-1] >= self.v:
+                raise OutOfRange(
+                    f"block {index} leaves the ground set [0, {self.v}): {_short(b)}")
+            if b <= prev:
+                raise PackingError(
+                    f"block {index} does not sort after block {index - 1}: {_short(b)}")
             prev = b
 
     @property
@@ -162,14 +167,9 @@ class BalancedPacking:
 
 
 def make_packing(v, t, k, signs, blocks) -> BalancedPacking:
-    """Canonicalizing constructor: sorts points and blocks, drops duplicates."""
-    canonical = set()
-    for b in blocks:
-        tb = tuple(sorted(b))
-        if len(set(tb)) != len(tb):
-            raise PackingError(f"block {_short(b)} repeats a point")
-        canonical.add(tb)
-    return BalancedPacking(v, t, k, Labeling(tuple(signs)), tuple(sorted(canonical)))
+    """Canonicalizing constructor: sorts points and blocks, drops duplicate blocks."""
+    canonical = sorted({tuple(sorted(b)) for b in blocks})
+    return BalancedPacking(v, t, k, Labeling(tuple(signs)), tuple(canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +367,16 @@ def verify(p: BalancedPacking) -> VerificationReport:
     discs = tuple(sorted(discs))
     mixed = any(d > 0 for d in discs) and any(d < 0 for d in discs)
 
-    p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus
-    bound = bound_ok = None
-    if 1 <= p.t < p.k:
-        hi, lo = max(p_plus, p_minus), min(p_plus, p_minus)
-        if hi >= 2 * ((p.t + 2) // 2):
-            from . import bounds  # local import; bounds depends on this module
+    from . import bounds  # local import; bounds depends on this module
 
-            bound = bounds.lemma1_bound(p.t, p.k, hi, lo)
-            bound_ok = p.n_blocks <= bound
+    p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus
+    try:
+        bound = bounds.lemma1_bound(
+            p.t, p.k, max(p_plus, p_minus), min(p_plus, p_minus))
+    except PreconditionViolated:
+        bound = bound_ok = None
+    else:
+        bound_ok = p.n_blocks <= bound
 
     return VerificationReport(
         regular=regular,
@@ -464,6 +465,8 @@ def parse_document(text: str):
     """Strict parse of a packing document.
 
     Returns ``(packing, classes)`` where classes is None unless present.
+    ``BalancedPacking`` checks the blocks; any ``PackingError`` it raises
+    is re-raised as ``FormatError``.
     The stored labeling is normalized on load: when negatives outnumber
     positives the whole labeling is flipped, so in-memory families satisfy
     p_plus >= p_minus.
@@ -499,21 +502,10 @@ def parse_document(text: str):
     raw_blocks = doc["blocks"]
     if not isinstance(raw_blocks, list):
         raise FormatError("blocks must be a list")
-    blocks = []
-    prev = None
     for index, row in enumerate(raw_blocks):
-        if not isinstance(row, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in row
-        ):
-            raise FormatError(
-                f"block {index} must be a list of integers, got {_short(row)}")
-        b = tuple(row)
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise FormatError(f"block {index} is not strictly increasing: {_short(row)}")
-        if prev is not None and b <= prev:
-            raise FormatError("blocks must be sorted and duplicate-free")
-        prev = b
-        blocks.append(b)
+        if not isinstance(row, list):
+            raise FormatError(f"block {index} must be a list, got {_short(row)}")
+    blocks = tuple(map(tuple, raw_blocks))
 
     classes = None
     if "classes" in doc:
@@ -522,7 +514,10 @@ def parse_document(text: str):
     labeling = Labeling(signs)
     if labeling.p_minus > labeling.p_plus:
         labeling = labeling.flipped()
-    packing = BalancedPacking(v, t, k, labeling, tuple(blocks))
+    try:
+        packing = BalancedPacking(v, t, k, labeling, blocks)
+    except PackingError as exc:  # the blocks are checked there, and only there
+        raise FormatError(str(exc)) from exc
     return packing, classes
 
 

@@ -24,6 +24,7 @@ from .core import (
     Labeling,
     PackingError,
     PreconditionViolated,
+    _short,
     is_packing,
     load_document,
     to_json,
@@ -145,14 +146,16 @@ class PartitionablePacking:
 
     def __post_init__(self):
         seen = set()
-        for cls in self.classes:
-            for b in cls:
+        for c, cls in enumerate(self.classes):
+            for i, b in enumerate(cls):
+                where = f"class {c} block {i}"
                 if len(b) != self.k or tuple(sorted(set(b))) != tuple(b):
-                    raise PreconditionViolated(f"malformed block {b!r}")
+                    raise PreconditionViolated(f"{where} is malformed: {_short(b)}")
                 if not all(0 <= x < self.v for x in b):
-                    raise PreconditionViolated(f"block {b!r} outside [0, {self.v})")
+                    raise PreconditionViolated(
+                        f"{where} leaves [0, {self.v}): {_short(b)}")
                 if b in seen:
-                    raise ClassesNotDisjoint(f"block {b!r} appears twice")
+                    raise ClassesNotDisjoint(f"{where} repeats an earlier block: {_short(b)}")
                 seen.add(b)
             if not is_packing(self.t_prime, cls):
                 raise PreconditionViolated(

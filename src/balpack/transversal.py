@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf
-from .core import BalancedPacking, Labeling, PreconditionViolated
+from .core import BalancedPacking, Labeling, PreconditionViolated, is_packing
 from .factorization import one_factorization
 
 
@@ -83,18 +83,13 @@ def construct_td_sum(t: int, m: int) -> TransversalDesign:
 
 
 def check_td(td: TransversalDesign) -> bool:
-    """Exhaustively confirm that every cross-group t-subset lies in
-    exactly one block.  Intended for small q only.
+    """Confirm that every cross-group t-subset lies in exactly one block.
+
+    Every block is transverse, so each covers C(k, t) of the C(k, t)·q^t
+    cross-group t-subsets and no other t-subset.  Every one is covered
+    exactly once iff no t-subset is covered twice and there are q^t blocks.
     """
-    cover: dict = {}
-    for b in td.blocks:
-        for sub in itertools.combinations(b, td.t):
-            cover[sub] = cover.get(sub, 0) + 1
-    for groups in itertools.combinations(td.groups, td.t):
-        for sub in itertools.product(*groups):
-            if cover.get(sub, 0) != 1:
-                return False
-    return True
+    return len(td.blocks) == td.q ** td.t and is_packing(td.t, td.blocks)
 
 
 def label_groups(td: TransversalDesign) -> Labeling:

@@ -239,7 +239,10 @@ def _document(**fields):
     (_document(blocks=[[0, 2], json.loads("[" * 900 + "]" * 900)]), "block 1"),
     (_document(version=[0] * 2000), "version"),
     (_document(blocks=[[0, 2], list(range(1, 3000))]), "block 1"),
-], ids=["nested-block", "long-version", "long-block"])
+    (_document(v=3001, t=1, labels="+" * 1501 + "-" * 1500,
+               blocks=[[0, 1], list(range(1, 3000))], classes=[[0], [1]]),
+     "class 1 block 0"),
+], ids=["nested-block", "long-version", "long-block", "long-class-block"])
 def test_format_errors_print_a_short_line(tmp_path, capsys, doc, names):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -71,6 +71,26 @@ def test_direct_constructor_rejects_unsorted():
         BalancedPacking(4, 2, 3, Labeling((1, 1, -1, -1)), ((2, 1, 0),))
 
 
+@pytest.mark.parametrize("block", [(0, 1.0, 2), (0, True, 2), (), [0, 1, 2]],
+                         ids=["float", "bool", "empty", "list"])
+def test_direct_constructor_rejects_non_integer_blocks(block):
+    with pytest.raises(PackingError, match="block 1 must be a nonempty tuple of integers"):
+        BalancedPacking(4, 2, 3, Labeling((1, 1, -1, -1)), ((0, 1, 3), block))
+
+
+@pytest.mark.parametrize("v,labels,blocks", [
+    (4, "++--", "[[0, 1, 4]]"),  # a point past the ground set
+    (4, "++--", "[[-1, 0, 1]]"),  # a negative point
+    (4, "++--", "[[], [0, 1, 2]]"),  # an empty block
+    (0, "", "[]"),  # an empty ground set
+], ids=["out-of-range", "negative", "empty-block", "v-0"])
+def test_every_malformed_document_is_a_format_error(v, labels, blocks):
+    text = ('{"version": 1, "v": %d, "t": 2, "k": 3, "labels": "%s", "blocks": %s}'
+            % (v, labels, blocks))
+    with pytest.raises(FormatError):
+        parse_document(text)
+
+
 # --- measurements -----------------------------------------------------------
 
 

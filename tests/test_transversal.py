@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balpack.bounds import corollary_bound
 from balpack.core import (
@@ -41,6 +44,60 @@ def test_sum_td_is_a_td(t, m):
     assert len(td.blocks) == m**t
     assert td.k == t + 1
     assert check_td(td)
+
+
+def exhaustive_check_td(td):
+    """The reference check_td replaced: count every t-subset of every block
+    and require each cross-group t-subset to be covered exactly once."""
+    cover: dict = {}
+    for b in td.blocks:
+        for sub in itertools.combinations(b, td.t):
+            cover[sub] = cover.get(sub, 0) + 1
+    for groups in itertools.combinations(td.groups, td.t):
+        for sub in itertools.product(*groups):
+            if cover.get(sub, 0) != 1:
+                return False
+    return True
+
+
+@st.composite
+def transverse_families(draw):
+    """Any set of transverse blocks over k groups of size q, k, q <= 4,
+    as a TransversalDesign of strength 1 <= t <= k."""
+    k = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 4))
+    t = draw(st.integers(1, k))
+    rows = draw(st.sets(st.tuples(*[st.integers(0, q - 1)] * k), max_size=q**t + 2))
+    blocks = sorted(tuple(g * q + x for g, x in enumerate(row)) for row in rows)
+    return TransversalDesign(t, k, q, tuple(blocks))
+
+
+@given(transverse_families())
+@settings(max_examples=400)
+def test_check_td_matches_the_exhaustive_count(td):
+    assert check_td(td) == exhaustive_check_td(td)
+
+
+@pytest.mark.parametrize("t,k,q", [(1, 2, 3), (2, 3, 3), (3, 4, 4), (2, 4, 5)])
+def test_check_td_on_designs_agrees_with_the_exhaustive_count(t, k, q):
+    td = construct_td(t, k, q)
+    assert check_td(td) and exhaustive_check_td(td)
+
+
+def test_check_td_rejects_a_design_missing_one_block():
+    td = construct_td(2, 3, 3)
+    short = TransversalDesign(2, 3, 3, td.blocks[1:])
+    assert not check_td(short)
+    assert not exhaustive_check_td(short)
+
+
+def test_check_td_rejects_q_blocks_sharing_a_point():
+    # t = 1, q = 3: three blocks, as many as a TD(1,2,3) has, but blocks 0
+    # and 1 share point 0, so point 2 of the first group is left uncovered
+    td = TransversalDesign(1, 2, 3, ((0, 3), (0, 4), (1, 5)))
+    assert len(td.blocks) == td.q**td.t
+    assert not check_td(td)
+    assert not exhaustive_check_td(td)
 
 
 def test_td_type_rejects_non_transverse_blocks():
