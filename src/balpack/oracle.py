@@ -1,12 +1,34 @@
 """Ground-truth engines for small parameters.
 
 ``max_balanced_packing`` finds the true maximum size of a balanced
-packing by exhausting every labeling split and running a deterministic
+packing.  Every labeling is, up to renaming the points, a split: +1 on
+[0, p+) and -1 on [p+, v).  For each split p+ in [ceil(v/2), v] (the
+flipped splits are mirror images) it runs a deterministic
 branch-and-bound maximum-clique search on the compatibility graph of
-admissible blocks.  It is assumption-free: no bound from the counting
-side is trusted, every split p+ in [ceil(v/2), v] is searched (the
-flipped splits are mirror images).  Desk scale only -- the default
-budget is sized for v <= 14.
+the admissible blocks.
+
+The split's labeling is fixed by G = S_{p+} x S_{p-}, which permutes
+the positive and the negative points among themselves, and the search
+breaks that symmetry by orbital branching (Ostrowski, Linderoth, Rossi
+and Smriglio, Math. Programming 2011):
+
+* A block's kind is its number of positive points.  G moves any block
+  to any other of the same kind, so a family holding a block of kind a
+  is the image of one holding the canonical block
+  ``range(a) + range(p+, p+ + k - a)``.  Each kind is searched through
+  its canonical block only, and then every block of that kind is
+  dropped before the next kind.
+* The second block is branched by the orbits of the canonical block's
+  stabiliser, S_{c&P} x S_{P-c} x S_{c&N} x S_{N-c}: an orbit is given
+  by how many of a block's points fall in c&P and in c&N, and by its
+  kind.  One representative per orbit is searched, and the orbit is
+  then deleted from the candidates.
+
+Both steps only discard families that are images under G of families
+that are searched, so the search is still assumption-free: no bound
+from the counting side is trusted and no labeling is skipped.  The
+``SearchBudget`` caps the whole search: one node counter and one clock
+cover every split, kind and orbit.  Desk scale only.
 
 ``structured_random`` is the randomized interval baseline: one uniform
 point per interval, greedy retention.  Its RNG is ``random.Random``
@@ -68,26 +90,33 @@ def _bits(x: int):
         x ^= b
 
 
+# A long search writes a heartbeat line to its log every this many nodes.
+HEARTBEAT_NODES = 100_000
+
+
 class _CliqueSearch:
     """Tomita-style branch and bound with a greedy coloring bound.
 
     Candidates are expanded in reverse color order; a vertex whose
     color class index cannot lift the incumbent prunes the whole rest
     of the candidate list.  Vertex order (and hence the witness) is
-    deterministic.
+    deterministic.  One instance serves a whole oracle call: the node
+    count, the clock and the incumbent carry over from one split graph
+    and one branch to the next.
     """
 
-    def __init__(self, adj, budget, t0, log, labeling_tag):
-        self.adj = adj
+    def __init__(self, budget, log):
         self.budget = budget
-        self.t0 = t0
         self.log = log
-        self.tag = labeling_tag
+        self.t0 = time.monotonic()
         self.nodes = 0
         self.complete = True
         self.best = []
         self.best_size = 0
-        self.root_bound = 0
+        self.adj = []
+        self.labeling = None
+        self.kind = None
+        self.bound = 0
         self.stack = []
 
     def _out_of_budget(self) -> bool:
@@ -111,28 +140,47 @@ class _CliqueSearch:
         colored.sort()
         return colored
 
-    def _log_line(self):
+    def color_bound(self, cand: int) -> int:
+        return len({c for c, _ in self._color_order(cand)})
+
+    def emit(self, event: str, **fields):
         if self.log is not None:
             self.log.write(json.dumps({
-                "labeling": self.tag,
+                "event": event,
+                "labeling": self.labeling,
+                "kind": self.kind,
+                "elapsed": round(time.monotonic() - self.t0, 6),
                 "nodes": self.nodes,
                 "incumbent": self.best_size,
-                "bound": self.root_bound,
+                "bound": self.bound,
+                **fields,
             }) + "\n")
 
-    def run(self, cand: int, seed_size: int, seed_best):
-        self.best_size = seed_size
-        self.best = list(seed_best)
-        self.root_bound = len({c for c, _ in self._color_order(cand)})
-        self._expand(0, cand)
-        self._log_line()
-        return self
+    def run(self, fixed, cand: int):
+        """Extend the clique ``fixed`` by vertices of ``cand``.
+
+        The fixed vertices count toward the depth, so only cliques
+        larger than the incumbent are looked for: an inner search below
+        two fixed blocks is seeded with the incumbent minus two.
+        """
+        self.stack = list(fixed)
+        if len(fixed) > self.best_size:
+            self._improve()
+        if cand:
+            self._expand(len(fixed), cand)
+
+    def _improve(self):
+        self.best_size = len(self.stack)
+        self.best = list(self.stack)
+        self.emit("incumbent")
 
     def _expand(self, depth: int, cand: int):
-        self.nodes += 1
         if self._out_of_budget():
             self.complete = False
             return
+        self.nodes += 1
+        if self.nodes % HEARTBEAT_NODES == 0:
+            self.emit("heartbeat")
         for color, u in reversed(self._color_order(cand)):
             if depth + color <= self.best_size:
                 return
@@ -141,9 +189,7 @@ class _CliqueSearch:
             if rest:
                 self._expand(depth + 1, rest)
             elif depth + 1 > self.best_size:
-                self.best_size = depth + 1
-                self.best = list(self.stack)
-                self._log_line()
+                self._improve()
             self.stack.pop()
             if not self.complete:
                 return
@@ -160,6 +206,31 @@ def _admissible_blocks(v: int, k: int, p_plus: int):
     return out
 
 
+def _search_kind(search, masks, kinds, allowed, c, p_plus):
+    """Search every family inside ``allowed`` through the canonical
+    block ``c``, branching the second block by the orbits of c's
+    stabiliser.  Returns the number of orbits searched."""
+    positive = (1 << p_plus) - 1
+    c_pos, c_neg = masks[c] & positive, masks[c] & ~positive
+    cand = allowed & search.adj[c]
+    orbits = {}
+    for x in _bits(cand):
+        key = ((masks[x] & c_pos).bit_count(), (masks[x] & c_neg).bit_count(), kinds[x])
+        orbits[key] = orbits.get(key, 0) | 1 << x
+    search.bound = 1 + search.color_bound(cand)
+    search.run([c], 0)  # {c} alone, while the incumbent is empty
+    searched = 0
+    for key in sorted(orbits):
+        orbit = orbits[key]
+        rep = (orbit & -orbit).bit_length() - 1
+        search.run([c, rep], cand & search.adj[rep])
+        if not search.complete:
+            break
+        cand &= ~orbit
+        searched += 1
+    return searched
+
+
 def max_balanced_packing(
     t: int,
     k: int,
@@ -173,42 +244,60 @@ def max_balanced_packing(
     labeling lies in {-1, 0, +1}; two blocks conflict when they share
     t or more points.  The answer maximizes an independent family,
     found as a maximum clique in the complement.  ``exact`` is True
-    only when every split's search ran to completion inside the
-    budget.
+    only when the whole search ran to completion inside the budget.
+
+    ``log`` gets one JSON line per split and block kind (``event``
+    "kind", with ``vertices``, ``edges``, ``orbits``, ``complete`` and
+    the incumbent's blocks as ``best``), one per new incumbent and a
+    heartbeat every ``HEARTBEAT_NODES`` nodes.  Every line carries
+    ``labeling`` (p+), ``kind``, ``elapsed``, ``nodes``, ``incumbent``
+    and ``bound``, the coloring bound at the canonical block.
     """
     if t < 1 or k < 1 or v < 1:
         raise PreconditionViolated("need t >= 1 and k, v >= 1")
-    if budget is None:
-        budget = SearchBudget()
-    t0 = time.monotonic()
-    total_nodes = 0
-    exact = True
-    best_size = 0
+    search = _CliqueSearch(budget or SearchBudget(), log)
     best_blocks: tuple = ()
     best_p_plus = (v + 1) // 2
     for p_plus in range((v + 1) // 2, v + 1):
         vertices = _admissible_blocks(v, k, p_plus)
         n = len(vertices)
         masks = [sum(1 << x for x in b) for b in vertices]
+        kinds = [sum(1 for x in b if x < p_plus) for b in vertices]
         adj = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
                 if (masks[i] & masks[j]).bit_count() < t:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        search = _CliqueSearch(adj, budget, t0, log, p_plus)
-        search.run((1 << n) - 1, best_size, [])
-        total_nodes += search.nodes
-        if search.best_size > best_size and search.best:
-            best_size = search.best_size
-            best_blocks = tuple(sorted(vertices[i] for i in search.best))
-            best_p_plus = p_plus
+        edges = sum(a.bit_count() for a in adj) // 2
+        search.adj = adj
+        search.labeling = p_plus
+        allowed = (1 << n) - 1
+        for a in sorted({k // 2, (k + 1) // 2}):
+            search.kind = a
+            search.bound = 0
+            before = search.best_size
+            orbits = 0
+            if a <= p_plus and k - a <= v - p_plus:
+                canonical = tuple(range(a)) + tuple(range(p_plus, p_plus + k - a))
+                orbits = _search_kind(
+                    search, masks, kinds, allowed, vertices.index(canonical), p_plus
+                )
+                allowed &= ~sum(1 << i for i in range(n) if kinds[i] == a)
+            if search.best_size > before:
+                best_blocks = tuple(sorted(vertices[i] for i in search.best))
+                best_p_plus = p_plus
+            search.emit(
+                "kind", vertices=n, edges=edges, orbits=orbits,
+                complete=search.complete, best=best_blocks, best_labeling=best_p_plus,
+            )
+            if not search.complete:
+                break
         if not search.complete:
-            exact = False
             break
     signs = (1,) * best_p_plus + (-1,) * (v - best_p_plus)
     witness = BalancedPacking(v, t, k, Labeling(signs), best_blocks)
-    return OracleResult(best_size, witness, exact, total_nodes)
+    return OracleResult(search.best_size, witness, search.complete, search.nodes)
 
 
 def interval_labeling(v: int, k: int) -> Labeling:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gf
-from .core import BalancedPacking, Labeling, PreconditionViolated, is_packing
+from .core import BalancedPacking, Labeling, PreconditionViolated, _short, is_packing
 from .factorization import one_factorization
 
 
@@ -33,10 +33,10 @@ class TransversalDesign:
             raise PreconditionViolated(f"need 1 <= t <= k, got t={self.t}, k={self.k}")
         if self.q < 1:
             raise PreconditionViolated(f"group size must be positive, got {self.q}")
-        for b in self.blocks:
+        for index, b in enumerate(self.blocks):
             if [x // self.q for x in b] != list(range(self.k)):
                 raise PreconditionViolated(
-                    f"block {b!r} is not transverse to the groups"
+                    f"block {index} is not transverse to the groups: {_short(b)}"
                 )
         if list(self.blocks) != sorted(set(self.blocks)):
             raise PreconditionViolated("blocks must be sorted and duplicate-free")

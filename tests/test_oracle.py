@@ -1,9 +1,11 @@
 import io
 import json
 import random
+from itertools import combinations
 
 import pytest
 
+from balpack import oracle
 from balpack.core import (
     BalancedPacking,
     Labeling,
@@ -20,6 +22,26 @@ from balpack.oracle import (
     max_balanced_packing,
     structured_random,
 )
+
+
+def unbroken_search(t, k, v):
+    """The search before symmetry breaking, kept as the reference: one
+    clique search on each whole split graph, with no block fixed and no
+    orbit skipped.  Returns the maximum size."""
+    search = oracle._CliqueSearch(SearchBudget(), None)
+    for p_plus in range((v + 1) // 2, v + 1):
+        vertices = [
+            b for b in combinations(range(v), k)
+            if k // 2 <= sum(x < p_plus for x in b) <= (k + 1) // 2
+        ]
+        search.adj = [
+            sum(1 << j for j, c in enumerate(vertices)
+                if j != i and len(set(b) & set(c)) < t)
+            for i, b in enumerate(vertices)
+        ]
+        search.run([], (1 << len(vertices)) - 1)
+    assert search.complete
+    return search.best_size
 
 
 def test_tiny_ground_set_exhaustive():
@@ -90,6 +112,64 @@ def test_search_log_is_json_lines():
     for ln in lines:
         rec = json.loads(ln)
         assert {"nodes", "incumbent", "bound"} <= rec.keys()
+        assert {"labeling", "kind", "elapsed"} <= rec.keys()
+    kinds = [rec for rec in map(json.loads, lines) if rec["event"] == "kind"]
+    # splits p+ = 3..6, kinds a = 1 and 2 of each
+    assert [(rec["labeling"], rec["kind"]) for rec in kinds] == [
+        (p, a) for p in range(3, 7) for a in (1, 2)
+    ]
+    for rec in kinds:
+        assert {"vertices", "edges", "orbits", "complete", "best"} <= rec.keys()
+        assert rec["complete"]
+    assert kinds[-1]["nodes"] == r.nodes
+    assert kinds[-1]["incumbent"] == r.size
+    assert tuple(map(tuple, kinds[-1]["best"])) == r.witness.blocks
+
+
+def test_search_log_heartbeat(monkeypatch):
+    monkeypatch.setattr(oracle, "HEARTBEAT_NODES", 10)
+    sink = io.StringIO()
+    r = max_balanced_packing(2, 3, 9, log=sink)
+    beats = [
+        rec for rec in map(json.loads, sink.getvalue().splitlines())
+        if rec["event"] == "heartbeat"
+    ]
+    assert [rec["nodes"] for rec in beats] == list(range(10, r.nodes + 1, 10))
+    assert all({"labeling", "nodes", "incumbent", "bound"} <= rec.keys() for rec in beats)
+
+
+@pytest.mark.parametrize("t,k,v", [(2, 3, 9), (3, 4, 9), (2, 4, 12)])
+def test_budget_counts_the_whole_search(t, k, v):
+    r = max_balanced_packing(t, k, v)
+    assert r.exact
+    assert max_balanced_packing(t, k, v, SearchBudget(max_nodes=r.nodes)).exact
+    cut = max_balanced_packing(t, k, v, SearchBudget(max_nodes=r.nodes - 1))
+    assert not cut.exact
+    assert cut.nodes <= r.nodes - 1
+    assert verify(cut.witness).passed
+
+
+@pytest.mark.parametrize("t,k,v", [
+    (t, k, v) for v in range(2, 9) for k in range(2, v) for t in range(1, k)
+])
+def test_agrees_with_the_unbroken_search(t, k, v):
+    r = max_balanced_packing(t, k, v)
+    assert r.exact
+    assert r.size == unbroken_search(t, k, v)
+    assert r.witness.n_blocks == r.size
+    assert verify(r.witness).passed
+
+
+@pytest.mark.parametrize("t,k,v,size", [
+    (1, 2, 4, 2),  # {first block, second block} is already a family of two
+    (3, 4, 10, 20),
+    (2, 3, 11, 15),
+])
+def test_frozen_exact_values(t, k, v, size):
+    r = max_balanced_packing(t, k, v)
+    assert (r.size, r.exact) == (size, True)
+    assert r.witness.n_blocks == size
+    assert verify(r.witness).passed
 
 
 def test_determinism():

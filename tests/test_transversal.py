@@ -105,6 +105,17 @@ def test_td_type_rejects_non_transverse_blocks():
         TransversalDesign(2, 2, 2, ((0, 1),))  # both points in group 0
 
 
+def test_td_type_names_a_long_bad_block_briefly():
+    # block 0 is transverse; block 1 puts 0 and 1 in group 0 and runs on
+    # for 2998 more points
+    blocks = (tuple(range(0, 6000, 2)), (0, 1) + tuple(range(4, 6000, 2)))
+    with pytest.raises(PreconditionViolated) as info:
+        TransversalDesign(1, 3000, 2, blocks)
+    message = str(info.value)
+    assert message.startswith("block 1 is not transverse")
+    assert len(message) < 200
+
+
 def test_td_preconditions():
     with pytest.raises(PreconditionViolated):
         construct_td(2, 4, 3)  # k > q
