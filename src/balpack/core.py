@@ -8,6 +8,13 @@ intersections* when distinct blocks share at most t-1 points.  The
 together with the labeling and the block list; ``verify`` measures what
 actually holds and reports it.
 
+t = 0 has two readings, and both are kept.  ``is_packing(0, blocks)`` is
+the set predicate read strictly: the empty set lies in every block, so
+only a family of at most one block qualifies.  A family's own ``t = 0``
+means that no intersection bound is claimed (the sub-designs derived from
+t = 2 families carry it), and ``verify`` reads it that way: it skips the
+packing check.
+
 Files: packings are exchanged as a small JSON document with keys exactly
 ``version, v, t, k, labels, blocks`` (plus an optional ``classes`` list of
 block-index groups for partitioned families).  The writer is deterministic;
@@ -23,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
+from operator import itemgetter, lt
 
 __all__ = [
     "PackingError",
@@ -87,6 +95,26 @@ def _short(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _blocks_are_canonical(blocks, v) -> bool:
+    """True when every block is a nonempty tuple of ints, strictly
+    increasing, within [0, v), and each block sorts after the one before.
+
+    Decided in whole-family passes that run at C level; exact ``tuple`` and
+    ``int`` types only, so bools (and any subclass) read False here.
+    """
+    flat = chain.from_iterable
+    return (
+        set(map(type, blocks)) <= {tuple}
+        and all(blocks)
+        and set(map(type, flat(blocks))) <= {int}
+        and all(map(lt, flat(map(itemgetter(slice(None, -1)), blocks)),
+                    flat(map(itemgetter(slice(1, None)), blocks))))
+        and min(map(itemgetter(0), blocks), default=0) >= 0
+        and max(map(itemgetter(-1), blocks), default=-1) < v
+        and all(map(lt, blocks, blocks[1:]))
+    )
+
+
 @dataclass(frozen=True)
 class Labeling:
     """A +1/-1 sign for each point of the ground set."""
@@ -103,7 +131,7 @@ class Labeling:
 
     @property
     def p_plus(self) -> int:
-        return sum(1 for s in self.signs if s == 1)
+        return self.signs.count(1)
 
     @property
     def p_minus(self) -> int:
@@ -122,7 +150,8 @@ class BalancedPacking:
     ``t == 0`` records that no intersection bound is claimed (as for
     sub-designs derived from t=2 families).  Structural invariants —
     sorted, duplicate-free blocks of ints over [0, v) — are enforced here,
-    and only here, block by block in one pass;
+    and only here: whole-family passes decide, and only when one fails
+    does a per-block loop run to name the first bad block;
     the semantic booleans (regular / packing / balanced) are ``verify``'s
     job, so that failing families can still be represented and reported.
     """
@@ -142,6 +171,9 @@ class BalancedPacking:
             raise LabelConstraint(
                 f"labeling covers {self.labeling.v} points, ground set has {self.v}"
             )
+        if _blocks_are_canonical(self.blocks, self.v):
+            return
+        # name the first bad block; tuple and int subclasses pass here
         prev = ()
         for index, b in enumerate(self.blocks):
             if not (isinstance(b, tuple) and b and all(
@@ -449,9 +481,9 @@ def to_json(p: BalancedPacking, classes=None) -> str:
             out.append(f'  "{name}": []{tail}')
             return
         out.append(f'  "{name}": [')
-        for i, row in enumerate(rows):
-            comma = "," if i + 1 < len(rows) else ""
-            out.append("    " + json.dumps(list(row)) + comma)
+        # int.__repr__ is what json writes for an int, int subclasses too
+        out.append(",\n".join(
+            ["    [" + ", ".join(map(int.__repr__, row)) + "]" for row in rows]))
         out.append(f"  ]{tail}")
 
     array_lines("blocks", p.blocks, trailing)

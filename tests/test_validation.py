@@ -1,0 +1,207 @@
+"""BalancedPacking's whole-family block checks and to_json's joined rows,
+checked against the per-block validator and the per-row json.dumps writer
+they replaced."""
+
+import json
+from enum import IntEnum
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from balpack.core import BalancedPacking, Labeling, OutOfRange, PackingError, _short, to_json
+
+
+def reference_check(blocks, v):
+    """The per-block validator: raise for the first bad block."""
+    prev = ()
+    for index, b in enumerate(blocks):
+        if not (isinstance(b, tuple) and b and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in b)):
+            raise PackingError(
+                f"block {index} must be a nonempty tuple of integers, got {_short(b)}")
+        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+            raise PackingError(f"block {index} is not strictly increasing: {_short(b)}")
+        if b[0] < 0 or b[-1] >= v:
+            raise OutOfRange(
+                f"block {index} leaves the ground set [0, {v}): {_short(b)}")
+        if b <= prev:
+            raise PackingError(
+                f"block {index} does not sort after block {index - 1}: {_short(b)}")
+        prev = b
+
+
+def reference_to_json(p, classes=None):
+    """The writer with one json.dumps call per row."""
+    labels = "".join("+" if s == 1 else "-" for s in p.labeling.signs)
+    out = [
+        "{",
+        '  "version": 1,',
+        f'  "v": {p.v},',
+        f'  "t": {p.t},',
+        f'  "k": {p.k},',
+        f'  "labels": "{labels}",',
+    ]
+    trailing = "," if classes is not None else ""
+
+    def array_lines(name, rows, tail):
+        if not rows:
+            out.append(f'  "{name}": []{tail}')
+            return
+        out.append(f'  "{name}": [')
+        for i, row in enumerate(rows):
+            comma = "," if i + 1 < len(rows) else ""
+            out.append("    " + json.dumps(list(row)) + comma)
+        out.append(f"  ]{tail}")
+
+    array_lines("blocks", p.blocks, trailing)
+    if classes is not None:
+        array_lines("classes", classes, "")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+class Point(int):
+    """An int subclass that prints unlike an int."""
+
+    def __repr__(self):
+        return f"Point({int(self)})"
+
+    def __str__(self):
+        return f"<{int(self)}>"
+
+
+class Named(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+class Row(tuple):
+    """A tuple subclass."""
+
+
+def outcome(check):
+    try:
+        check()
+    except PackingError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def canonical_families(draw):
+    v = draw(st.integers(1, 9))
+    rows = draw(st.sets(st.frozensets(st.integers(0, v - 1), min_size=1), max_size=8))
+    return v, sorted(tuple(sorted(row)) for row in rows)
+
+
+def _replace_point(draw, v, b):
+    i = draw(st.integers(0, len(b) - 1))
+    x = draw(st.one_of(
+        st.integers(-3, v + 2),  # negative, out of range or repeated
+        st.booleans(),
+        st.floats(-1, v, allow_nan=False),
+        st.sampled_from([-1, v, Point(b[i]), Named.ONE]),
+    ))
+    return b[:i] + (x,) + b[i + 1:]
+
+
+@st.composite
+def families(draw):
+    """Canonical families with up to three faults or type changes, each
+    of which the per-block validator either rejects or accepts."""
+    v, blocks = draw(canonical_families())
+    for _ in range(draw(st.integers(0, 3))):
+        if not blocks:
+            blocks.append(())
+            continue
+        j = draw(st.integers(0, len(blocks) - 1))
+        b = tuple(blocks[j])
+        fault = draw(st.sampled_from([
+            "point", "swap-points", "repeat-point", "empty", "list", "row",
+            "int-subclass", "swap-blocks", "duplicate-block",
+        ]))
+        if fault == "point" and b:
+            blocks[j] = _replace_point(draw, v, b)
+        elif fault == "swap-points" and len(b) >= 2:
+            blocks[j] = (b[1], b[0]) + b[2:]
+        elif fault == "repeat-point":
+            blocks[j] = b[:1] + b
+        elif fault == "empty":
+            blocks[j] = ()
+        elif fault == "list":
+            blocks[j] = list(b)
+        elif fault == "row":
+            blocks[j] = Row(b)
+        elif fault == "int-subclass":
+            blocks[j] = tuple(map(Point, b))
+        elif fault == "swap-blocks" and j >= 1:
+            blocks[j - 1], blocks[j] = blocks[j], blocks[j - 1]
+        elif fault == "duplicate-block":
+            blocks.insert(j, blocks[j])
+    return v, tuple(blocks)
+
+
+@given(families())
+@settings(max_examples=500)
+def test_validation_matches_the_per_block_reference(family):
+    v, blocks = family
+    labeling = Labeling((1,) * v)
+    expected = outcome(lambda: reference_check(blocks, v))
+    assert outcome(lambda: BalancedPacking(v, 2, 3, labeling, blocks)) == expected
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0, 1), (2, 4)),  # a point equal to v
+    ((-1, 0),),
+    ((0, 1), (0, 1)),
+    ((0, 2), (0, 1)),
+    ((0, 0),),
+    ((0, 1.0),),
+    ((0, True),),
+    ((0, 1), ()),
+    ([0, 1],),
+    (Row((0, 1)), (Point(0), Named.TWO), (Named.ONE, 3)),  # accepted
+    ((0, 1), (0, 4), (1, True), ()),  # the first of several faults is named
+    ((), (1, True), (0, 4), (0, 1)),
+], ids=["v", "negative", "duplicate", "misordered", "repeated-point", "float", "bool",
+        "empty", "list", "subclasses", "faults", "faults-reversed"])
+def test_validation_matches_the_reference_on_single_faults(blocks):
+    expected = outcome(lambda: reference_check(blocks, 4))
+    labeling = Labeling((1, 1, -1, -1))
+    assert outcome(lambda: BalancedPacking(4, 2, 3, labeling, blocks)) == expected
+
+
+@st.composite
+def written_families(draw):
+    """Valid families, int-subclass points included, with an optional
+    partition of the block indices into classes."""
+    v, blocks = draw(canonical_families())
+    kind = draw(st.sampled_from([int, Point, Named]))
+    if kind is Named:
+        blocks = [b for b in blocks if b[-1] <= Named.TWO]
+    blocks = tuple(tuple(map(kind, b)) for b in blocks)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=v, max_size=v))
+    packing = BalancedPacking(v, 2, 3, Labeling(tuple(signs)), blocks)
+    classes = None
+    if draw(st.booleans()):
+        index = Point if kind is Point else int
+        groups = draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
+        classes = tuple(tuple(index(i) for i, g in enumerate(groups) if g == group)
+                        for group in range(3))
+    return packing, classes
+
+
+@given(written_families())
+@settings(max_examples=300)
+def test_writer_matches_the_json_dumps_reference(family):
+    packing, classes = family
+    assert to_json(packing, classes) == reference_to_json(packing, classes)
+
+
+def test_writer_prints_int_subclasses_as_json_does():
+    points = (Point(0), Named.TWO)
+    packing = BalancedPacking(3, 2, 2, Labeling((1, 1, -1)), (points,))
+    text = to_json(packing, classes=((Point(0),), ()))
+    assert text == reference_to_json(packing, classes=((Point(0),), ()))
+    assert "    [0, 2]\n" in text and '  "classes": [\n    [0],\n    []\n  ]\n' in text
