@@ -20,6 +20,12 @@ Files: packings are exchanged as a small JSON document with keys exactly
 block-index groups for partitioned families).  The writer is deterministic;
 the parser is strict, checks the document's shape, and leaves the blocks
 to ``BalancedPacking``: every malformed document is a ``FormatError``.
+
+``Record`` is the base of the package's immutable value classes: it gives
+each one a constructor over its ``_fields``, checked by ``__post_init__``,
+with equality, hashing and a repr over the field tuple, in place of a
+frozen dataclass, so that importing the package does not import
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
 from operator import itemgetter, lt
@@ -40,6 +45,7 @@ __all__ = [
     "PreconditionViolated",
     "FormatError",
     "Block",
+    "Record",
     "Labeling",
     "BalancedPacking",
     "VerificationReport",
@@ -115,11 +121,96 @@ def _blocks_are_canonical(blocks, v) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Labeling:
-    """A +1/-1 sign for each point of the ground set."""
+class Record:
+    """An immutable value with named fields, compared by exact class and
+    field tuple.
 
-    signs: tuple
+    A subclass names its fields in ``_fields``, in constructor order, and
+    the trailing ones that have a default in ``_defaults``.  The
+    constructor sets each field in that order and then calls
+    ``self.__post_init__()``, which checks the values; assigning or
+    deleting an attribute afterwards raises ``AttributeError``.  There are
+    no ``__slots__``, so ``functools.cached_property`` works on a subclass.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        setattr_ = object.__setattr__
+        for name, value in zip(self._fields, args):
+            setattr_(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values in order, from positional and keyword
+        arguments and the defaults."""
+        defaults = cls._defaults
+        rest = cls._fields[len(args):]
+        if len(args) <= len(cls._fields) and not kwargs.keys() - rest:
+            try:
+                return [*args, *[kwargs[key] if key in kwargs else defaults[key]
+                                 for key in rest]]
+            except KeyError:
+                pass
+        raise cls._call_error(args, kwargs)
+
+    @classmethod
+    def _call_error(cls, args, kwargs) -> TypeError:
+        """The TypeError that a generated ``__init__`` with these
+        parameters raises on a bad call."""
+        where, fields, defaults = f"{cls.__qualname__}.__init__()", cls._fields, cls._defaults
+        for key in kwargs:
+            if key not in fields:
+                return TypeError(f"{where} got an unexpected keyword argument {key!r}")
+            if fields.index(key) < len(args):
+                return TypeError(f"{where} got multiple values for argument {key!r}")
+        if len(args) > len(fields):
+            most = len(fields) + 1  # counting self
+            takes = f"from {most - len(defaults)} to {most}" if defaults else most
+            return TypeError(
+                f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
+        missing = [repr(key) for key in fields[len(args):]
+                   if key not in kwargs and key not in defaults]
+        names = " and ".join(missing) if len(missing) < 3 else (
+            ", ".join(missing[:-1]) + ", and " + missing[-1])
+        plural = "s" if len(missing) > 1 else ""
+        return TypeError(
+            f"{where} missing {len(missing)} required positional argument{plural}: {names}")
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Labeling(Record):
+    """A +1/-1 sign for each point of the ground set: ``signs`` is a tuple
+    with one sign per point."""
+
+    _fields = ("signs",)
 
     def __post_init__(self):
         if not all(s in (1, -1) for s in self.signs):
@@ -142,8 +233,7 @@ class Labeling:
         return Labeling(tuple(-s for s in self.signs))
 
 
-@dataclass(frozen=True)
-class BalancedPacking:
+class BalancedPacking(Record):
     """A claimed (t, k, v) balanced packing.
 
     ``k == 0`` is the irregular sentinel (no common block size claimed);
@@ -154,13 +244,12 @@ class BalancedPacking:
     does a per-block loop run to name the first bad block;
     the semantic booleans (regular / packing / balanced) are ``verify``'s
     job, so that failing families can still be represented and reported.
+
+    Fields: ``v``, ``t`` and ``k`` (ints), ``labeling`` (a ``Labeling``
+    over the v points) and ``blocks`` (a tuple of point tuples).
     """
 
-    v: int
-    t: int
-    k: int
-    labeling: Labeling
-    blocks: tuple
+    _fields = ("v", "t", "k", "labeling", "blocks")
 
     def __post_init__(self):
         if self.v < 1:
@@ -211,11 +300,13 @@ def make_packing(v, t, k, signs, blocks) -> BalancedPacking:
 
 def discrepancy(block, labeling: Labeling) -> int:
     """Signed sum of the labels over a block's points."""
+    signs = labeling.signs
+    v = len(signs)
     total = 0
     for x in block:
-        if not 0 <= x < labeling.v:
-            raise OutOfRange(f"point {x} outside ground set [0, {labeling.v})")
-        total += labeling.signs[x]
+        if not 0 <= x < v:
+            raise OutOfRange(f"point {x} outside ground set [0, {v})")
+        total += signs[x]
     return total
 
 
@@ -314,8 +405,7 @@ def is_packing(t: int, blocks) -> bool:
     return _shared_pair(_canonical(blocks), t, t) is None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """What a family actually satisfies, plus measured statistics.
 
     ``passed`` is the conjunction of the three booleans regular/packing/
@@ -324,22 +414,16 @@ class VerificationReport:
     None unless their check failed: ``overlap`` is ``(i, j, shared
     points)`` for two blocks, by input index, sharing the largest
     intersection, and ``unbalanced`` is ``(index, discrepancy)`` of the
-    first block whose discrepancy leaves {-1, 0, +1}.
+    first block whose discrepancy leaves {-1, 0, +1}; both default to
+    None.  ``max_intersection`` is None when there are fewer than two
+    blocks, and ``discrepancies`` is the sorted tuple of every block's
+    discrepancy.
     """
 
-    regular: bool
-    packing: bool
-    balanced: bool
-    n_blocks: int
-    max_intersection: int  # None when fewer than two blocks
-    discrepancies: tuple
-    p_plus: int
-    p_minus: int
-    mixed_signs: bool
-    bound: int
-    bound_ok: bool
-    overlap: tuple = None
-    unbalanced: tuple = None
+    _fields = ("regular", "packing", "balanced", "n_blocks", "max_intersection",
+               "discrepancies", "p_plus", "p_minus", "mixed_signs", "bound",
+               "bound_ok", "overlap", "unbalanced")
+    _defaults = {"overlap": None, "unbalanced": None}
 
     @property
     def passed(self) -> bool:

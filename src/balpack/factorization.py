@@ -16,7 +16,6 @@ packings live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     Labeling,
     PackingError,
     PreconditionViolated,
+    Record,
     _short,
     is_packing,
     load_document,
@@ -56,12 +56,14 @@ class NotSupported(PackingError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """A partition of the complete graph K_n into n-1 perfect matchings."""
+class OneFactorization(Record):
+    """A partition of the complete graph K_n into n-1 perfect matchings.
 
-    n: int
-    classes: tuple  # tuple of matchings; each matching a tuple of (a, b) pairs
+    ``classes`` is a tuple of matchings, each matching a tuple of (a, b)
+    pairs.
+    """
+
+    _fields = ("n", "classes")
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
@@ -131,18 +133,15 @@ def triples_from_factorization(p_plus: int, p_minus: int) -> BalancedPacking:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionablePacking:
+class PartitionablePacking(Record):
     """Blocks split into classes, each class a (t_prime, k, v) packing.
 
     Distinct classes never share a block; that is what makes the
-    class-aligned product below a packing again.
+    class-aligned product below a packing again.  ``classes`` is a tuple
+    of block tuples.
     """
 
-    t_prime: int
-    k: int
-    v: int
-    classes: tuple  # tuple of block tuples
+    _fields = ("t_prime", "k", "v", "classes")
 
     def __post_init__(self):
         seen = set()

@@ -27,10 +27,9 @@ once per field, in time linear in q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import PreconditionViolated
+from .core import PreconditionViolated, Record
 
 __all__ = [
     "FieldError",
@@ -60,8 +59,7 @@ class TooLarge(FieldError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Immutable description of one field GF(p^m), with its arithmetic.
 
     Attributes
@@ -77,10 +75,7 @@ class FieldSpec:
         Canonical index of the designated primitive element.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    xi_index: int
+    _fields = ("p", "m", "modulus", "xi_index")
 
     @property
     def q(self) -> int:

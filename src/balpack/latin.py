@@ -16,9 +16,8 @@ sets of size 2p+1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import BalancedPacking, Labeling, PackingError, PreconditionViolated
+from .core import BalancedPacking, Labeling, PackingError, PreconditionViolated, Record
 
 
 class SeedInvalid(PackingError):
@@ -34,18 +33,16 @@ class InvariantViolation(PackingError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedSets:
+class SeedSets(Record):
     """Two sets of unordered pairs that together partition Z_{p_plus}.
 
     The positive pairs seed the plain cells, the negative pairs the
-    boxed cells.  Regularity is a separate predicate (check_regularity),
-    not enforced here, so deliberately broken seeds can be represented.
+    boxed cells; each set is a tuple of (a, b) pairs with a < b.
+    Regularity is a separate predicate (check_regularity), not enforced
+    here, so deliberately broken seeds can be represented.
     """
 
-    p_plus: int
-    positive_pairs: tuple
-    negative_pairs: tuple
+    _fields = ("p_plus", "positive_pairs", "negative_pairs")
 
     def __post_init__(self):
         p = self.p_plus
@@ -108,13 +105,11 @@ def check_regularity(seeds: SeedSets) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatinRectangle:
-    """p_plus rows by cols columns of (value, boxed) entries."""
+class LatinRectangle(Record):
+    """p_plus rows by cols columns of (value, boxed) entries: ``cells`` is
+    a tuple of row tuples of (value, boxed) pairs."""
 
-    p_plus: int
-    cols: int
-    cells: tuple  # row tuples of (value, boxed) pairs
+    _fields = ("p_plus", "cols", "cells")
 
     def __post_init__(self):
         p = self.p_plus

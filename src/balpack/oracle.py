@@ -42,7 +42,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, NamedTuple, Optional
 
@@ -52,6 +51,7 @@ from .core import (
     Labeling,
     PackingError,
     PreconditionViolated,
+    Record,
 )
 
 
@@ -59,17 +59,17 @@ class Indivisible(PackingError):
     """Interval construction needs the block size to divide v."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps on the exact search.
+class SearchBudget(Record):
+    """Caps on the exact search: ``max_nodes`` (default 10**8) and
+    ``time_cap`` in seconds (default 600.0).
 
     Exceeding either cap stops the search and surfaces ``exact=False``
     on the result together with the best packing found so far; it is
     never a silent truncation and never an exception.
     """
 
-    max_nodes: int = 10**8
-    time_cap: float = 600.0
+    _fields = ("max_nodes", "time_cap")
+    _defaults = {"max_nodes": 10**8, "time_cap": 600.0}
 
     def __post_init__(self):
         if self.max_nodes <= 0 or self.time_cap <= 0:

@@ -12,7 +12,6 @@ the family rather than claimed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -21,6 +20,7 @@ from .core import (
     Labeling,
     PackingError,
     PreconditionViolated,
+    Record,
     max_pairwise_intersection,
 )
 
@@ -29,8 +29,7 @@ class OddGroundSet(PackingError):
     """The parity split needs an even ground set."""
 
 
-@dataclass(frozen=True)
-class SumCodeParams:
+class SumCodeParams(Record):
     """Case data for the construction, keyed on k mod 4.
 
     n_even/n_odd are the seed-choice sizes; the forced completion then
@@ -39,8 +38,7 @@ class SumCodeParams:
     element must complete the block and the target must be odd too.
     """
 
-    v: int
-    k: int
+    _fields = ("v", "k")
 
     def __post_init__(self):
         if self.v < 2 or self.v % 2:

@@ -12,21 +12,17 @@ pack extra blocks into pairs of opposite-sign groups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import gf
-from .core import BalancedPacking, Labeling, PreconditionViolated, _short, is_packing
+from .core import BalancedPacking, Labeling, PreconditionViolated, Record, _short, is_packing
 from .factorization import one_factorization
 
 
-@dataclass(frozen=True)
-class TransversalDesign:
-    """Blocks meeting each of k groups of size q in exactly one point."""
+class TransversalDesign(Record):
+    """Blocks meeting each of k groups of size q in exactly one point;
+    ``blocks`` is a sorted tuple of point tuples."""
 
-    t: int
-    k: int
-    q: int
-    blocks: tuple
+    _fields = ("t", "k", "q", "blocks")
 
     def __post_init__(self):
         if not 1 <= self.t <= self.k:

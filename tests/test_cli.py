@@ -377,6 +377,39 @@ def test_no_arguments_is_usage_error():
     assert main(["construct", "nonsense"]) == 2
 
 
+# Prints, as JSON, the modules that ``import balpack.cli`` adds to a fresh
+# interpreter, and whether each layer module is loaded afterwards.
+STARTUP_PROBE = """
+import json, sys
+before = set(sys.modules)
+import balpack.cli
+layers = ("cli", "core", "bounds", "gf", "latin", "factorization",
+          "transversal", "babai_frankl", "sumcode", "oracle")
+print(json.dumps({
+    "added": sorted(set(sys.modules) - before),
+    "missing": [name for name in layers if f"balpack.{name}" not in sys.modules],
+}))
+"""
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    # Every layer is imported eagerly: the traced benchmark launcher wraps
+    # them all right after this import.  dataclasses (and the inspect it
+    # pulls in) would cost every CLI job start-up time.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    probe = json.loads(done.stdout)
+    assert probe["missing"] == []
+    assert "balpack.cli" in probe["added"]
+    assert not {"dataclasses", "inspect"} & set(probe["added"])
+
+
 # Prints what this interpreter lacks to build a wheel offline, or nothing.
 # It runs in a fresh interpreter, so that importing setuptools changes
 # nothing in the test process.  pip is looked up last: its lookup turns off

@@ -103,6 +103,13 @@ def test_discrepancy():
         discrepancy((0, 9), lab)
 
 
+@pytest.mark.parametrize("block, point", [((0, 4), 4), ((-1, 2), -1), ((1, 2, 7), 7)])
+def test_discrepancy_names_the_point_outside(block, point):
+    with pytest.raises(OutOfRange) as caught:
+        discrepancy(block, Labeling((1, -1, 1, -1)))
+    assert str(caught.value) == f"point {point} outside ground set [0, 4)"
+
+
 def test_max_pairwise_intersection():
     assert max_pairwise_intersection([(0, 1, 2), (0, 1, 3), (4, 5, 6)]) == 2
     assert max_pairwise_intersection([(0, 1), (2, 3)]) == 0
