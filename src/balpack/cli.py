@@ -34,14 +34,12 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
+SOURCE_SPECS = "onefact:N | singletons:N | lts:9 | file:PATH"
+
 
 def _usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _fraction_str(f) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _save_verified(packing: BalancedPacking, out_path: str) -> int:
@@ -85,66 +83,54 @@ def latin_dispatch(v: int) -> BalancedPacking:
 
 
 def _load_partitionable(spec: str) -> factorization.PartitionablePacking:
+    unknown = PackingError(f"unknown source {spec!r}; use {SOURCE_SPECS}")
     kind, _, rest = spec.partition(":")
-    if kind == "onefact":
-        return factorization.from_one_factorization(
-            factorization.one_factorization(int(rest))
-        )
-    if kind == "singletons":
-        return factorization.singleton_classes(int(rest))
-    if kind == "lts":
-        return factorization.large_set_sts(int(rest))
     if kind == "file":
         return factorization.load_large_set(rest)
-    raise PackingError(
-        f"unknown source {spec!r}; use onefact:N, singletons:N, lts:9 or file:PATH"
+    try:
+        n = int(rest)
+    except ValueError:
+        raise unknown from None
+    if kind == "onefact":
+        return factorization.from_one_factorization(
+            factorization.one_factorization(n)
+        )
+    if kind == "singletons":
+        return factorization.singleton_classes(n)
+    if kind == "lts":
+        return factorization.large_set_sts(n)
+    raise unknown
+
+
+def _build_td(args) -> BalancedPacking:
+    td = transversal.construct_td(args.t, args.k, args.q)
+    return BalancedPacking(
+        td.v, td.t, td.k, transversal.label_groups(td), td.blocks
     )
 
 
-def _build_packing(args) -> BalancedPacking:
-    method = args.method
-    if method == "babai-frankl":
-        return babai_frankl.construct(args.q, args.k, args.t)
-    if method == "td":
-        td = transversal.construct_td(args.t, args.k, args.q)
-        return BalancedPacking(
-            td.v, td.t, td.k, transversal.label_groups(td), td.blocks
-        )
-    if method == "td-augment34":
-        if args.v % 4:
-            raise PackingError(f"--v must be a multiple of 4, got {args.v}")
-        m = args.v // 4
-        return (
-            transversal.augment_34_char2(m) if args.char2
-            else transversal.augment_34(m)
-        )
-    if method == "latin":
-        return latin_dispatch(args.v)
-    if method == "factorization":
-        return factorization.triples_from_factorization(args.p_plus, args.p_minus)
-    if method == "sum":
-        return sumcode.construct(args.v, args.k)
-    if method == "product":
-        first = _load_partitionable(args.first)
-        second = _load_partitionable(args.second)
-        return factorization.product(first, second, allow_prefix=args.allow_prefix)
-    if method == "mds":
-        source = _load_partitionable(args.source)
-        if args.write_large_set:
-            factorization.save_large_set(source, args.write_large_set)
-        if args.variant == "45":
-            p_minus = args.p_minus if args.p_minus is not None else source.v - 1
-            return factorization.mds_45_product(source, p_minus)
-        return factorization.mds_product(source)
-    raise PackingError(f"unknown method {method!r}")
+def _build_td_augment34(args) -> BalancedPacking:
+    if args.v % 4:
+        raise PackingError(f"--v must be a multiple of 4, got {args.v}")
+    m = args.v // 4
+    return (
+        transversal.augment_34_char2(m) if args.char2
+        else transversal.augment_34(m)
+    )
+
+
+def _build_mds(args) -> BalancedPacking:
+    source = _load_partitionable(args.source)
+    if args.write_large_set:
+        factorization.save_large_set(source, args.write_large_set)
+    if args.variant == "45":
+        # the only negative side mds_45_product accepts
+        return factorization.mds_45_product(source, source.v - 1)
+    return factorization.mds_product(source)
 
 
 def _cmd_construct(args) -> int:
-    try:
-        packing = _build_packing(args)
-    except ValueError as exc:
-        return _usage(str(exc))
-    return _save_verified(packing, args.out)
+    return _save_verified(args.build(args), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +178,7 @@ def _cmd_bound(args) -> int:
 def _cmd_compare(args) -> int:
     gap = bounds.theorem1_gap(args.t, args.k, args.v)
     rel = "<" if gap.strict else ">="
-    print(f"{gap.bound} {rel} {_fraction_str(gap.steiner)}")
+    print(f"{gap.bound} {rel} {gap.steiner}")
     return EXIT_OK
 
 
@@ -205,7 +191,7 @@ def _cmd_oracle(args) -> int:
         )
         ref = oracle_mod.existence_reference(args.v, args.k, args.t)
         print(f"retained {len(blocks)} structured sets over {args.trials} trials")
-        print(f"reference (v*t/k^2)^t = {_fraction_str(ref)}")
+        print(f"reference (v*t/k^2)^t = {ref}")
         return EXIT_OK
     budget = oracle_mod.SearchBudget(args.budget_nodes, args.time_cap)
     with open(args.log, "w", encoding="ascii") if args.log else nullcontext() as log_fh:
@@ -248,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="build a packing and write it")
+    con.set_defaults(run=_cmd_construct)
     method = con.add_subparsers(dest="method", required=True)
 
     bf = method.add_parser("babai-frankl", help="polynomial graph family")
@@ -255,53 +242,61 @@ def _build_parser() -> argparse.ArgumentParser:
     bf.add_argument("--k", type=int, required=True)
     bf.add_argument("--t", type=int, required=True)
     _add_out(bf)
+    bf.set_defaults(build=lambda a: babai_frankl.construct(a.q, a.k, a.t))
 
     td = method.add_parser("td", help="transversal design as a packing")
     td.add_argument("--t", type=int, required=True)
     td.add_argument("--k", type=int, required=True)
     td.add_argument("--q", type=int, required=True, help="group size (prime power)")
     _add_out(td)
+    td.set_defaults(build=_build_td)
 
     aug = method.add_parser("td-augment34", help="augmented TD(3,4,m), v=4m")
     aug.add_argument("--v", type=int, required=True, help="multiple of 4")
     aug.add_argument("--char2", action="store_true",
                      help="characteristic-2 field variant (m a power of two)")
     _add_out(aug)
+    aug.set_defaults(build=_build_td_augment34)
 
     lat = method.add_parser("latin", help="A(2,3,v) dispatcher, v >= 8")
     lat.add_argument("--v", type=int, required=True)
     _add_out(lat)
+    lat.set_defaults(build=lambda a: latin_dispatch(a.v))
 
     fac = method.add_parser("factorization", help="matching triples")
     fac.add_argument("--p-plus", type=int, required=True, help="even >= 2")
     fac.add_argument("--p-minus", type=int, required=True)
     _add_out(fac)
+    fac.set_defaults(build=lambda a: factorization.triples_from_factorization(
+        a.p_plus, a.p_minus))
 
     sm = method.add_parser("sum", help="fixed-sum parity blocks")
     sm.add_argument("--v", type=int, required=True, help="even")
     sm.add_argument("--k", type=int, required=True, help=">= 3")
     _add_out(sm)
+    sm.set_defaults(build=lambda a: sumcode.construct(a.v, a.k))
 
     pr = method.add_parser("product", help="cross product of two class families")
-    pr.add_argument("--first", required=True,
-                    help="onefact:N | singletons:N | lts:9 | file:PATH")
-    pr.add_argument("--second", required=True,
-                    help="onefact:N | singletons:N | lts:9 | file:PATH")
+    pr.add_argument("--first", required=True, help=SOURCE_SPECS)
+    pr.add_argument("--second", required=True, help=SOURCE_SPECS)
     pr.add_argument("--allow-prefix", action="store_true",
                     help="pair a prefix of the longer class list")
     _add_out(pr)
+    pr.set_defaults(build=lambda a: factorization.product(
+        _load_partitionable(a.first), _load_partitionable(a.second),
+        allow_prefix=a.allow_prefix))
 
     md = method.add_parser("mds", help="paired-classes product of a large set")
     md.add_argument("--source", required=True, help="lts:9 | file:PATH")
     md.add_argument("--variant", choices=("full", "45"), default="full")
-    md.add_argument("--p-minus", type=int,
-                    help="negative side for --variant 45 (default v-1)")
     md.add_argument("--write-large-set", metavar="PATH",
                     help="also save the source classes")
     _add_out(md)
+    md.set_defaults(build=_build_mds)
 
     ver = sub.add_parser("verify", help="check a packing file")
     ver.add_argument("file")
+    ver.set_defaults(run=_cmd_verify)
 
     bnd = sub.add_parser("bound", help="print the counting bound")
     bnd.add_argument("t", type=int)
@@ -309,11 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("v", type=int)
     bnd.add_argument("--p-plus", type=int)
     bnd.add_argument("--p-minus", type=int)
+    bnd.set_defaults(run=_cmd_bound)
 
     cmp_ = sub.add_parser("compare", help="balanced bound vs unrestricted count")
     cmp_.add_argument("t", type=int)
     cmp_.add_argument("k", type=int)
     cmp_.add_argument("v", type=int)
+    cmp_.set_defaults(run=_cmd_compare)
 
     orc = sub.add_parser("oracle", help="exact search or randomized baseline")
     orc.add_argument("t", type=int)
@@ -328,22 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--trials", type=int)
     orc.add_argument("--seed", type=int,
                      help="RNG seed (required with --baseline)")
+    orc.set_defaults(run=_cmd_oracle)
 
     der = sub.add_parser("derive", help="contract a +/- point pair")
     der.add_argument("file")
     der.add_argument("e1", type=int)
     der.add_argument("e2", type=int)
     _add_out(der)
-
-    handlers = {
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "bound": _cmd_bound,
-        "compare": _cmd_compare,
-        "oracle": _cmd_oracle,
-        "derive": _cmd_derive,
-    }
-    parser.set_defaults(_handlers=handlers)
+    der.set_defaults(run=_cmd_derive)
     return parser
 
 
@@ -354,7 +343,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args._handlers[args.command](args)
+        return args.run(args)
     except (PackingError, OSError) as exc:  # every parameter and I/O error
         return _usage(str(exc))
 

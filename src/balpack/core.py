@@ -430,10 +430,8 @@ class VerificationReport(Record):
         return self.regular and self.packing and self.balanced
 
     def lines(self):
-        disc_counts = {}
-        for d in self.discrepancies:
-            disc_counts[d] = disc_counts.get(d, 0) + 1
-        disc = ", ".join(f"{d}: {c}" for d, c in sorted(disc_counts.items()))
+        disc = ", ".join(
+            f"{d}: {c}" for d, c in sorted(Counter(self.discrepancies).items()))
         out = [
             f"blocks: {self.n_blocks}",
             f"regular: {self.regular}",

@@ -27,7 +27,7 @@ from .core import (
     _short,
     is_packing,
     load_document,
-    to_json,
+    save_packing,
 )
 
 
@@ -289,13 +289,14 @@ def _check_steiner_classes(m: PartitionablePacking) -> None:
         raise ClassesNotSteiner(
             f"no ({m.t_prime},{m.k},{m.v}) Steiner system can exist"
         )
+    # the type makes each class a t'-packing with no block in two classes;
+    # a t'-packing of C(v,t')/C(k,t') blocks is then a Steiner system
     for cls in m.classes:
-        if len(cls) != per_class or not is_packing(m.t_prime, cls):
+        if len(cls) != per_class:
             raise ClassesNotSteiner(
                 f"class of size {len(cls)} is not a ({m.t_prime},{m.k},{m.v}) "
                 "Steiner system"
             )
-    # pairwise block-disjointness is already enforced by the type
 
 
 def mds_product(m: PartitionablePacking) -> BalancedPacking:
@@ -369,8 +370,7 @@ def save_large_set(m: PartitionablePacking, path) -> None:
     half = (m.v + 1) // 2
     signs = (1,) * half + (-1,) * (m.v - half)
     packing = BalancedPacking(m.v, m.t_prime, m.k, Labeling(signs), blocks)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_json(packing, classes=classes))
+    save_packing(packing, path, classes)
 
 
 def partitionable_from_document(packing: BalancedPacking, classes) -> PartitionablePacking:

@@ -320,8 +320,7 @@ def structured_random(
     is <= t, one looser than the packing predicate.  Interval labeling
     makes each kept set's discrepancy 0 (k even) or +1 (k odd).
     """
-    if v % k:
-        raise Indivisible(f"{k} does not divide {v}")
+    labeling = interval_labeling(v, k)
     if trials < 0:
         raise PreconditionViolated("trials must be nonnegative")
     width = v // k
@@ -336,7 +335,7 @@ def structured_random(
         if all((mask & m).bit_count() <= t for m in kept_masks):
             kept.append(block)
             kept_masks.append(mask)
-    return tuple(kept), interval_labeling(v, k)
+    return tuple(kept), labeling
 
 
 def existence_reference(v: int, k: int, t: int) -> Fraction:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -149,6 +150,27 @@ def test_construct_product_bad_source(tmp_path):
         tmp_path, "p.json", "product", "--first", "onefact:x",
         "--second", "singletons:3",
     )[0] == 2
+
+
+def test_construct_product_non_integer_source_is_unknown_source(tmp_path, capsys):
+    code, out = construct(
+        tmp_path, "p.json", "product", "--first", "onefact:x",
+        "--second", "singletons:3",
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown source 'onefact:x'")
+    assert not out.exists()
+
+
+def test_construct_mds_has_no_p_minus_option(tmp_path):
+    # mds_45_product accepts only p_minus = v - 1, so the route passes it
+    code, out = construct(
+        tmp_path, "m.json", "mds", "--source", "lts:9", "--variant", "45",
+        "--p-minus", "8",
+    )
+    assert code == 2
+    assert not out.exists()
 
 
 def test_mds_pipeline_with_large_set(tmp_path, capsys):
@@ -369,6 +391,23 @@ def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def readme_commands():
+    """Each ``balpack ...`` line of README's "Command line" code block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("balpack ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_no_arguments_is_usage_error():
