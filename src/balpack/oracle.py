@@ -1,39 +1,35 @@
 """Ground-truth engines for small parameters.
 
-``max_balanced_packing`` finds the true maximum size of a balanced
-packing.  Every labeling is, up to renaming the points, a split: +1 on
-[0, p+) and -1 on [p+, v).  For each split p+ in [ceil(v/2), v] (the
-flipped splits are mirror images) it runs a deterministic
-branch-and-bound maximum-clique search on the compatibility graph of
-the admissible blocks.
+``max_balanced_packing`` finds the true maximum size of a balanced packing.
+Every labeling is, up to renaming the points, a split: +1 on [0, p+) and -1
+on [p+, v).  For each split p+ in [ceil(v/2), v] (the flipped splits are
+mirror images) it runs a deterministic branch-and-bound maximum-clique search
+on the compatibility graph of the admissible blocks.  G = S_{p+} x S_{p-}
+fixes the split, and the search breaks that symmetry by orbital branching
+(Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 2011):
 
-The split's labeling is fixed by G = S_{p+} x S_{p-}, which permutes
-the positive and the negative points among themselves, and the search
-breaks that symmetry by orbital branching (Ostrowski, Linderoth, Rossi
-and Smriglio, Math. Programming 2011):
-
-* A block's kind is its number of positive points.  G moves any block
-  to any other of the same kind, so a family holding a block of kind a
-  is the image of one holding the canonical block
-  ``range(a) + range(p+, p+ + k - a)``.  Each kind is searched through
-  its canonical block only, and then every block of that kind is
-  dropped before the next kind.
+* A block's kind is its number of positive points.  G moves a block to any
+  other of its kind, so each kind a is searched only through its canonical
+  block ``range(a) + range(p+, p+ + k - a)``, and then dropped.
 * The second block is branched by the orbits of the canonical block's
-  stabiliser, S_{c&P} x S_{P-c} x S_{c&N} x S_{N-c}: an orbit is given
-  by how many of a block's points fall in c&P and in c&N, and by its
-  kind.  One representative per orbit is searched, and the orbit is
-  then deleted from the candidates.
+  stabiliser, S_{c&P} x S_{P-c} x S_{c&N} x S_{N-c}: how many of a block's
+  points fall in c&P and in c&N, and its kind.  One representative per
+  orbit is searched, then the whole orbit is deleted.
 
-Both steps only discard families that are images under G of families
-that are searched, so the search is still assumption-free: no bound
-from the counting side is trusted and no labeling is skipped.  The
-``SearchBudget`` caps the whole search: one node counter and one clock
-cover every split, kind and orbit.  Desk scale only.
+Both steps skip only images under G of searched families: no counting bound
+is trusted and no labeling is skipped.  ``SearchBudget`` caps the whole
+search with one node counter and one clock.  Desk scale only.
 
-``structured_random`` is the randomized interval baseline: one uniform
-point per interval, greedy retention.  Its RNG is ``random.Random``
-(Mersenne Twister), so runs reproduce across platforms for a fixed
-seed.
+Sets of blocks are bitsets (ints).  The colouring bound builds one colour
+class at a time from the lowest candidate left, as in San Segundo's BBMC,
+which is first-fit in vertex order, born sorted.  ``_sharing_at_least``
+finds the sets that hold at least m of a block's points through
+point-holder bitsets: it builds each split graph and decides the baseline's
+retention.  Neither changes a node count, a witness or a retained set.
+
+``structured_random`` is the randomized interval baseline: one uniform point
+per interval, greedy retention.  Its RNG is ``random.Random`` (Mersenne
+Twister), so runs reproduce across platforms for a fixed seed.
 """
 
 from __future__ import annotations
@@ -83,26 +79,18 @@ class OracleResult(NamedTuple):
     nodes: int
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
 # A long search writes a heartbeat line to its log every this many nodes.
 HEARTBEAT_NODES = 100_000
 
 
 class _CliqueSearch:
-    """Tomita-style branch and bound with a greedy coloring bound.
+    """Tomita-style branch and bound with a greedy colouring bound.
 
-    Candidates are expanded in reverse color order; a vertex whose
-    color class index cannot lift the incumbent prunes the whole rest
-    of the candidate list.  Vertex order (and hence the witness) is
-    deterministic.  One instance serves a whole oracle call: the node
-    count, the clock and the incumbent carry over from one split graph
-    and one branch to the next.
+    Candidates are expanded in reverse colour order; a vertex whose colour
+    cannot lift the incumbent prunes the rest of the candidates.  Vertex
+    order, and hence the witness, is deterministic.  One instance serves a
+    whole oracle call: the node count, the clock and the incumbent carry
+    over from one split graph and one branch to the next.
     """
 
     def __init__(self, budget, log):
@@ -126,22 +114,24 @@ class _CliqueSearch:
         )
 
     def _color_order(self, cand: int):
-        classes = []
+        """The first-fit colouring in vertex order as sorted (colour,
+        vertex) pairs, built one class at a time from the lowest vertex."""
         colored = []
-        for u in _bits(cand):
-            for ci, members in enumerate(classes):
-                if not (members & self.adj[u]):
-                    classes[ci] |= 1 << u
-                    colored.append((ci + 1, u))
-                    break
-            else:
-                classes.append(1 << u)
-                colored.append((len(classes), u))
-        colored.sort()
+        color = 0
+        while cand:
+            color += 1
+            pool = cand
+            while pool:
+                low = pool & -pool
+                u = low.bit_length() - 1
+                colored.append((color, u))
+                cand ^= low
+                pool &= ~(self.adj[u] | low)
         return colored
 
     def color_bound(self, cand: int) -> int:
-        return len({c for c, _ in self._color_order(cand)})
+        colored = self._color_order(cand)
+        return colored[-1][0] if colored else 0
 
     def emit(self, event: str, **fields):
         if self.log is not None:
@@ -157,12 +147,10 @@ class _CliqueSearch:
             }) + "\n")
 
     def run(self, fixed, cand: int):
-        """Extend the clique ``fixed`` by vertices of ``cand``.
-
-        The fixed vertices count toward the depth, so only cliques
-        larger than the incumbent are looked for: an inner search below
-        two fixed blocks is seeded with the incumbent minus two.
-        """
+        """Extend the clique ``fixed`` by vertices of ``cand``.  Fixed
+        vertices count toward the depth, so only cliques larger than the
+        incumbent are looked for: below two fixed blocks, the incumbent
+        minus two seeds the search."""
         self.stack = list(fixed)
         if len(fixed) > self.best_size:
             self._improve()
@@ -196,14 +184,20 @@ class _CliqueSearch:
             cand &= ~(1 << u)
 
 
+def _sharing_at_least(points, holders, m: int) -> int:
+    """The bitset of the sets that hold at least m >= 1 of ``points``,
+    where ``holders[x]`` is the bitset of the sets that hold point x."""
+    at_least = [-1] + [0] * m  # at_least[j]: sets holding >= j of the points so far
+    for x in points:
+        held = holders[x]
+        for j in range(m, 0, -1):
+            at_least[j] |= at_least[j - 1] & held
+    return at_least[m]
+
+
 def _admissible_blocks(v: int, k: int, p_plus: int):
-    lo, hi = k // 2, (k + 1) // 2
-    out = []
-    for block in itertools.combinations(range(v), k):
-        inside = sum(1 for x in block if x < p_plus)
-        if lo <= inside <= hi:
-            out.append(block)
-    return out
+    return [b for b in itertools.combinations(range(v), k)
+            if k // 2 <= sum(x < p_plus for x in b) <= (k + 1) // 2]
 
 
 def _search_kind(search, masks, kinds, allowed, c, p_plus):
@@ -214,9 +208,10 @@ def _search_kind(search, masks, kinds, allowed, c, p_plus):
     c_pos, c_neg = masks[c] & positive, masks[c] & ~positive
     cand = allowed & search.adj[c]
     orbits = {}
-    for x in _bits(cand):
-        key = ((masks[x] & c_pos).bit_count(), (masks[x] & c_neg).bit_count(), kinds[x])
-        orbits[key] = orbits.get(key, 0) | 1 << x
+    for x, mask in enumerate(masks):
+        if cand >> x & 1:
+            key = ((mask & c_pos).bit_count(), (mask & c_neg).bit_count(), kinds[x])
+            orbits[key] = orbits.get(key, 0) | 1 << x
     search.bound = 1 + search.color_bound(cand)
     search.run([c], 0)  # {c} alone, while the incumbent is empty
     searched = 0
@@ -229,6 +224,17 @@ def _search_kind(search, masks, kinds, allowed, c, p_plus):
         cand &= ~orbit
         searched += 1
     return searched
+
+
+def _split_graph(vertices, v: int, t: int) -> list:
+    """Adjacency bitsets: two blocks are adjacent when they share < t points."""
+    holders = [0] * v
+    for i, b in enumerate(vertices):
+        for x in b:
+            holders[x] |= 1 << i
+    everyone = (1 << len(vertices)) - 1
+    return [everyone & ~_sharing_at_least(b, holders, t) & ~(1 << i)
+            for i, b in enumerate(vertices)]
 
 
 def max_balanced_packing(
@@ -263,14 +269,8 @@ def max_balanced_packing(
         n = len(vertices)
         masks = [sum(1 << x for x in b) for b in vertices]
         kinds = [sum(1 for x in b if x < p_plus) for b in vertices]
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (masks[i] & masks[j]).bit_count() < t:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        edges = sum(a.bit_count() for a in adj) // 2
-        search.adj = adj
+        search.adj = _split_graph(vertices, v, t)
+        edges = sum(a.bit_count() for a in search.adj) // 2
         search.labeling = p_plus
         allowed = (1 << n) - 1
         for a in sorted({k // 2, (k + 1) // 2}):
@@ -320,21 +320,21 @@ def structured_random(
     is <= t, one looser than the packing predicate.  Interval labeling
     makes each kept set's discrepancy 0 (k even) or +1 (k odd).
     """
+    if k < 1 or v < 1 or t < 0 or trials < 0:
+        raise PreconditionViolated("need k, v >= 1 and t, trials >= 0")
     labeling = interval_labeling(v, k)
-    if trials < 0:
-        raise PreconditionViolated("trials must be nonnegative")
     width = v // k
     rng = random.Random(rng_seed)
     kept: list[Block] = []
-    kept_masks: list[int] = []
+    holders = [0] * v  # holders[x]: bitset of the kept sets that hold x
     for _ in range(trials):
         block = tuple(
             i * width + rng.randrange(width) for i in range(k)
         )
-        mask = sum(1 << x for x in block)
-        if all((mask & m).bit_count() <= t for m in kept_masks):
+        if not _sharing_at_least(block, holders, t + 1):
+            for x in block:
+                holders[x] |= 1 << len(kept)
             kept.append(block)
-            kept_masks.append(mask)
     return tuple(kept), labeling
 
 

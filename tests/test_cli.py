@@ -372,6 +372,10 @@ def test_derive_roundtrip(tmp_path):
     ["oracle", "2", "3", "6", "--budget-nodes", "0"],
     ["oracle", "0", "3", "6"],
     ["oracle", "2", "3", "10", "--baseline", "--trials", "5", "--seed", "1"],
+    ["oracle", "2", "0", "4", "--baseline", "--trials", "5", "--seed", "1"],
+    ["oracle", "2", "3", "-3", "--baseline", "--trials", "5", "--seed", "1"],
+    ["oracle", "2", "-2", "4", "--baseline", "--trials", "5", "--seed", "1"],
+    ["oracle", "-1", "5", "100", "--baseline", "--trials", "5", "--seed", "1"],
     ["derive", "{src}", "0", "99", "--out", "{tmp}/x.json"],
     ["derive", "{missing}/src.json", "0", "8", "--out", "{tmp}/x.json"],
     ["construct", "product", "--first", "file:{missing}.json",
@@ -380,6 +384,7 @@ def test_derive_roundtrip(tmp_path):
 ], ids=[
     "construct-out", "oracle-out", "derive-out", "oracle-log",
     "mds-write-large-set", "budget-nodes-0", "oracle-t0", "baseline-indivisible",
+    "baseline-k0", "baseline-v-negative", "baseline-k-negative", "baseline-t-negative",
     "derive-out-of-range", "derive-missing-file", "product-missing-file",
     "bound-t-equals-k",
 ])

@@ -172,11 +172,35 @@ def test_frozen_exact_values(t, k, v, size):
     assert verify(r.witness).passed
 
 
+# Sizes and node counts of the benchmark's six exact instances and of the
+# two largest pinned ones.  Node counts are deterministic, so a change to
+# the colouring or to the split graphs that alters the search shows here.
+@pytest.mark.parametrize("t,k,v,size,nodes", [
+    (2, 3, 9, 10, 171),
+    (3, 4, 9, 12, 1769),
+    (3, 5, 10, 6, 59),
+    (4, 5, 9, 16, 2174),
+    (2, 4, 12, 9, 63),
+    (4, 6, 11, 10, 133),
+    (2, 3, 10, 12, 11955),
+    (3, 4, 10, 20, 29598),
+])
+def test_frozen_node_counts(t, k, v, size, nodes):
+    r = max_balanced_packing(t, k, v)
+    assert (r.size, r.nodes, r.exact) == (size, nodes, True)
+
+
 def test_determinism():
     a = max_balanced_packing(2, 3, 8)
     b = max_balanced_packing(2, 3, 8)
     assert a.witness.blocks == b.witness.blocks
     assert a.nodes == b.nodes
+    # The witness itself is frozen too.
+    assert a.witness.labeling.signs == (1,) * 4 + (-1,) * 4
+    assert a.witness.blocks == (
+        (0, 2, 7), (0, 3, 6), (0, 4, 5), (1, 2, 5),
+        (1, 3, 4), (1, 6, 7), (2, 4, 6), (3, 5, 7),
+    )
 
 
 def test_interval_labeling_shape():
@@ -216,11 +240,15 @@ def test_structured_random_deterministic():
     c, _ = structured_random(100, 5, 2, 1000, rng_seed=2)
     assert a == b
     assert a != c
+    assert len(a) == 663  # README's `oracle 2 5 100 --baseline --trials 1000 --seed 1`
 
 
 def test_structured_random_errors_and_edges():
     with pytest.raises(Indivisible):
         structured_random(10, 3, 2, 10, rng_seed=0)
+    for v, k, t in [(4, 0, 2), (-3, 3, 2), (4, -2, 2), (100, 5, -1)]:
+        with pytest.raises(PreconditionViolated):
+            structured_random(v, k, t, 5, rng_seed=0)
     blocks, _ = structured_random(20, 4, 2, 0, rng_seed=0)
     assert blocks == ()
 
