@@ -42,7 +42,7 @@ class SumCodeParams(Record):
 
     def __post_init__(self):
         if self.v < 2 or self.v % 2:
-            raise OddGroundSet(f"v={self.v} must be even")
+            raise OddGroundSet(f"v={self.v} must be even and >= 2")
         if self.k < 3:
             raise PreconditionViolated(f"k={self.k} must be at least 3")
 

@@ -381,12 +381,13 @@ def test_derive_roundtrip(tmp_path):
     ["construct", "product", "--first", "file:{missing}.json",
      "--second", "singletons:3", "--out", "{tmp}/x.json"],
     ["bound", "3", "3", "9"],
+    ["construct", "sum", "--v", "0", "--k", "3", "--out", "{tmp}/x.json"],
 ], ids=[
     "construct-out", "oracle-out", "derive-out", "oracle-log",
     "mds-write-large-set", "budget-nodes-0", "oracle-t0", "baseline-indivisible",
     "baseline-k0", "baseline-v-negative", "baseline-k-negative", "baseline-t-negative",
     "derive-out-of-range", "derive-missing-file", "product-missing-file",
-    "bound-t-equals-k",
+    "bound-t-equals-k", "sum-v0",
 ])
 def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
     src = tmp_path / "src.json"
@@ -437,9 +438,9 @@ print(json.dumps({
 
 
 def test_cli_import_loads_every_layer_and_no_dataclasses():
-    # Every layer is imported eagerly: the traced benchmark launcher wraps
-    # them all right after this import.  dataclasses (and the inspect it
-    # pulls in) would cost every CLI job start-up time.
+    # Every layer is registered; route layers load on first use.  The traced
+    # benchmark launcher wraps them all right after this import.  dataclasses
+    # (and the inspect it pulls in) would cost every CLI job start-up time.
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE],
@@ -452,6 +453,104 @@ def test_cli_import_loads_every_layer_and_no_dataclasses():
     assert probe["missing"] == []
     assert "balpack.cli" in probe["added"]
     assert not {"dataclasses", "inspect"} & set(probe["added"])
+
+
+# One public function of each layer.
+LAYER_FUNCTIONS = {
+    "cli": "main", "core": "verify", "bounds": "lemma1_bound", "gf": "make_field",
+    "latin": "fill", "factorization": "triples_from_factorization",
+    "transversal": "construct_td", "babai_frankl": "construct",
+    "sumcode": "construct", "oracle": "max_balanced_packing",
+}
+
+
+def run_fresh(source, *args):
+    """Run ``source`` in a fresh interpreter on src/; return its last stdout line."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", source, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_layers_stay_package_attributes_after_cli_import():
+    # A lazily registered layer must also be set on the package, or
+    # ``import balpack.oracle; balpack.oracle.f`` raises AttributeError.  A
+    # layer imported before the CLI must stay the module its importer holds.
+    source = ("import sys\nfrom balpack import transversal as first\n"
+              "import balpack.cli\n"
+              "assert sys.modules['balpack.transversal'] is first\n") + "".join(
+        f"import balpack.{layer}\n"
+        f"balpack.{layer}.{function}\n"
+        f"from balpack import {layer}\n"
+        f"assert {layer} is sys.modules['balpack.{layer}']\n"
+        for layer, function in LAYER_FUNCTIONS.items()
+    ) + "print('ok')"
+    assert run_fresh(source) == "ok"
+
+
+# Runs ``cli.main`` on its arguments, then prints which route layers have run
+# their module body.  ``type`` reads a lazy module without loading it.
+LAZY_PROBE = """
+import json, sys, types
+from balpack import cli
+code = cli.main(sys.argv[1:])
+route = ("babai_frankl", "factorization", "gf", "latin", "oracle", "sumcode",
+         "transversal")
+print(json.dumps({"code": code, "ran": [
+    name for name in route if type(sys.modules[f"balpack.{name}"]) is types.ModuleType
+]}))
+"""
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["verify", "{family}"], []),
+    (["construct", "latin", "--v", "120", "--out", "{tmp}/l.json"], ["latin"]),
+    # transversal imports gf, but the sum design never touches it
+    (["construct", "td-augment34", "--v", "16", "--out", "{tmp}/a.json"],
+     ["factorization", "transversal"]),
+    (["oracle", "2", "3", "8"], ["oracle"]),
+], ids=["verify", "construct-latin", "construct-td-augment34", "oracle"])
+def test_a_job_runs_only_the_route_layers_it_uses(tmp_path, argv, ran):
+    family = construct(tmp_path, "f.json", "latin", "--v", "12")[1]
+    probe = json.loads(run_fresh(
+        LAZY_PROBE, *[arg.format(tmp=tmp_path, family=family) for arg in argv]))
+    assert probe == {"code": 0, "ran": ran}
+
+
+# What the traced benchmark launcher relies on: after ``import balpack.cli``
+# every layer's namespace is in sys.modules and holds its public functions,
+# and a function replaced there is the one a job calls.
+TRACER_PROBE = """
+import json, sys
+import balpack.cli
+public = {}
+for name in json.loads(sys.argv[1]):
+    module = sys.modules[f"balpack.{name}"]
+    public[name] = [attr for attr, obj in vars(module).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == module.__name__]
+oracle = sys.modules["balpack.oracle"]
+calls = []
+real = oracle.max_balanced_packing
+def replacement(*args, **kwargs):
+    calls.append(args[:3])
+    return real(*args, **kwargs)
+setattr(oracle, "max_balanced_packing", replacement)
+code = balpack.cli.main(["oracle", "2", "3", "8"])
+print(json.dumps({"public": public, "calls": calls, "code": code}))
+"""
+
+
+def test_layer_namespaces_can_be_wrapped_after_cli_import():
+    probe = json.loads(run_fresh(TRACER_PROBE, json.dumps(list(LAYER_FUNCTIONS))))
+    for layer, function in LAYER_FUNCTIONS.items():
+        assert function in probe["public"][layer], layer
+    assert probe["calls"] == [[2, 3, 8]]
+    assert probe["code"] == 0
 
 
 # Prints what this interpreter lacks to build a wheel offline, or nothing.

@@ -102,9 +102,9 @@ def test_seed_counts_by_residue():
 
 
 def test_odd_ground_set_rejected():
-    with pytest.raises(OddGroundSet):
+    with pytest.raises(OddGroundSet, match=r"^v=11 must be even and >= 2$"):
         construct(11, 3)
-    with pytest.raises(OddGroundSet):
+    with pytest.raises(OddGroundSet, match=r"^v=0 must be even and >= 2$"):
         SumCodeParams(0, 3)
 
 
