@@ -313,36 +313,76 @@ def discrepancy(block, labeling: Labeling) -> int:
 def _shared_pair(blocks, low, top):
     """Two blocks sharing an m-subset, for the largest such m in [low, top].
 
-    ``blocks`` are sorted, duplicate-free tuples.  Levels m = top, ...,
-    low are searched from the top down.  Hashing the m-subsets of every
-    block touches m * sum C(|b|, m) points; counting the points each pair
-    of blocks shares through the point-to-block incidence touches about
-    sum_x deg(x)^2, whatever m is.  Before each level the cheaper of the
-    two is taken from these counts, and an incidence count, once taken,
-    settles every level left.  The subset hash is what keeps regular
-    families far below the n^2 pairs; the incidence count is what keeps
-    wide blocks, where C(|b|, m) explodes, within reach.
+    ``blocks`` are sorted, duplicate-free tuples.  Levels m = low, ...,
+    top are searched from the bottom up: two blocks that share m + 1
+    points also share m, so the first level with no repeated m-subset
+    ends the walk, and the answer is the pair found on the level below
+    it.  Hashing the m-subsets of every block touches m * sum C(|b|, m)
+    points; counting the points each pair of blocks shares through the
+    point-to-block incidence touches about sum_x deg(x)^2, whatever m
+    is.  Before each level the cheaper of the two is taken from these
+    counts, and an incidence count, once taken, settles the walk.  The
+    exact sum_x deg(x)^2 needs a pass over the points, so it is taken
+    only when the level's hash costs more than a lower bound on it read
+    from the ends of the blocks (``_incidence_floor``).  The subset hash
+    is what keeps regular families far below the n^2 pairs; the
+    incidence count is what keeps wide blocks, where C(|b|, m) explodes,
+    within reach.
 
-    Returns ``(i, j)``, ``i < j``, or None when no level has a repeat.
-    Searched from ``top`` = the second largest block size down, the pair
+    Returns ``(i, j)``, ``i < j``, or None when level ``low`` has no
+    repeat.  With ``top`` = the second largest block size, the pair
     shares the largest intersection of the family, and it is the first
-    such pair by (j, i): both ways of counting find the same one.
+    such pair by (j, i): both ways of counting find the same one.  When
+    the family's largest intersection exceeds ``top``, the pair shares
+    at least ``top`` points.
     """
     sizes = Counter(map(len, blocks))
-    incidence_cost = sum(d * d for d in Counter(chain.from_iterable(blocks)).values())
-    for m in range(top, low - 1, -1):
+    floor = _incidence_floor(blocks, sum(s * c for s, c in sizes.items()))
+    incidence_cost = None
+    found = None  # (m, j): the first block j with an earlier block sharing m points
+    for m in range(low, top + 1):
         subsets = {s: comb(s, m) for s in sizes}
-        if m * sum(c * subsets[s] for s, c in sizes.items()) > incidence_cost:
-            shared, pair = _incidence_pair(blocks)
-            return pair if shared >= low else None
-        seen = set()
-        for j, b in enumerate(blocks):
-            before = len(seen)
-            seen.update(combinations(b, m))
-            if len(seen) - before < subsets[len(b)]:
-                points = set(b)
-                i = next(i for i in range(j) if len(points.intersection(blocks[i])) >= m)
-                return i, j
+        cost = m * sum(c * subsets[s] for s, c in sizes.items())
+        if cost > floor:
+            if incidence_cost is None:
+                incidence_cost = sum(d * d for d in Counter(chain.from_iterable(blocks)).values())
+            if cost > incidence_cost:
+                shared, pair = _incidence_pair(blocks)
+                return pair if shared >= low else None
+        j = _first_repeat(blocks, m, subsets)
+        if j is None:
+            break
+        found = m, j
+    if found is None:
+        return None
+    m, j = found
+    points = set(blocks[j])
+    return next(i for i in range(j) if len(points.intersection(blocks[i])) >= m), j
+
+
+def _incidence_floor(blocks, total):
+    """A lower bound on sum_x deg(x)^2 that needs no pass over the points.
+    The ``total`` = sum |b| points of the sorted ``blocks`` lie in
+    [lo, hi], so at most hi - lo + 1 of them are distinct, and by
+    Cauchy-Schwarz sum_x deg(x)^2 >= total^2 / (hi - lo + 1).  0 (no
+    bound) when the family or a block is empty or the points are not
+    integers."""
+    try:
+        span = max(map(itemgetter(-1), blocks)) - min(map(itemgetter(0), blocks)) + 1
+    except (IndexError, TypeError, ValueError):
+        return 0
+    return total * total // span if type(span) is int else 0
+
+
+def _first_repeat(blocks, m, subsets):
+    """The first index j whose block holds an m-subset of an earlier
+    block, or None; ``subsets`` maps a block size to its C(size, m)."""
+    seen = set()
+    for j, b in enumerate(blocks):
+        before = len(seen)
+        seen.update(combinations(b, m))
+        if len(seen) - before < subsets[len(b)]:
+            return j
     return None
 
 

@@ -68,7 +68,9 @@ class SearchBudget(Record):
     _defaults = {"max_nodes": 10**8, "time_cap": 600.0}
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.time_cap <= 0:
+        # not (cap > 0), so that a NaN cap, which compares False both ways,
+        # is refused rather than switching the time limit off
+        if not (self.max_nodes > 0 and self.time_cap > 0):
             raise PreconditionViolated("budget caps must be positive")
 
 

@@ -370,6 +370,7 @@ def test_derive_roundtrip(tmp_path):
     ["construct", "mds", "--source", "lts:9",
      "--write-large-set", "{missing}/ls.json", "--out", "{tmp}/x.json"],
     ["oracle", "2", "3", "6", "--budget-nodes", "0"],
+    ["oracle", "2", "3", "8", "--time-cap", "nan"],
     ["oracle", "0", "3", "6"],
     ["oracle", "2", "3", "10", "--baseline", "--trials", "5", "--seed", "1"],
     ["oracle", "2", "0", "4", "--baseline", "--trials", "5", "--seed", "1"],
@@ -384,8 +385,9 @@ def test_derive_roundtrip(tmp_path):
     ["construct", "sum", "--v", "0", "--k", "3", "--out", "{tmp}/x.json"],
 ], ids=[
     "construct-out", "oracle-out", "derive-out", "oracle-log",
-    "mds-write-large-set", "budget-nodes-0", "oracle-t0", "baseline-indivisible",
-    "baseline-k0", "baseline-v-negative", "baseline-k-negative", "baseline-t-negative",
+    "mds-write-large-set", "budget-nodes-0", "time-cap-nan", "oracle-t0",
+    "baseline-indivisible", "baseline-k0", "baseline-v-negative", "baseline-k-negative",
+    "baseline-t-negative",
     "derive-out-of-range", "derive-missing-file", "product-missing-file",
     "bound-t-equals-k", "sum-v0",
 ])
@@ -397,6 +399,54 @@ def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+HELP_ARGVS = [
+    ["--help"],
+    ["construct", "--help"],
+    *(["construct", route, "--help"] for route in (
+        "babai-frankl", "td", "td-augment34", "latin", "factorization", "sum",
+        "product", "mds")),
+    *([command, "--help"] for command in ("verify", "bound", "compare", "oracle", "derive")),
+]
+USAGE_ERROR_ARGVS = [
+    [],
+    ["construct", "nonsense"],
+    ["construct", "latin", "--v", "8"],
+    ["construct", "mds", "--source", "lts:9", "--variant", "x", "--out", "x.json"],
+    ["bound", "2", "3", "9", "--bogus"],
+]
+
+
+def pinned_cli_text():
+    """``tests/cli_text.txt`` as {argv line: text}: each ``$ balpack ...``
+    line starts a case, and the lines up to the next one are its text."""
+    cases, key = {}, None
+    path = Path(__file__).with_name("cli_text.txt")
+    for line in path.read_text(encoding="ascii").splitlines(keepends=True):
+        if line.startswith("$ balpack"):
+            key = line[2:].rstrip("\n")
+            cases[key] = ""
+        elif key is not None:
+            cases[key] += line
+    return cases
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the pinned text is Python 3.11's argparse wording")
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+    # Byte for byte, so that building the parsers differently (only the
+    # chosen subcommand's, say) cannot change what a user reads.
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = pinned_cli_text()
+    seen = []
+    for argv, code in [(a, 0) for a in HELP_ARGVS] + [(a, 2) for a in USAGE_ERROR_ARGVS]:
+        key = shlex.join(["balpack", *argv])
+        seen.append(key)
+        assert main(argv) == code, key
+        out, err = capsys.readouterr()
+        assert (out, err) == ((pinned[key], "") if code == 0 else ("", pinned[key])), key
+    assert seen == list(pinned)
 
 
 def readme_commands():

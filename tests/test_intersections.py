@@ -66,6 +66,24 @@ def test_is_packing_is_max_intersection_below_t(blocks, t):
     assert is_packing(t, blocks) == (scan(blocks)[0] < t)
 
 
+@given(irregular_families())
+def test_every_level_range_matches_the_scan(blocks):
+    # verify walks levels 1..second largest size and is_packing walks t..t;
+    # every other range checks where the walk stops, one level at a time.
+    best, pair = scan(blocks)
+    canonical = [tuple(sorted(b)) for b in blocks]
+    for top in range(1, max(map(len, canonical)) + 1):
+        for low in range(1, top + 1):
+            found = core._shared_pair(canonical, low, top)
+            if best < low:
+                assert found is None, (low, top)
+            elif best <= top:
+                assert found == pair, (low, top)
+            else:  # the range ends below the largest intersection
+                i, j = found
+                assert i < j and len(set(canonical[i]) & set(canonical[j])) >= top
+
+
 def test_wide_blocks_take_the_incidence_path(monkeypatch):
     # Hashing level m of 300 blocks of 24 points touches
     # m * 300 * C(24, m) points, past 10^8 in the middle levels; the
@@ -105,6 +123,39 @@ def test_regular_families_take_the_subset_hash(monkeypatch):
     packing = latin16()
     assert max_pairwise_intersection(packing.blocks) == 1
     assert is_packing(2, packing.blocks)
+
+
+def test_the_walk_stops_at_the_first_level_with_no_repeat(monkeypatch):
+    # Levels are hashed from the bottom up, and a level with no repeated
+    # m-subset ends the walk: a family whose blocks share at most one
+    # point never hashes its triples.
+    levels = []
+
+    def recorded(b, m):
+        levels.append(m)
+        return combinations(b, m)
+
+    monkeypatch.setattr(core, "combinations", recorded)
+    packing = latin16()
+    assert max_pairwise_intersection(packing.blocks) == 1
+    assert set(levels) == {1, 2} and levels == sorted(levels)
+
+    # One more balanced triple, which shares a pair with a block: the walk
+    # goes on to level 3, and the witness is still the scan's.
+    signs = packing.labeling.signs
+    extra = next(
+        triple
+        for triple in combinations(range(16), 3)
+        if triple not in packing.blocks and abs(sum(signs[y] for y in triple)) <= 1
+        and any(len(set(triple) & set(b)) == 2 for b in packing.blocks)
+    )
+    bad = make_packing(16, 2, 3, signs, packing.blocks + (extra,))
+    best, (i, j) = scan(bad.blocks)
+    levels.clear()
+    report = verify(bad)
+    assert set(levels) == {1, 2, 3} and levels == sorted(levels)
+    assert best == report.max_intersection == 2
+    assert report.overlap == (i, j, tuple(sorted(set(bad.blocks[i]) & set(bad.blocks[j]))))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -103,6 +103,13 @@ def test_budget_validation():
         max_balanced_packing(0, 3, 6)
 
 
+def test_nan_time_cap_is_refused():
+    # nan <= 0 is False, so a test for "<= 0" would let a NaN cap through
+    # and the search would run with no time limit.
+    with pytest.raises(PreconditionViolated, match="budget caps must be positive"):
+        SearchBudget(10, float("nan"))
+
+
 def test_search_log_is_json_lines():
     sink = io.StringIO()
     r = max_balanced_packing(2, 3, 6, log=sink)
