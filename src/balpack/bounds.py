@@ -5,7 +5,6 @@ Everything here is big-int / Fraction arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -116,7 +115,7 @@ def type_lp_bound(t: int, k: int, v: int) -> int:
 
 
 class SteinerSize(NamedTuple):
-    size: Fraction
+    size: fractions.Fraction
     integral: bool
 
 
@@ -124,13 +123,15 @@ def steiner_size(t: int, k: int, v: int) -> SteinerSize:
     """Block count C(v,t)/C(k,t) of a hypothetical S(t,k,v), kept exact."""
     if not 1 <= t <= k <= v:
         raise PreconditionViolated(f"need 1 <= t <= k <= v, got ({t},{k},{v})")
-    size = Fraction(comb(v, t), comb(k, t))
+    import fractions
+
+    size = fractions.Fraction(comb(v, t), comb(k, t))
     return SteinerSize(size, size.denominator == 1)
 
 
 class GapResult(NamedTuple):
     bound: int
-    steiner: Fraction
+    steiner: fractions.Fraction
     strict: bool
 
 

@@ -13,6 +13,9 @@ Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
 Route layers are registered lazily and run on first use, so a job compiles
 only the layers it calls.  Function-local imports would hide them from the
 traced benchmark launcher, which wraps every layer in ``sys.modules``.
+Likewise a job's parser lists every subcommand and route but declares the
+arguments of only the subcommand and the route its command line names
+(see ``_build_parser``), so every help text and usage line is the same.
 """
 
 from __future__ import annotations
@@ -242,124 +245,194 @@ def _cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each subcommand and each construct route, in listing order: name ->
+# (help, declare).  ``declare(parser)`` adds its arguments and the default
+# that carries its handler (``run``) or its builder (``build``).
+_COMMANDS: dict = {}
+_ROUTES: dict = {}
+
+
+def _declares(table: dict, name: str, help: str):
+    def register(declare):
+        table[name] = (help, declare)
+        return declare
+    return register
+
+
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="packing file to write")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@_declares(_COMMANDS, "construct", "build a packing and write it")
+def _construct_args(p):
+    p.set_defaults(run=_cmd_construct)
+
+
+@_declares(_ROUTES, "babai-frankl", "polynomial graph family")
+def _babai_frankl_args(p):
+    p.add_argument("--q", type=int, required=True, help="prime power")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    _add_out(p)
+    p.set_defaults(build=lambda a: babai_frankl.construct(a.q, a.k, a.t))
+
+
+@_declares(_ROUTES, "td", "transversal design as a packing")
+def _td_args(p):
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, help="group size (prime power)")
+    _add_out(p)
+    p.set_defaults(build=_build_td)
+
+
+@_declares(_ROUTES, "td-augment34", "augmented TD(3,4,m), v=4m")
+def _td_augment34_args(p):
+    p.add_argument("--v", type=int, required=True, help="multiple of 4")
+    p.add_argument("--char2", action="store_true",
+                   help="characteristic-2 field variant (m a power of two)")
+    _add_out(p)
+    p.set_defaults(build=_build_td_augment34)
+
+
+@_declares(_ROUTES, "latin", "A(2,3,v) dispatcher, v >= 8")
+def _latin_args(p):
+    p.add_argument("--v", type=int, required=True)
+    _add_out(p)
+    p.set_defaults(build=lambda a: latin_dispatch(a.v))
+
+
+@_declares(_ROUTES, "factorization", "matching triples")
+def _factorization_args(p):
+    p.add_argument("--p-plus", type=int, required=True, help="even >= 2")
+    p.add_argument("--p-minus", type=int, required=True)
+    _add_out(p)
+    p.set_defaults(build=lambda a: factorization.triples_from_factorization(
+        a.p_plus, a.p_minus))
+
+
+@_declares(_ROUTES, "sum", "fixed-sum parity blocks")
+def _sum_args(p):
+    p.add_argument("--v", type=int, required=True, help="even")
+    p.add_argument("--k", type=int, required=True, help=">= 3")
+    _add_out(p)
+    p.set_defaults(build=lambda a: sumcode.construct(a.v, a.k))
+
+
+@_declares(_ROUTES, "product", "cross product of two class families")
+def _product_args(p):
+    p.add_argument("--first", required=True, help=SOURCE_SPECS)
+    p.add_argument("--second", required=True, help=SOURCE_SPECS)
+    p.add_argument("--allow-prefix", action="store_true",
+                   help="pair a prefix of the longer class list")
+    _add_out(p)
+    p.set_defaults(build=lambda a: factorization.product(
+        _load_partitionable(a.first), _load_partitionable(a.second),
+        allow_prefix=a.allow_prefix))
+
+
+@_declares(_ROUTES, "mds", "paired-classes product of a large set")
+def _mds_args(p):
+    p.add_argument("--source", required=True, help="lts:9 | file:PATH")
+    p.add_argument("--variant", choices=("full", "45"), default="full")
+    p.add_argument("--write-large-set", metavar="PATH",
+                   help="also save the source classes")
+    _add_out(p)
+    p.set_defaults(build=_build_mds)
+
+
+@_declares(_COMMANDS, "verify", "check a packing file")
+def _verify_args(p):
+    p.add_argument("file")
+    p.set_defaults(run=_cmd_verify)
+
+
+@_declares(_COMMANDS, "bound", "print the counting bound")
+def _bound_args(p):
+    p.add_argument("t", type=int)
+    p.add_argument("k", type=int)
+    p.add_argument("v", type=int)
+    p.add_argument("--p-plus", type=int)
+    p.add_argument("--p-minus", type=int)
+    p.set_defaults(run=_cmd_bound)
+
+
+@_declares(_COMMANDS, "compare", "balanced bound vs unrestricted count")
+def _compare_args(p):
+    p.add_argument("t", type=int)
+    p.add_argument("k", type=int)
+    p.add_argument("v", type=int)
+    p.set_defaults(run=_cmd_compare)
+
+
+@_declares(_COMMANDS, "oracle", "exact search or randomized baseline")
+def _oracle_args(p):
+    p.add_argument("t", type=int)
+    p.add_argument("k", type=int)
+    p.add_argument("v", type=int)
+    p.add_argument("--budget-nodes", type=int, default=10**8)
+    p.add_argument("--time-cap", type=float, default=600.0)
+    p.add_argument("--out", help="write the witness packing here")
+    p.add_argument("--log", help="JSON-lines search log")
+    p.add_argument("--baseline", action="store_true",
+                   help="randomized interval baseline instead of exact search")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int,
+                   help="RNG seed (required with --baseline)")
+    p.set_defaults(run=_cmd_oracle)
+
+
+@_declares(_COMMANDS, "derive", "contract a +/- point pair")
+def _derive_args(p):
+    p.add_argument("file")
+    p.add_argument("e1", type=int)
+    p.add_argument("e2", type=int)
+    _add_out(p)
+    p.set_defaults(run=_cmd_derive)
+
+
+def _add_choices(group, table: dict, argv: list) -> tuple:
+    """Add a parser with its help to ``group`` for each entry of ``table``,
+    and declare the arguments of only the first entry that a token of
+    ``argv`` names.  Return that name (or None) and the tokens after it."""
+    at = next((i for i, token in enumerate(argv) if token in table), len(argv))
+    chosen = argv[at] if at < len(argv) else None
+    for name, (help_, declare) in table.items():
+        parser = group.add_parser(name, help=help_)
+        if name == chosen:
+            declare(parser)
+    return chosen, argv[at + 1:]
+
+
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every subcommand and route is listed, so
+    every help text, choice list and usage line reads the same, but only
+    the subcommand and the route that ``argv`` selects get arguments.
+
+    argparse takes the first positional token as the subcommand and, under
+    ``construct``, the first positional token after it as the route.  At
+    neither level does an option take a value, so every token before that
+    one starts with ``-``, and no name does: when argparse's token names a
+    subcommand (a route), it is the first token that names one.  When it
+    names none, the usage error reads the same whichever parser has
+    arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="balpack",
         description="Construct, verify and bound balanced set packings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    con = sub.add_parser("construct", help="build a packing and write it")
-    con.set_defaults(run=_cmd_construct)
-    method = con.add_subparsers(dest="method", required=True)
-
-    bf = method.add_parser("babai-frankl", help="polynomial graph family")
-    bf.add_argument("--q", type=int, required=True, help="prime power")
-    bf.add_argument("--k", type=int, required=True)
-    bf.add_argument("--t", type=int, required=True)
-    _add_out(bf)
-    bf.set_defaults(build=lambda a: babai_frankl.construct(a.q, a.k, a.t))
-
-    td = method.add_parser("td", help="transversal design as a packing")
-    td.add_argument("--t", type=int, required=True)
-    td.add_argument("--k", type=int, required=True)
-    td.add_argument("--q", type=int, required=True, help="group size (prime power)")
-    _add_out(td)
-    td.set_defaults(build=_build_td)
-
-    aug = method.add_parser("td-augment34", help="augmented TD(3,4,m), v=4m")
-    aug.add_argument("--v", type=int, required=True, help="multiple of 4")
-    aug.add_argument("--char2", action="store_true",
-                     help="characteristic-2 field variant (m a power of two)")
-    _add_out(aug)
-    aug.set_defaults(build=_build_td_augment34)
-
-    lat = method.add_parser("latin", help="A(2,3,v) dispatcher, v >= 8")
-    lat.add_argument("--v", type=int, required=True)
-    _add_out(lat)
-    lat.set_defaults(build=lambda a: latin_dispatch(a.v))
-
-    fac = method.add_parser("factorization", help="matching triples")
-    fac.add_argument("--p-plus", type=int, required=True, help="even >= 2")
-    fac.add_argument("--p-minus", type=int, required=True)
-    _add_out(fac)
-    fac.set_defaults(build=lambda a: factorization.triples_from_factorization(
-        a.p_plus, a.p_minus))
-
-    sm = method.add_parser("sum", help="fixed-sum parity blocks")
-    sm.add_argument("--v", type=int, required=True, help="even")
-    sm.add_argument("--k", type=int, required=True, help=">= 3")
-    _add_out(sm)
-    sm.set_defaults(build=lambda a: sumcode.construct(a.v, a.k))
-
-    pr = method.add_parser("product", help="cross product of two class families")
-    pr.add_argument("--first", required=True, help=SOURCE_SPECS)
-    pr.add_argument("--second", required=True, help=SOURCE_SPECS)
-    pr.add_argument("--allow-prefix", action="store_true",
-                    help="pair a prefix of the longer class list")
-    _add_out(pr)
-    pr.set_defaults(build=lambda a: factorization.product(
-        _load_partitionable(a.first), _load_partitionable(a.second),
-        allow_prefix=a.allow_prefix))
-
-    md = method.add_parser("mds", help="paired-classes product of a large set")
-    md.add_argument("--source", required=True, help="lts:9 | file:PATH")
-    md.add_argument("--variant", choices=("full", "45"), default="full")
-    md.add_argument("--write-large-set", metavar="PATH",
-                    help="also save the source classes")
-    _add_out(md)
-    md.set_defaults(build=_build_mds)
-
-    ver = sub.add_parser("verify", help="check a packing file")
-    ver.add_argument("file")
-    ver.set_defaults(run=_cmd_verify)
-
-    bnd = sub.add_parser("bound", help="print the counting bound")
-    bnd.add_argument("t", type=int)
-    bnd.add_argument("k", type=int)
-    bnd.add_argument("v", type=int)
-    bnd.add_argument("--p-plus", type=int)
-    bnd.add_argument("--p-minus", type=int)
-    bnd.set_defaults(run=_cmd_bound)
-
-    cmp_ = sub.add_parser("compare", help="balanced bound vs unrestricted count")
-    cmp_.add_argument("t", type=int)
-    cmp_.add_argument("k", type=int)
-    cmp_.add_argument("v", type=int)
-    cmp_.set_defaults(run=_cmd_compare)
-
-    orc = sub.add_parser("oracle", help="exact search or randomized baseline")
-    orc.add_argument("t", type=int)
-    orc.add_argument("k", type=int)
-    orc.add_argument("v", type=int)
-    orc.add_argument("--budget-nodes", type=int, default=10**8)
-    orc.add_argument("--time-cap", type=float, default=600.0)
-    orc.add_argument("--out", help="write the witness packing here")
-    orc.add_argument("--log", help="JSON-lines search log")
-    orc.add_argument("--baseline", action="store_true",
-                     help="randomized interval baseline instead of exact search")
-    orc.add_argument("--trials", type=int)
-    orc.add_argument("--seed", type=int,
-                     help="RNG seed (required with --baseline)")
-    orc.set_defaults(run=_cmd_oracle)
-
-    der = sub.add_parser("derive", help="contract a +/- point pair")
-    der.add_argument("file")
-    der.add_argument("e1", type=int)
-    der.add_argument("e2", type=int)
-    _add_out(der)
-    der.set_defaults(run=_cmd_derive)
+    commands = parser.add_subparsers(dest="command", required=True)
+    command, rest = _add_choices(commands, _COMMANDS, argv)
+    if command == "construct":
+        routes = commands.choices[command].add_subparsers(dest="method", required=True)
+        _add_choices(routes, _ROUTES, rest)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

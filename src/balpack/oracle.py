@@ -38,7 +38,6 @@ import itertools
 import json
 import random
 import time
-from fractions import Fraction
 from typing import IO, NamedTuple, Optional
 
 from .core import (
@@ -340,6 +339,8 @@ def structured_random(
     return tuple(kept), labeling
 
 
-def existence_reference(v: int, k: int, t: int) -> Fraction:
+def existence_reference(v: int, k: int, t: int) -> fractions.Fraction:
     """The (v*t/k^2)^t count the baseline is compared against."""
-    return Fraction(v * t, k * k) ** t
+    import fractions
+
+    return fractions.Fraction(v * t, k * k) ** t

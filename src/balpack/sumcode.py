@@ -12,7 +12,6 @@ the family rather than claimed.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
@@ -112,8 +111,8 @@ def missing_pair_predicate(v: int, x: int, y: int) -> bool:
 
 
 class FailureRate(NamedTuple):
-    empirical: Fraction
-    asymptotic: Fraction
+    empirical: fractions.Fraction
+    asymptotic: fractions.Fraction
 
 
 def failure_rate(v: int, k: int) -> FailureRate:
@@ -123,6 +122,8 @@ def failure_rate(v: int, k: int) -> FailureRate:
     large-v estimate (number of chosen elements of the forced parity)
     divided by v/2.
     """
+    import fractions
+
     params = SumCodeParams(v, k)
     total = 0
     failures = 0
@@ -136,6 +137,6 @@ def failure_rate(v: int, k: int) -> FailureRate:
         2 * m - 1, 2 * m, 2 * m, 2 * m + 1
     )[params.residue_class]
     return FailureRate(
-        Fraction(failures, total),
-        Fraction(forced_parity_chosen, v // 2),
+        fractions.Fraction(failures, total),
+        fractions.Fraction(forced_parity_chosen, v // 2),
     )

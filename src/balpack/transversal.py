@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from . import gf
+from . import factorization, gf
 from .core import BalancedPacking, Labeling, PreconditionViolated, Record, _short, is_packing
-from .factorization import one_factorization
 
 
 class TransversalDesign(Record):
@@ -165,7 +164,7 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
         raise PreconditionViolated(
             f"need a TD(3,4,{m}), got TD({td.t},{td.k},{td.q})"
         )
-    factors = one_factorization(m)
+    factors = factorization.one_factorization(m)
     added = []
     for matching in factors.classes:
         for g1 in (0, 1):

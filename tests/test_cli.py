@@ -415,6 +415,12 @@ USAGE_ERROR_ARGVS = [
     ["construct", "latin", "--v", "8"],
     ["construct", "mds", "--source", "lts:9", "--variant", "x", "--out", "x.json"],
     ["bound", "2", "3", "9", "--bogus"],
+    # argparse takes the first positional token as the command (route), and
+    # the parser declares the arguments of the first token naming one: the
+    # two must agree, also where a token after it names another.
+    ["--", "verify", "x.json"],
+    ["construct", "--", "latin", "--v", "8", "--out", "x.json"],
+    ["derive", "verify", "0", "1"],
 ]
 
 
@@ -544,7 +550,8 @@ def test_layers_stay_package_attributes_after_cli_import():
 
 
 # Runs ``cli.main`` on its arguments, then prints which route layers have run
-# their module body.  ``type`` reads a lazy module without loading it.
+# their module body, and whether ``fractions`` was imported.  ``type`` reads
+# a lazy module without loading it.
 LAZY_PROBE = """
 import json, sys, types
 from balpack import cli
@@ -553,23 +560,31 @@ route = ("babai_frankl", "factorization", "gf", "latin", "oracle", "sumcode",
          "transversal")
 print(json.dumps({"code": code, "ran": [
     name for name in route if type(sys.modules[f"balpack.{name}"]) is types.ModuleType
-]}))
+], "fractions": "fractions" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("argv, ran", [
-    (["verify", "{family}"], []),
-    (["construct", "latin", "--v", "120", "--out", "{tmp}/l.json"], ["latin"]),
+@pytest.mark.parametrize("argv, ran, fractions", [
+    (["verify", "{family}"], [], False),
+    (["construct", "latin", "--v", "120", "--out", "{tmp}/l.json"], ["latin"], False),
     # transversal imports gf, but the sum design never touches it
     (["construct", "td-augment34", "--v", "16", "--out", "{tmp}/a.json"],
-     ["factorization", "transversal"]),
-    (["oracle", "2", "3", "8"], ["oracle"]),
-], ids=["verify", "construct-latin", "construct-td-augment34", "oracle"])
-def test_a_job_runs_only_the_route_layers_it_uses(tmp_path, argv, ran):
+     ["factorization", "transversal"], False),
+    (["oracle", "2", "3", "8"], ["oracle"], False),
+    # neither TD route builds a one-factorization
+    (["construct", "td", "--t", "2", "--k", "3", "--q", "3", "--out", "{tmp}/t.json"],
+     ["gf", "transversal"], False),
+    (["construct", "td-augment34", "--char2", "--v", "16", "--out", "{tmp}/c.json"],
+     ["transversal"], False),
+    # prints the Steiner size 7/2, a Fraction
+    (["compare", "3", "5", "7"], [], True),
+], ids=["verify", "construct-latin", "construct-td-augment34", "oracle",
+        "construct-td", "construct-td-augment34-char2", "compare"])
+def test_a_job_runs_only_the_route_layers_it_uses(tmp_path, argv, ran, fractions):
     family = construct(tmp_path, "f.json", "latin", "--v", "12")[1]
     probe = json.loads(run_fresh(
         LAZY_PROBE, *[arg.format(tmp=tmp_path, family=family) for arg in argv]))
-    assert probe == {"code": 0, "ran": ran}
+    assert probe == {"code": 0, "ran": ran, "fractions": fractions}
 
 
 # What the traced benchmark launcher relies on: after ``import balpack.cli``
