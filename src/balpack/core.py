@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import itemgetter, lt
 
@@ -302,12 +302,17 @@ def discrepancy(block, labeling: Labeling) -> int:
     """Signed sum of the labels over a block's points."""
     signs = labeling.signs
     v = len(signs)
-    total = 0
     for x in block:
         if not 0 <= x < v:
             raise OutOfRange(f"point {x} outside ground set [0, {v})")
-        total += signs[x]
-    return total
+    return _signed_sums((block,), signs)[0]
+
+
+def _signed_sums(blocks, signs) -> list:
+    """Each block's signed label sum, in block order; every point must
+    already lie in [0, len(signs))."""
+    sign = signs.__getitem__
+    return [sum(map(sign, b)) for b in blocks]
 
 
 def _shared_pair(blocks, low, top):
@@ -509,17 +514,19 @@ def verify(p: BalancedPacking) -> VerificationReport:
     flags an internal inconsistency to the caller without changing the
     three-boolean verdict.
     """
-    regular = p.k == 0 or all(len(b) == p.k for b in p.blocks)
+    regular = p.k == 0 or set(map(len, p.blocks)) <= {p.k}
     overlap = _largest_overlap(p.blocks)
     maxint = None
     if len(p.blocks) >= 2:
         maxint = 0 if overlap is None else len(overlap[2])
     packing = p.t == 0 or maxint is None or maxint < p.t
-    discs = [discrepancy(b, p.labeling) for b in p.blocks]
-    unbalanced = next(((i, d) for i, d in enumerate(discs) if not -1 <= d <= 1), None)
-    balanced = unbalanced is None
-    discs = tuple(sorted(discs))
-    mixed = any(d > 0 for d in discs) and any(d < 0 for d in discs)
+    # BalancedPacking holds every point in [0, v): no range check per point
+    discs = _signed_sums(p.blocks, p.labeling.signs)
+    ordered = tuple(sorted(discs))
+    balanced = not ordered or (ordered[0] >= -1 and ordered[-1] <= 1)
+    unbalanced = None if balanced else next(
+        (i, d) for i, d in enumerate(discs) if not -1 <= d <= 1)
+    mixed = bool(ordered) and ordered[0] < 0 < ordered[-1]
 
     from . import bounds  # local import; bounds depends on this module
 
@@ -538,7 +545,7 @@ def verify(p: BalancedPacking) -> VerificationReport:
         balanced=balanced,
         n_blocks=p.n_blocks,
         max_intersection=maxint,
-        discrepancies=discs,
+        discrepancies=ordered,
         p_plus=p_plus,
         p_minus=p_minus,
         mixed_signs=mixed,
@@ -583,6 +590,7 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("version", "v", "t", "k", "labels", "blocks")
+_SIGNS = {"+": 1, "-": -1}
 
 
 def to_json(p: BalancedPacking, classes=None) -> str:
@@ -603,16 +611,27 @@ def to_json(p: BalancedPacking, classes=None) -> str:
             out.append(f'  "{name}": []{tail}')
             return
         out.append(f'  "{name}": [')
-        # int.__repr__ is what json writes for an int, int subclasses too
-        out.append(",\n".join(
-            ["    [" + ", ".join(map(int.__repr__, row)) + "]" for row in rows]))
+        # one C-encoder call for every row; it writes int.__repr__ for an
+        # int, int subclasses too, and no row holds "], ["
+        out.append("    " + json.dumps(rows)[1:-1].replace("], [", "],\n    ["))
         out.append(f"  ]{tail}")
 
     array_lines("blocks", p.blocks, trailing)
     if classes is not None:
-        array_lines("classes", classes, "")
+        array_lines("classes", _class_rows(classes), "")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _class_rows(classes) -> list:
+    """The classes as lists of ints for the encoder; BalancedPacking checks
+    the blocks, nothing checks the classes, so a point that is not an int,
+    or is a bool, raises TypeError here."""
+    rows = list(map(list, classes))
+    for x in chain.from_iterable(rows):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"class entry {x!r} is not an integer")
+    return rows
 
 
 def parse_document(text: str):
@@ -640,8 +659,9 @@ def parse_document(text: str):
     missing = [key for key in _REQUIRED_KEYS if key not in doc]
     if missing:
         raise FormatError(f"missing keys: {missing}")
-    if doc["version"] != 1:
-        raise FormatError(f"unsupported version {_short(doc['version'])}")
+    version = doc["version"]
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+        raise FormatError(f"unsupported version {_short(version)}")
 
     v, t, k = doc["v"], doc["t"], doc["k"]
     for name, val in (("v", v), ("t", t), ("k", k)):
@@ -651,14 +671,16 @@ def parse_document(text: str):
     labels = doc["labels"]
     if not isinstance(labels, str) or len(labels) != v or set(labels) - {"+", "-"}:
         raise FormatError("labels must be a +/- string covering the ground set")
-    signs = tuple(1 if ch == "+" else -1 for ch in labels)
+    signs = tuple(map(_SIGNS.__getitem__, labels))
 
     raw_blocks = doc["blocks"]
     if not isinstance(raw_blocks, list):
         raise FormatError("blocks must be a list")
-    for index, row in enumerate(raw_blocks):
-        if not isinstance(row, list):
-            raise FormatError(f"block {index} must be a list, got {_short(row)}")
+    if not all(map(isinstance, raw_blocks, repeat(list))):
+        # name the first row that is not a list
+        for index, row in enumerate(raw_blocks):
+            if not isinstance(row, list):
+                raise FormatError(f"block {index} must be a list, got {_short(row)}")
     blocks = tuple(map(tuple, raw_blocks))
 
     classes = None

@@ -239,6 +239,15 @@ def test_verify_unreadable_and_malformed(tmp_path):
     assert main(["verify", str(junk)]) == 3
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_verify_rejects_a_version_that_only_equals_one(tmp_path, capsys, version):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_document(version=version)))
+    assert main(["verify", str(bad)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("FAIL: ") and "unsupported version" in line
+
+
 @pytest.mark.parametrize("content", [b"\xff", b"[" * 200_000], ids=["0xff", "nested"])
 def test_verify_and_derive_reject_undecodable_files(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"

@@ -302,6 +302,14 @@ def test_parser_rejects_unknown_and_missing_keys():
         from_json("not json at all")
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_parser_requires_the_integer_version_one(version):
+    # True == 1.0 == 1, so only the type check tells these from the integer
+    good = to_json(triangle_packing())
+    with pytest.raises(FormatError, match="unsupported version"):
+        parse_document(good.replace('"version": 1', f'"version": {version}'))
+
+
 def test_parser_rejects_malformed_blocks_and_labels():
     base = '{"version": 1, "v": 4, "t": 2, "k": 3, "labels": "%s", "blocks": %s}'
     with pytest.raises(FormatError):

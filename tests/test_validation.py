@@ -1,14 +1,29 @@
-"""BalancedPacking's whole-family block checks and to_json's joined rows,
-checked against the per-block validator and the per-row json.dumps writer
-they replaced."""
+"""The whole-family fast paths, each checked against the per-block or
+per-row code it replaced: BalancedPacking's block checks, parse_document's
+row-shape pass, verify's discrepancy pass and to_json's one-call writer;
+and the labels Labeling accepts, pinned."""
 
 import json
 from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_intersections import irregular_families
 
-from balpack.core import BalancedPacking, Labeling, OutOfRange, PackingError, _short, to_json
+from balpack.core import (
+    BalancedPacking,
+    FormatError,
+    LabelConstraint,
+    Labeling,
+    OutOfRange,
+    PackingError,
+    _short,
+    discrepancy,
+    make_packing,
+    parse_document,
+    to_json,
+    verify,
+)
 
 
 def reference_check(blocks, v):
@@ -205,3 +220,117 @@ def test_writer_prints_int_subclasses_as_json_does():
     text = to_json(packing, classes=((Point(0),), ()))
     assert text == reference_to_json(packing, classes=((Point(0),), ()))
     assert "    [0, 2]\n" in text and '  "classes": [\n    [0],\n    []\n  ]\n' in text
+
+
+def test_writer_rejects_class_entries_that_are_not_integers():
+    packing = BalancedPacking(3, 2, 2, Labeling((1, 1, -1)), ((0, 1), (0, 2)))
+    for bad in (((0,), (True,)), ((0.0,), (1,)), ((0, 1.5),), (("0",), (1,))):
+        with pytest.raises(TypeError):
+            to_json(packing, classes=bad)
+    assert to_json(packing, classes=((0,), (Named.ONE,))) == reference_to_json(
+        packing, classes=((0,), (1,)))
+
+
+class Unequal:
+    """A label whose comparison raises."""
+
+    def __eq__(self, other):
+        raise ValueError("no comparison")
+
+    def __repr__(self):
+        return "Unequal()"
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("label,error", [
+    (True, None), (1.0, None), (-1.0, None), (Named.ONE, None), (Point(-1), None),
+    (False, LabelConstraint), (0, LabelConstraint), (2, LabelConstraint),
+    ([1], LabelConstraint), (None, LabelConstraint), ("1", LabelConstraint),
+    (Unequal(), ValueError),
+], ids=repr)
+def test_labeling_accepts_exactly_the_labels_equal_to_one_or_minus_one(label, error):
+    # the semantics of ``in``: an unhashable label is a LabelConstraint, not
+    # a TypeError, and a comparison that raises propagates
+    for signs in ((label,), (1, -1, label), (label, 1)):
+        if error is None:
+            assert Labeling(signs).signs == signs
+        else:
+            with pytest.raises(error):
+                Labeling(signs)
+
+
+def reference_first_bad_row(rows):
+    """The message the per-row shape loop gave for the first row that is
+    not a list, or None."""
+    for index, row in enumerate(rows):
+        if not isinstance(row, list):
+            return f"block {index} must be a list, got {_short(row)}"
+    return None
+
+
+_JSON_ROWS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=3),
+    st.integers(-1, 5),
+    st.none(),
+    st.booleans(),
+    st.text("+-01", max_size=3),
+    st.dictionaries(st.text("ab", max_size=1), st.integers(0, 3), max_size=1),
+    st.floats(0, 3, allow_nan=False),
+)
+
+
+@given(st.lists(_JSON_ROWS, max_size=6))
+def test_parser_names_the_first_row_that_is_not_a_list(rows):
+    text = json.dumps({"version": 1, "v": 4, "t": 2, "k": 2, "labels": "++--",
+                       "blocks": rows})
+    expected = reference_first_bad_row(json.loads(text)["blocks"])
+    try:
+        parse_document(text)
+    except FormatError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if expected is None:
+        assert message is None or "must be a list" not in message
+    else:
+        assert message == expected
+
+
+def reference_discrepancies(p):
+    """``(sorted discrepancies, first unbalanced block)`` block by block
+    through the public, range-checked ``discrepancy``, which shares its sum
+    with verify, so each value is checked against a plain per-point sum."""
+    discs = [discrepancy(b, p.labeling) for b in p.blocks]
+    assert discs == [sum(p.labeling.signs[x] for x in b) for b in p.blocks]
+    unbalanced = next(((i, d) for i, d in enumerate(discs) if not -1 <= d <= 1), None)
+    return tuple(sorted(discs)), unbalanced
+
+
+@st.composite
+def labeled_families(draw):
+    """Regular and irregular families under any labeling, with a claimed k
+    that may or may not match the block sizes."""
+    if draw(st.booleans()):
+        blocks = draw(irregular_families())
+        v = max(max(b) for b in blocks) + 1 + draw(st.integers(0, 2))
+        k = draw(st.integers(0, v))
+    else:
+        v = draw(st.integers(1, 12))
+        k = draw(st.integers(1, v))
+        blocks = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=k, max_size=k),
+                               max_size=12))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=v, max_size=v))
+    return make_packing(v, 2, k, signs, blocks)
+
+
+@given(labeled_families())
+@settings(max_examples=400)
+def test_verify_discrepancies_match_the_per_block_reference(p):
+    report = verify(p)
+    discs, unbalanced = reference_discrepancies(p)
+    assert report.discrepancies == discs
+    assert report.unbalanced == unbalanced
+    assert report.balanced == (unbalanced is None)
+    assert report.mixed_signs == (any(d > 0 for d in discs) and any(d < 0 for d in discs))
+    assert report.regular == (p.k == 0 or all(len(b) == p.k for b in p.blocks))
