@@ -5,7 +5,6 @@ Everything here is big-int / Fraction arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -136,16 +135,13 @@ class GapResult(NamedTuple):
     strict: bool
 
 
-# typed: 2.0 is not served the result cached for 2 (math.comb rejects it)
-@lru_cache(maxsize=None, typed=True)
 def theorem1_gap(t: int, k: int, v: int) -> GapResult:
     """Balanced-family ceiling vs. the unrestricted Steiner count.
 
     ``bound`` is the best bound proven here: the smaller of
     ``corollary_bound`` and ``type_lp_bound``.  ``strict`` records that the
     balance requirement genuinely costs blocks: that bound falls strictly
-    below the Steiner size.  Memoised: the result is immutable and depends
-    on (t, k, v) alone; a call that raises is not cached.
+    below the Steiner size.
     """
     if not (t < k < v) or v <= 2:
         raise PreconditionViolated(f"need t < k < v and v > 2, got ({t},{k},{v})")

@@ -302,17 +302,12 @@ def discrepancy(block, labeling: Labeling) -> int:
     """Signed sum of the labels over a block's points."""
     signs = labeling.signs
     v = len(signs)
+    total = 0
     for x in block:
         if not 0 <= x < v:
             raise OutOfRange(f"point {x} outside ground set [0, {v})")
-    return _signed_sums((block,), signs)[0]
-
-
-def _signed_sums(blocks, signs) -> list:
-    """Each block's signed label sum, in block order; every point must
-    already lie in [0, len(signs))."""
-    sign = signs.__getitem__
-    return [sum(map(sign, b)) for b in blocks]
+        total += signs[x]
+    return total
 
 
 def _shared_pair(blocks, low, top):
@@ -521,7 +516,8 @@ def verify(p: BalancedPacking) -> VerificationReport:
         maxint = 0 if overlap is None else len(overlap[2])
     packing = p.t == 0 or maxint is None or maxint < p.t
     # BalancedPacking holds every point in [0, v): no range check per point
-    discs = _signed_sums(p.blocks, p.labeling.signs)
+    sign = p.labeling.signs.__getitem__
+    discs = [sum(map(sign, b)) for b in p.blocks]
     ordered = tuple(sorted(discs))
     balanced = not ordered or (ordered[0] >= -1 and ordered[-1] <= 1)
     unbalanced = None if balanced else next(

@@ -197,24 +197,3 @@ def test_oracle_lp_and_corollary_bounds_are_ordered():
                 assert result.size <= lp <= cb, (t, k, v, result.size, lp, cb)
                 checked += 1
     assert checked == 37
-
-
-def test_theorem1_gap_cache_matches_the_uncached_function():
-    # the grid of the sweeps above; a raising call is not cached, so a
-    # repeat raises again
-    for t in range(2, 8):
-        for k in range(t + 1, 9):
-            for v in range(k + 1, 41):
-                try:
-                    expected = theorem1_gap.__wrapped__(t, k, v)
-                except PreconditionViolated:
-                    for _ in range(2):
-                        with pytest.raises(PreconditionViolated):
-                            theorem1_gap(t, k, v)
-                    continue
-                assert theorem1_gap(t, k, v) == expected
-                assert theorem1_gap(t, k, v) == expected
-    assert theorem1_gap(2, 3, 7) == (6, Fraction(7), True)
-    # 2.0 equals 2 but is not served 2's entry: math.comb rejects it
-    with pytest.raises(TypeError):
-        theorem1_gap(2.0, 3, 7)

@@ -101,6 +101,8 @@ def test_discrepancy():
     assert discrepancy((1, 3), lab) == -2
     with pytest.raises(OutOfRange):
         discrepancy((0, 9), lab)
+    # one pass over the block: an iterator is summed, not spent on the check
+    assert discrepancy(iter((0, 2)), lab) == 2
 
 
 @pytest.mark.parametrize("block, point", [((0, 4), 4), ((-1, 2), -1), ((1, 2, 7), 7)])
