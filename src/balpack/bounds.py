@@ -5,8 +5,8 @@ Everything here is big-int / Fraction arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 from .core import PreconditionViolated
 
@@ -114,9 +114,8 @@ def type_lp_bound(t: int, k: int, v: int) -> int:
     return best
 
 
-class SteinerSize(NamedTuple):
-    size: fractions.Fraction
-    integral: bool
+# size: the exact Fraction C(v,t)/C(k,t); integral: whether it is whole.
+SteinerSize = namedtuple("SteinerSize", "size integral")
 
 
 def steiner_size(t: int, k: int, v: int) -> SteinerSize:
@@ -129,10 +128,8 @@ def steiner_size(t: int, k: int, v: int) -> SteinerSize:
     return SteinerSize(size, size.denominator == 1)
 
 
-class GapResult(NamedTuple):
-    bound: int
-    steiner: fractions.Fraction
-    strict: bool
+# bound: int; steiner: Fraction; strict: bool.
+GapResult = namedtuple("GapResult", "bound steiner strict")
 
 
 def theorem1_gap(t: int, k: int, v: int) -> GapResult:

@@ -5,20 +5,19 @@ Every labeling is, up to renaming the points, a split: +1 on [0, p+) and -1
 on [p+, v).  For each split p+ in [ceil(v/2), v] (the flipped splits are
 mirror images) it runs a deterministic branch-and-bound maximum-clique search
 on the compatibility graph of the admissible blocks.  G = S_{p+} x S_{p-}
-fixes the split, and the search breaks that symmetry by orbital branching
-(Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 2011):
-
-* A block's kind is its number of positive points.  G moves a block to any
-  other of its kind, so each kind a is searched only through its canonical
-  block ``range(a) + range(p+, p+ + k - a)``, and then dropped.
-* The second block is branched by the orbits of the canonical block's
-  stabiliser, S_{c&P} x S_{P-c} x S_{c&N} x S_{N-c}: how many of a block's
-  points fall in c&P and in c&N, and its kind.  One representative per
-  orbit is searched, then the whole orbit is deleted.
-
-Both steps skip only images under G of searched families: no counting bound
-is trusted and no labeling is skipped.  ``SearchBudget`` caps the whole
-search with one node counter and one clock.  Desk scale only.
+fixes the split, and the search breaks that symmetry with one orbital
+branching rule at every depth (Ostrowski, Linderoth, Rossi and Smriglio,
+Math. Programming 2011).  The points fall into cells by sign and by
+membership in each block fixed so far; the symmetric groups on the cells
+fix the labeling and every fixed block, and a candidate's orbit is its
+vector of point counts per cell.  At the root the orbits are the kinds
+(numbers of positive points).  One representative per orbit, its lowest
+block, is searched, in sorted key order, and then the whole orbit is
+deleted.  Once every orbit is a single block the cells are dropped, and
+the search below is plain Tomita.  Only images under G of searched
+families are skipped: no counting bound is trusted and no labeling is
+skipped.  ``SearchBudget`` caps the whole search with one node counter and
+one clock.  Desk scale only.
 
 Sets of blocks are bitsets (ints).  The colouring bound builds one colour
 class at a time from the lowest candidate left, as in San Segundo's BBMC,
@@ -38,7 +37,7 @@ import itertools
 import json
 import random
 import time
-from typing import IO, NamedTuple, Optional
+from collections import namedtuple
 
 from .core import (
     BalancedPacking,
@@ -73,11 +72,7 @@ class SearchBudget(Record):
             raise PreconditionViolated("budget caps must be positive")
 
 
-class OracleResult(NamedTuple):
-    size: int
-    witness: BalancedPacking
-    exact: bool
-    nodes: int
+OracleResult = namedtuple("OracleResult", "size witness exact nodes")
 
 
 # A long search writes a heartbeat line to its log every this many nodes.
@@ -87,11 +82,11 @@ HEARTBEAT_NODES = 100_000
 class _CliqueSearch:
     """Tomita-style branch and bound with a greedy colouring bound.
 
-    Candidates are expanded in reverse colour order; a vertex whose colour
-    cannot lift the incumbent prunes the rest of the candidates.  Vertex
-    order, and hence the witness, is deterministic.  One instance serves a
-    whole oracle call: the node count, the clock and the incumbent carry
-    over from one split graph and one branch to the next.
+    Candidates, or with ``cells`` their orbits, are expanded in turn; when
+    the largest colour left cannot lift the incumbent, the rest is pruned.
+    Vertex order, and hence the witness, is deterministic.  One instance
+    serves a whole oracle call: the node count, the clock and the incumbent
+    carry over from one split graph and one branch to the next.
     """
 
     def __init__(self, budget, log):
@@ -103,6 +98,8 @@ class _CliqueSearch:
         self.best = []
         self.best_size = 0
         self.adj = []
+        self.masks = []
+        self.orbits = 0
         self.labeling = None
         self.kind = None
         self.bound = 0
@@ -147,42 +144,66 @@ class _CliqueSearch:
                 **fields,
             }) + "\n")
 
-    def run(self, fixed, cand: int):
+    def run(self, fixed, cand: int, cells=None):
         """Extend the clique ``fixed`` by vertices of ``cand``.  Fixed
         vertices count toward the depth, so only cliques larger than the
-        incumbent are looked for: below two fixed blocks, the incumbent
-        minus two seeds the search."""
+        incumbent are looked for.  ``cells`` (point bitsets) turns on
+        orbital branching; without it the search is plain Tomita."""
         self.stack = list(fixed)
         if len(fixed) > self.best_size:
             self._improve()
         if cand:
-            self._expand(len(fixed), cand)
+            self._expand(len(fixed), cand, cells)
 
     def _improve(self):
         self.best_size = len(self.stack)
         self.best = list(self.stack)
         self.emit("incumbent")
 
-    def _expand(self, depth: int, cand: int):
+    def _expand(self, depth: int, cand: int, cells):
         if self._out_of_budget():
             self.complete = False
             return
         self.nodes += 1
         if self.nodes % HEARTBEAT_NODES == 0:
             self.emit("heartbeat")
-        for color, u in reversed(self._color_order(cand)):
-            if depth + color <= self.best_size:
+        colored = self._color_order(cand)
+        orbits = {}  # point counts per cell -> (largest colour, bitset)
+        for color, u in colored if cells else ():
+            key = tuple((self.masks[u] & c).bit_count() for c in cells)
+            orbits[key] = (color, orbits.get(key, (0, 0))[1] | 1 << u)
+        if cells and len(orbits) < len(colored):
+            # Sorted key order; each branch is pruned by the largest
+            # colour among the orbits not yet deleted.
+            branches, bound = [], 0
+            for key in sorted(orbits, reverse=True):
+                bound = max(bound, orbits[key][0])
+                branches.append((bound, orbits[key][1]))
+            branches.reverse()
+        else:
+            # Every orbit is a single block: drop the cells, plain Tomita.
+            cells = None
+            branches = [(color, 1 << u) for color, u in reversed(colored)]
+        for bound, orbit in branches:
+            if depth + bound <= self.best_size:
                 return
+            u = (orbit & -orbit).bit_length() - 1
             self.stack.append(u)
             rest = cand & self.adj[u]
             if rest:
-                self._expand(depth + 1, rest)
+                self._expand(depth + 1, rest, cells and _refine(cells, self.masks[u]))
             elif depth + 1 > self.best_size:
                 self._improve()
             self.stack.pop()
             if not self.complete:
                 return
-            cand &= ~(1 << u)
+            self.orbits += cells is not None
+            cand &= ~orbit
+
+
+def _refine(cells, mask: int) -> list:
+    """Split each cell where it stands: its points in ``mask``, then the rest."""
+    return [part for c in cells for part in (c & mask, c & ~mask) if part]
 
 
 def _sharing_at_least(points, holders, m: int) -> int:
@@ -201,32 +222,6 @@ def _admissible_blocks(v: int, k: int, p_plus: int):
             if k // 2 <= sum(x < p_plus for x in b) <= (k + 1) // 2]
 
 
-def _search_kind(search, masks, kinds, allowed, c, p_plus):
-    """Search every family inside ``allowed`` through the canonical
-    block ``c``, branching the second block by the orbits of c's
-    stabiliser.  Returns the number of orbits searched."""
-    positive = (1 << p_plus) - 1
-    c_pos, c_neg = masks[c] & positive, masks[c] & ~positive
-    cand = allowed & search.adj[c]
-    orbits = {}
-    for x, mask in enumerate(masks):
-        if cand >> x & 1:
-            key = ((mask & c_pos).bit_count(), (mask & c_neg).bit_count(), kinds[x])
-            orbits[key] = orbits.get(key, 0) | 1 << x
-    search.bound = 1 + search.color_bound(cand)
-    search.run([c], 0)  # {c} alone, while the incumbent is empty
-    searched = 0
-    for key in sorted(orbits):
-        orbit = orbits[key]
-        rep = (orbit & -orbit).bit_length() - 1
-        search.run([c, rep], cand & search.adj[rep])
-        if not search.complete:
-            break
-        cand &= ~orbit
-        searched += 1
-    return searched
-
-
 def _split_graph(vertices, v: int, t: int) -> list:
     """Adjacency bitsets: two blocks are adjacent when they share < t points."""
     holders = [0] * v
@@ -242,8 +237,8 @@ def max_balanced_packing(
     t: int,
     k: int,
     v: int,
-    budget: Optional[SearchBudget] = None,
-    log: Optional[IO[str]] = None,
+    budget: SearchBudget | None = None,
+    log=None,
 ) -> OracleResult:
     """Exact maximum over every labeling and every block family.
 
@@ -254,11 +249,12 @@ def max_balanced_packing(
     only when the whole search ran to completion inside the budget.
 
     ``log`` gets one JSON line per split and block kind (``event``
-    "kind", with ``vertices``, ``edges``, ``orbits``, ``complete`` and
-    the incumbent's blocks as ``best``), one per new incumbent and a
-    heartbeat every ``HEARTBEAT_NODES`` nodes.  Every line carries
-    ``labeling`` (p+), ``kind``, ``elapsed``, ``nodes``, ``incumbent``
-    and ``bound``, the coloring bound at the canonical block.
+    "kind", with ``vertices``, ``edges``, ``orbits`` branched on under
+    that kind at every depth, ``complete`` and the incumbent's blocks as
+    ``best``), one per new incumbent and a heartbeat every
+    ``HEARTBEAT_NODES`` nodes.  Every line carries ``labeling`` (p+),
+    ``kind``, ``elapsed``, ``nodes``, ``incumbent`` and ``bound``, the
+    coloring bound at the kind's first block.
     """
     if t < 1 or k < 1 or v < 1:
         raise PreconditionViolated("need t >= 1 and k, v >= 1")
@@ -268,28 +264,31 @@ def max_balanced_packing(
     for p_plus in range((v + 1) // 2, v + 1):
         vertices = _admissible_blocks(v, k, p_plus)
         n = len(vertices)
-        masks = [sum(1 << x for x in b) for b in vertices]
-        kinds = [sum(1 for x in b if x < p_plus) for b in vertices]
+        search.masks = [sum(1 << x for x in b) for b in vertices]
         search.adj = _split_graph(vertices, v, t)
         edges = sum(a.bit_count() for a in search.adj) // 2
         search.labeling = p_plus
+        positive = (1 << p_plus) - 1
         allowed = (1 << n) - 1
         for a in sorted({k // 2, (k + 1) // 2}):
+            # The root orbit is the kind; its representative, the first block.
+            kind = sum(1 << i for i, m in enumerate(search.masks)
+                       if (m & positive).bit_count() == a)
             search.kind = a
-            search.bound = 0
+            search.bound = search.orbits = 0
             before = search.best_size
-            orbits = 0
-            if a <= p_plus and k - a <= v - p_plus:
-                canonical = tuple(range(a)) + tuple(range(p_plus, p_plus + k - a))
-                orbits = _search_kind(
-                    search, masks, kinds, allowed, vertices.index(canonical), p_plus
-                )
-                allowed &= ~sum(1 << i for i in range(n) if kinds[i] == a)
+            if kind:
+                rep = (kind & -kind).bit_length() - 1
+                cand = allowed & search.adj[rep]
+                search.bound = 1 + search.color_bound(cand)
+                cells = _refine([positive, (1 << v) - 1 - positive], search.masks[rep])
+                search.run([rep], cand, cells)
+                allowed &= ~kind
             if search.best_size > before:
                 best_blocks = tuple(sorted(vertices[i] for i in search.best))
                 best_p_plus = p_plus
             search.emit(
-                "kind", vertices=n, edges=edges, orbits=orbits,
+                "kind", vertices=n, edges=edges, orbits=search.orbits,
                 complete=search.complete, best=best_blocks, best_labeling=best_p_plus,
             )
             if not search.complete:
@@ -339,7 +338,7 @@ def structured_random(
     return tuple(kept), labeling
 
 
-def existence_reference(v: int, k: int, t: int) -> fractions.Fraction:
+def existence_reference(v: int, k: int, t: int):
     """The (v*t/k^2)^t count the baseline is compared against."""
     import fractions
 

@@ -12,7 +12,7 @@ the family rather than claimed.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     BalancedPacking,
@@ -110,9 +110,8 @@ def missing_pair_predicate(v: int, x: int, y: int) -> bool:
     return y == (-2 * x) % v or x == (-2 * y) % v
 
 
-class FailureRate(NamedTuple):
-    empirical: fractions.Fraction
-    asymptotic: fractions.Fraction
+# Both rates are exact Fractions.
+FailureRate = namedtuple("FailureRate", "empirical asymptotic")
 
 
 def failure_rate(v: int, k: int) -> FailureRate:

@@ -344,7 +344,7 @@ def test_oracle_exact_with_witness_and_log(tmp_path, capsys):
 
 
 def test_oracle_budget_exit_code(tmp_path):
-    assert main(["oracle", "2", "3", "9", "--budget-nodes", "50"]) == 4
+    assert main(["oracle", "2", "3", "10", "--budget-nodes", "50"]) == 4
 
 
 def test_oracle_baseline(capsys):
@@ -556,6 +556,41 @@ def test_layers_stay_package_attributes_after_cli_import():
         for layer, function in LAYER_FUNCTIONS.items()
     ) + "print('ok')"
     assert run_fresh(source) == "ok"
+
+
+# Loads every layer under ``python -S`` (no site hooks), prints whether that
+# imported ``typing``, then the public names of the layers in argv[2] whose
+# annotations do not resolve.
+TYPING_PROBE = """
+import json, sys
+for name, function in json.loads(sys.argv[1]).items():
+    getattr(__import__(f"balpack.{name}", fromlist=["_"]), function)
+loaded = "typing" in sys.modules
+import typing
+unresolved = []
+for name in json.loads(sys.argv[2]):
+    module = sys.modules[f"balpack.{name}"]
+    for attr, obj in vars(module).items():
+        if not attr.startswith("_") and getattr(obj, "__module__", None) == module.__name__:
+            try:
+                typing.get_type_hints(obj)
+            except NameError:
+                unresolved.append(f"{name}.{attr}")
+print(json.dumps({"typing": loaded, "unresolved": unresolved}))
+"""
+
+
+def test_no_layer_imports_typing_and_every_annotation_resolves():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", TYPING_PROBE, json.dumps(LAYER_FUNCTIONS),
+         json.dumps(["bounds", "oracle", "sumcode"])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"typing": False, "unresolved": []}
 
 
 # Runs ``cli.main`` on its arguments, then prints which route layers have run
