@@ -21,11 +21,12 @@ block-index groups for partitioned families).  The writer is deterministic;
 the parser is strict, checks the document's shape, and leaves the blocks
 to ``BalancedPacking``: every malformed document is a ``FormatError``.
 
-``Record`` is the base of the package's immutable value classes: it gives
-each one a constructor over its ``_fields``, checked by ``__post_init__``,
-with equality, hashing and a repr over the field tuple, in place of a
-frozen dataclass, so that importing the package does not import
-``dataclasses``.
+``Record`` is the base of the package's immutable value classes, in place
+of a frozen dataclass: each subclass gets a generated ``__init__`` over its
+``_fields``, checked by ``__post_init__``, and equality, hashing and a repr
+over the field tuple.  The ``__init__`` is compiled from source, as
+``dataclasses`` does it, so Python itself binds and checks the arguments,
+and importing the package imports neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -126,60 +127,31 @@ class Record:
     field tuple.
 
     A subclass names its fields in ``_fields``, in constructor order, and
-    the trailing ones that have a default in ``_defaults``.  The
-    constructor sets each field in that order and then calls
-    ``self.__post_init__()``, which checks the values; assigning or
-    deleting an attribute afterwards raises ``AttributeError``.  There are
-    no ``__slots__``, so ``functools.cached_property`` works on a subclass.
+    the trailing ones that have a default in ``_defaults``.  Creating the
+    subclass compiles its ``__init__(self, <fields>)``, with those
+    defaults: it sets each field in order and then calls
+    ``self.__post_init__()``, looked up on the class, which checks the
+    values.  A subclass that declares no ``_fields`` inherits its parent's
+    ``__init__``.  Assigning or deleting an attribute afterwards raises
+    ``AttributeError``.  There are no ``__slots__``, so
+    ``functools.cached_property`` works on a subclass.
     """
 
     _fields = ()
     _defaults = {}
 
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        setattr_ = object.__setattr__
-        for name, value in zip(self._fields, args):
-            setattr_(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args, kwargs):
-        """The field values in order, from positional and keyword
-        arguments and the defaults."""
-        defaults = cls._defaults
-        rest = cls._fields[len(args):]
-        if len(args) <= len(cls._fields) and not kwargs.keys() - rest:
-            try:
-                return [*args, *[kwargs[key] if key in kwargs else defaults[key]
-                                 for key in rest]]
-            except KeyError:
-                pass
-        raise cls._call_error(args, kwargs)
-
-    @classmethod
-    def _call_error(cls, args, kwargs) -> TypeError:
-        """The TypeError that a generated ``__init__`` with these
-        parameters raises on a bad call."""
-        where, fields, defaults = f"{cls.__qualname__}.__init__()", cls._fields, cls._defaults
-        for key in kwargs:
-            if key not in fields:
-                return TypeError(f"{where} got an unexpected keyword argument {key!r}")
-            if fields.index(key) < len(args):
-                return TypeError(f"{where} got multiple values for argument {key!r}")
-        if len(args) > len(fields):
-            most = len(fields) + 1  # counting self
-            takes = f"from {most - len(defaults)} to {most}" if defaults else most
-            return TypeError(
-                f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
-        missing = [repr(key) for key in fields[len(args):]
-                   if key not in kwargs and key not in defaults]
-        names = " and ".join(missing) if len(missing) < 3 else (
-            ", ".join(missing[:-1]) + ", and " + missing[-1])
-        plural = "s" if len(missing) > 1 else ""
-        return TypeError(
-            f"{where} missing {len(missing)} required positional argument{plural}: {names}")
+    def __init_subclass__(cls):
+        if "_fields" in cls.__dict__:
+            fields = cls._fields
+            lines = [f"def __init__(self, {', '.join(fields)}):",
+                     *[f"    _setattr(self, {name!r}, {name})" for name in fields],
+                     "    self.__post_init__()"]
+            scope = {"_setattr": object.__setattr__}
+            exec("\n".join(lines), scope)
+            init = cls.__init__ = scope["__init__"]
+            init.__defaults__ = tuple(cls._defaults[name] for name in fields
+                                      if name in cls._defaults)
+            init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
 
     def __post_init__(self):
         pass
@@ -208,13 +180,19 @@ class Record:
 
 class Labeling(Record):
     """A +1/-1 sign for each point of the ground set: ``signs`` is a tuple
-    with one sign per point."""
+    with one sign, the int 1 or -1, per point.  A float or a bool equal to
+    1 or -1 is refused, so every discrepancy stays an int."""
 
     _fields = ("signs",)
 
     def __post_init__(self):
-        if not all(s in (1, -1) for s in self.signs):
-            raise LabelConstraint("labels must be +1 or -1")
+        # whole-tuple passes: the types present, then the two counts; an
+        # int subclass other than bool passes, as it does in a block
+        signs = self.signs
+        types = set(map(type, signs))
+        ints = types <= {int} or all(issubclass(c, int) and c is not bool for c in types)
+        if not ints or signs.count(1) + signs.count(-1) != len(signs):
+            raise LabelConstraint(f"labels must be the integers +1 or -1, got {_short(signs)}")
 
     @property
     def v(self) -> int:

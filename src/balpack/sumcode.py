@@ -64,13 +64,16 @@ class SumCodeParams(Record):
         return 1 if self.residue_class == 2 else 0
 
 
-def _seed_choices(params: SumCodeParams):
-    evens = range(0, params.v, 2)
-    odds = range(1, params.v, 2)
-    return itertools.product(
-        itertools.combinations(evens, params.n_even),
-        itertools.combinations(odds, params.n_odd),
-    )
+def _completions(params: SumCodeParams):
+    """For each seed choice, its block (unsorted) with the forced element
+    added, or None when that element repeats a chosen one."""
+    v, target = params.v, params.target
+    for es, os_ in itertools.product(
+        itertools.combinations(range(0, v, 2), params.n_even),
+        itertools.combinations(range(1, v, 2), params.n_odd),
+    ):
+        x = (target - sum(es) - sum(os_)) % v
+        yield None if x in es or x in os_ else es + os_ + (x,)
 
 
 def construct(v: int, k: int) -> BalancedPacking:
@@ -81,13 +84,7 @@ def construct(v: int, k: int) -> BalancedPacking:
     pins the third element); otherwise it is measured as the largest
     pairwise intersection plus one.
     """
-    params = SumCodeParams(v, k)
-    blocks = set()
-    for es, os_ in _seed_choices(params):
-        x = (params.target - sum(es) - sum(os_)) % v
-        if x in es or x in os_:
-            continue
-        blocks.add(tuple(sorted(es + os_ + (x,))))
+    blocks = {tuple(sorted(b)) for b in _completions(SumCodeParams(v, k)) if b is not None}
     family = tuple(sorted(blocks))
     if k == 3:
         t = 2
@@ -124,17 +121,11 @@ def failure_rate(v: int, k: int) -> FailureRate:
     import fractions
 
     params = SumCodeParams(v, k)
-    total = 0
-    failures = 0
-    for es, os_ in _seed_choices(params):
+    total = failures = 0
+    for block in _completions(params):
         total += 1
-        x = (params.target - sum(es) - sum(os_)) % v
-        if x in es or x in os_:
-            failures += 1
-    m = k // 4
-    forced_parity_chosen = (
-        2 * m - 1, 2 * m, 2 * m, 2 * m + 1
-    )[params.residue_class]
+        failures += block is None
+    forced_parity_chosen = params.n_odd if params.residue_class >= 2 else params.n_even
     return FailureRate(
         fractions.Fraction(failures, total),
         fractions.Fraction(forced_parity_chosen, v // 2),

@@ -1,6 +1,8 @@
 """The value classes built on ``core.Record``: construction, equality,
 hashing, repr, immutability and the checks each one runs on its fields."""
 
+import inspect
+
 import pytest
 
 from balpack import core, factorization, gf, latin, oracle, sumcode, transversal
@@ -116,6 +118,27 @@ def test_bad_arguments_raise_type_error(call, message):
     with pytest.raises(TypeError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cls, make, fields", RECORDS, ids=IDS)
+def test_constructor_signature_lists_the_fields(cls, make, fields):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == fields
+    assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = {name: p.default for name, p in params.items()
+                if p.default is not inspect.Parameter.empty}
+    assert defaults == cls._defaults
+
+
+@pytest.mark.parametrize("cls, make, fields", RECORDS, ids=IDS)
+def test_one_positional_argument_too_many(cls, make, fields):
+    a = make()
+    most = len(fields) + 1  # counting self
+    takes = f"from {most - len(cls._defaults)} to {most}" if cls._defaults else most
+    with pytest.raises(TypeError) as caught:
+        cls(*(getattr(a, name) for name in fields), None)
+    assert str(caught.value) == (f"{cls.__name__}.__init__() takes {takes} positional "
+                                 f"arguments but {most + 1} were given")
 
 
 @pytest.mark.parametrize("call, error", [

@@ -244,14 +244,16 @@ class Unequal:
 
 
 @pytest.mark.parametrize("label,error", [
-    (True, None), (1.0, None), (-1.0, None), (Named.ONE, None), (Point(-1), None),
+    (True, LabelConstraint), (1.0, LabelConstraint), (-1.0, LabelConstraint),
+    (Named.ONE, None), (Point(-1), None),
     (False, LabelConstraint), (0, LabelConstraint), (2, LabelConstraint),
     ([1], LabelConstraint), (None, LabelConstraint), ("1", LabelConstraint),
-    (Unequal(), ValueError),
+    (Unequal(), LabelConstraint),
 ], ids=repr)
 def test_labeling_accepts_exactly_the_labels_equal_to_one_or_minus_one(label, error):
-    # the semantics of ``in``: an unhashable label is a LabelConstraint, not
-    # a TypeError, and a comparison that raises propagates
+    # only ints that are not bools: a float or bool equal to +1 or -1 is a
+    # LabelConstraint, and so is any label that is not an int, before a
+    # comparison of it could run (or raise)
     for signs in ((label,), (1, -1, label), (label, 1)):
         if error is None:
             assert Labeling(signs).signs == signs
