@@ -103,7 +103,7 @@ def _short(value) -> str:
 
 
 def _blocks_are_canonical(blocks, v) -> bool:
-    """True when every block is a nonempty tuple of ints, strictly
+    """True when ``blocks`` is a tuple of nonempty tuples of ints, strictly
     increasing, within [0, v), and each block sorts after the one before.
 
     Decided in whole-family passes that run at C level; exact ``tuple`` and
@@ -111,7 +111,8 @@ def _blocks_are_canonical(blocks, v) -> bool:
     """
     flat = chain.from_iterable
     return (
-        set(map(type, blocks)) <= {tuple}
+        type(blocks) is tuple
+        and set(map(type, blocks)) <= {tuple}
         and all(blocks)
         and set(map(type, flat(blocks))) <= {int}
         and all(map(lt, flat(map(itemgetter(slice(None, -1)), blocks)),
@@ -186,9 +187,11 @@ class Labeling(Record):
     _fields = ("signs",)
 
     def __post_init__(self):
-        # whole-tuple passes: the types present, then the two counts; an
-        # int subclass other than bool passes, as it does in a block
+        # a tuple, then whole-tuple passes: the types present, then the two
+        # counts; an int subclass other than bool passes, as it does in a block
         signs = self.signs
+        if not isinstance(signs, tuple):
+            raise LabelConstraint(f"labels must be a tuple, got {_short(signs)}")
         types = set(map(type, signs))
         ints = types <= {int} or all(issubclass(c, int) and c is not bool for c in types)
         if not ints or signs.count(1) + signs.count(-1) != len(signs):
@@ -241,6 +244,8 @@ class BalancedPacking(Record):
         if _blocks_are_canonical(self.blocks, self.v):
             return
         # name the first bad block; tuple and int subclasses pass here
+        if not isinstance(self.blocks, tuple):
+            raise PackingError(f"blocks must be a tuple, got {_short(self.blocks)}")
         prev = ()
         for index, b in enumerate(self.blocks):
             if not (isinstance(b, tuple) and b and all(

@@ -1,16 +1,13 @@
-"""Matchings, large sets of triple systems, and product constructions.
+"""Matchings, large sets of triple systems, and their class-aligned product.
 
-Three ways of gluing small structured families into bigger balanced
-packings live here:
-
-* splitting the complete graph on an even point set into perfect
-  matchings (round-robin "circle" schedule) and turning the matchings
-  into triples through a shared third point;
-* partition-aligned products: given two families whose blocks are
-  partitioned into classes, pair up blocks class-by-class on a
-  disjoint union of the ground sets;
-* products over large sets of Steiner systems, where each class is
-  itself a Steiner system and blocks are paired within a class.
+Every gluing of two families here is one operation, ``product``: given
+two families whose blocks are partitioned into classes, pair up blocks
+class-by-class on a disjoint union of the ground sets, the first side
+labeled +1 and the second -1.  Each route checks its own preconditions
+and is then one call to it: ``triples_from_factorization`` (round-robin
+matchings against singleton classes), ``mds_product`` (a large set of
+Steiner systems with itself), ``mds_45_product`` (a large set of STS
+with matchings) and the added blocks of ``transversal.augment_34``.
 """
 
 from __future__ import annotations
@@ -117,15 +114,8 @@ def triples_from_factorization(p_plus: int, p_minus: int) -> BalancedPacking:
         raise PreconditionViolated(f"p_plus={p_plus} must be even and >= 2")
     if not 1 <= p_minus < p_plus:
         raise PreconditionViolated(f"need 1 <= p_minus < p_plus, got {p_minus}")
-    factors = one_factorization(p_plus)
-    blocks = []
-    for j in range(p_minus):
-        for a, b in factors.classes[j]:
-            blocks.append((a, b, p_plus + j))
-    signs = (1,) * p_plus + (-1,) * p_minus
-    return BalancedPacking(
-        p_plus + p_minus, 2, 3, Labeling(signs), tuple(sorted(blocks))
-    )
+    return product(from_one_factorization(one_factorization(p_plus)),
+                   singleton_classes(p_minus), allow_prefix=True)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +134,14 @@ class PartitionablePacking(Record):
     _fields = ("t_prime", "k", "v", "classes")
 
     def __post_init__(self):
+        classes = self.classes
+        if not (isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)):
+            raise PreconditionViolated(f"classes must be a tuple of tuples, got {_short(classes)}")
         seen = set()
-        for c, cls in enumerate(self.classes):
+        for c, cls in enumerate(classes):
             for i, b in enumerate(cls):
                 where = f"class {c} block {i}"
-                if len(b) != self.k or tuple(sorted(set(b))) != tuple(b):
+                if not isinstance(b, tuple) or len(b) != self.k or tuple(sorted(set(b))) != b:
                     raise PreconditionViolated(f"{where} is malformed: {_short(b)}")
                 if not all(0 <= x < self.v for x in b):
                     raise PreconditionViolated(
@@ -194,7 +187,9 @@ def product(
     product blocks share at most max(k2 + t1, k1 + t2) - 1 points, so
     the result is a packing at that strength; points of p1 are labeled
     +1, points of p2 are labeled -1, giving every block discrepancy
-    k1 - k2.
+    k1 - k2.  ``triples_from_factorization``, ``mds_product``,
+    ``mds_45_product`` and ``transversal.augment_34`` (its added blocks)
+    are each one call to this.
     """
     if len(p1.classes) != len(p2.classes) and not allow_prefix:
         raise ClassCountMismatch(
@@ -204,10 +199,8 @@ def product(
     t_out = max(p2.k + p1.t_prime, p1.k + p2.t_prime)
     blocks = []
     for c1, c2 in zip(p1.classes, p2.classes):
-        for b in c1:
-            for d in c2:
-                blocks.append(b + tuple(x + p1.v for x in d))
-    assert len(set(blocks)) == len(blocks)
+        shifted = [tuple(x + p1.v for x in d) for d in c2]
+        blocks.extend(b + d for b in c1 for d in shifted)
     signs = (1,) * p1.v + (-1,) * p2.v
     return BalancedPacking(
         p1.v + p2.v, t_out, p1.k + p2.k, Labeling(signs), tuple(sorted(blocks))
@@ -314,13 +307,7 @@ def mds_product(m: PartitionablePacking) -> BalancedPacking:
         raise PreconditionViolated(
             f"need {want_classes} classes for a full large set, got {len(m.classes)}"
         )
-    blocks = []
-    for cls in m.classes:
-        for b in cls:
-            for d in cls:
-                blocks.append(b + tuple(x + v for x in d))
-    signs = (1,) * v + (-1,) * v
-    return BalancedPacking(2 * v, t + k, 2 * k, Labeling(signs), tuple(sorted(blocks)))
+    return product(m, m)
 
 
 def mds_45_product(m: PartitionablePacking, p_minus: int) -> BalancedPacking:
@@ -343,16 +330,7 @@ def mds_45_product(m: PartitionablePacking, p_minus: int) -> BalancedPacking:
             f"need {p_plus - 2} classes, got {len(m.classes)}"
         )
     _check_steiner_classes(m)
-    factors = one_factorization(p_minus)
-    blocks = []
-    for cls, matching in zip(m.classes, factors.classes):
-        for tri in cls:
-            for a, b in matching:
-                blocks.append(tri + (p_plus + a, p_plus + b))
-    signs = (1,) * p_plus + (-1,) * p_minus
-    return BalancedPacking(
-        p_plus + p_minus, 4, 5, Labeling(signs), tuple(sorted(blocks))
-    )
+    return product(m, from_one_factorization(one_factorization(p_minus)))
 
 
 # ---------------------------------------------------------------------------

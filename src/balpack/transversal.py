@@ -153,8 +153,10 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     from a positive group and one matched pair from a negative group,
     both taken from the same round.  Matched pairs from the same round
     are disjoint, so added blocks collide with each other and with the
-    transverse blocks in at most 2 points.  Total: m^3 + m^2(m-1)
-    blocks, the counting-bound optimum.
+    transverse blocks in at most 2 points.  The added blocks are the
+    class-aligned product of the round-by-round pairs of groups 0 and 1
+    with themselves.  Total: m^3 + m^2(m-1) blocks, the counting-bound
+    optimum.
     """
     if m < 2 or m % 2:
         raise PreconditionViolated(f"m={m} must be even and >= 2")
@@ -164,17 +166,10 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
         raise PreconditionViolated(
             f"need a TD(3,4,{m}), got TD({td.t},{td.k},{td.q})"
         )
-    factors = factorization.one_factorization(m)
-    added = []
-    for matching in factors.classes:
-        for g1 in (0, 1):
-            for g2 in (2, 3):
-                for a1, a2 in matching:
-                    for b1, b2 in matching:
-                        added.append(
-                            (g1 * m + a1, g1 * m + a2, g2 * m + b1, g2 * m + b2)
-                        )
-    blocks = tuple(sorted(td.blocks + tuple(added)))
+    rounds = factorization.one_factorization(m).classes
+    pairs = factorization.PartitionablePacking(
+        1, 2, 2 * m, tuple(r + tuple((a + m, b + m) for a, b in r) for r in rounds))
+    blocks = tuple(sorted(td.blocks + factorization.product(pairs, pairs).blocks))
     assert len(blocks) == m**3 + m * m * (m - 1)
     return BalancedPacking(4 * m, 3, 4, label_groups(td), blocks)
 
@@ -187,7 +182,9 @@ def augment_34_char2(m: int) -> BalancedPacking:
     {a1, a2} from the first copy together with {b1, b2} from the
     second where a1 + a2 == b1 + b2.  Since three of the four values
     force the fourth, two blocks never share three points.  The count
-    m^2(2m-1) equals augment_34's total.
+    m^2(2m-1) equals augment_34's total.  The sum classes are paired
+    here, not through ``factorization.product``, so this route loads no
+    other layer.
     """
     if m < 2 or m & (m - 1):
         raise PreconditionViolated(f"m={m} must be a power of two and >= 2")

@@ -42,6 +42,10 @@ GOLDEN = [
      "543f53d7baac8a3107d85d6be84c9cb70635b9f4190afc8e8c98a876efb55997"),
     (("td-augment34", "--v", "16", "--char2"),
      "533db34019664fdbf366b426a7406acf869585249591eed0e0fc51adc050e2d0"),
+    (("td-augment34", "--v", "8"),  # m = 2: a one-pair factorization
+     "ae6079495999847eb05ea19144c9d3e34c0cc5e08fd3f318484da205d2b08541"),
+    (("td-augment34", "--v", "24"),
+     "69dc723d8fcb77625fa4812f2a1e1493c4058d674b011bfac382196c8e30b3cd"),
     (("latin", "--v", "16"),  # v = 4m: square rectangle
      "ccdeda77103eee2bc0bb4e6c0033d2f2963f83244675bf11a0e0bf50e5a9d862"),
     (("latin", "--v", "17"),  # 4m+1: rectangle plus a column
@@ -54,6 +58,12 @@ GOLDEN = [
      "01b3e05e949acb87cf664c93e411bfc02d25adaee7990abbb29ca2386bf9643d"),
     (("factorization", "--p-plus", "6", "--p-minus", "3"),
      "ca3916c803bb23b5e26a8d11a3a6ae5f7cd732f098204e847174b9a4cf9b29ed"),
+    (("factorization", "--p-plus", "2", "--p-minus", "1"),
+     "0455dac9fe64c73d692414417f723e91299e4aaba4a53ed9b0e5868e0fb98350"),
+    (("factorization", "--p-plus", "12", "--p-minus", "5"),  # a prefix of the rounds
+     "b7798d5a9d9e5d540d61b3e75ce103795df4be78cbc872b99d8bd476a1e0c91c"),
+    (("factorization", "--p-plus", "12", "--p-minus", "11"),  # every round
+     "127552374852f93a9429d502ddf803aa5674b7cf3491c44f45a6bccbf627a948"),
     (("mds", "--source", "lts:9"),
      "2150dfe0ea3b82cf8aaeb4234c6762deaa109cb35c753824c98749d6ba10f748"),
     (("mds", "--source", "lts:9", "--variant", "45"),

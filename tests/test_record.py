@@ -152,13 +152,37 @@ def test_one_positional_argument_too_many(cls, make, fields):
     (lambda: oracle.SearchBudget(max_nodes=0), core.PreconditionViolated),
     (lambda: sumcode.SumCodeParams(5, 3), sumcode.OddGroundSet),
     (lambda: transversal.TransversalDesign(0, 3, 3, ()), core.PreconditionViolated),
+    # a list where a tuple belongs: the record's own error, not "unhashable type"
+    (lambda: Labeling([1, -1, 1]), core.LabelConstraint),
+    (lambda: BalancedPacking(3, 2, 2, Labeling((1, -1, 1)), [(0, 1), (1, 2)]),
+     core.PackingError),
+    (lambda: factorization.PartitionablePacking(1, 2, 4, (([0, 1],),)),
+     core.PreconditionViolated),
+    (lambda: factorization.PartitionablePacking(1, 2, 4, ([(0, 1)],)),
+     core.PreconditionViolated),
+    (lambda: factorization.PartitionablePacking(1, 2, 4, [((0, 1),)]),
+     core.PreconditionViolated),
 ], ids=["Labeling", "BalancedPacking", "OneFactorization", "PartitionablePacking",
         "SeedSets", "LatinRectangle", "SearchBudget", "SumCodeParams",
-        "TransversalDesign"])
+        "TransversalDesign", "Labeling-list-signs", "BalancedPacking-list-blocks",
+        "PartitionablePacking-list-block", "PartitionablePacking-list-class",
+        "PartitionablePacking-list-classes"])
 def test_post_init_checks_the_fields(call, error):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error
+
+
+class Row(tuple):
+    """A tuple subclass: accepted wherever a tuple is."""
+
+
+def test_records_accept_tuple_subclasses_and_hash():
+    labeling = Labeling(Row((1, -1, 1)))
+    packing = BalancedPacking(3, 2, 2, labeling, Row((Row((0, 1)), Row((1, 2)))))
+    classes = factorization.PartitionablePacking(1, 2, 4, Row((Row((Row((0, 1)),)),)))
+    assert core.verify(packing).passed
+    assert len({labeling, packing, classes}) == 3
 
 
 def test_post_init_is_looked_up_on_the_class(monkeypatch):
