@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import reprlib
 from collections import Counter
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, groupby, repeat
 from math import comb
 from operator import itemgetter, lt
 
@@ -109,18 +109,29 @@ def _blocks_are_canonical(blocks, v) -> bool:
     Decided in whole-family passes that run at C level; exact ``tuple`` and
     ``int`` types only, so bools (and any subclass) read False here.
     """
-    flat = chain.from_iterable
-    return (
-        type(blocks) is tuple
-        and set(map(type, blocks)) <= {tuple}
-        and all(blocks)
-        and set(map(type, flat(blocks))) <= {int}
-        and all(map(lt, flat(map(itemgetter(slice(None, -1)), blocks)),
-                    flat(map(itemgetter(slice(1, None)), blocks))))
-        and min(map(itemgetter(0), blocks), default=0) >= 0
-        and max(map(itemgetter(-1), blocks), default=-1) < v
-        and all(map(lt, blocks, blocks[1:]))
-    )
+    return _points_are_canonical(blocks, v) and all(map(lt, blocks, blocks[1:]))
+
+
+def _points_are_canonical(blocks, v) -> bool:
+    """True when ``blocks`` is a tuple of nonempty tuples of ints, each
+    strictly increasing within [0, v); exact types only, as above.
+
+    The points are checked one block size at a time, through columns: the
+    i-th points of the blocks of one size make one tuple, each column lies
+    below the next, the first starts at 0 or above and the last ends below
+    v.  Regular and irregular families take the same path.
+    """
+    if not (type(blocks) is tuple
+            and set(map(type, blocks)) <= {tuple}
+            and all(blocks)
+            and set(map(type, chain.from_iterable(blocks))) <= {int}):
+        return False
+    for _, same in groupby(sorted(blocks, key=len), key=len):
+        cols = tuple(zip(*same))
+        if not (all([all(map(lt, cols[i], cols[i + 1])) for i in range(len(cols) - 1)])
+                and min(cols[0]) >= 0 and max(cols[-1]) < v):
+            return False
+    return True
 
 
 class Record:
@@ -293,7 +304,7 @@ def discrepancy(block, labeling: Labeling) -> int:
     return total
 
 
-def _shared_pair(blocks, low, top):
+def _shared_pair(blocks, low, top, claimed=None):
     """Two blocks sharing an m-subset, for the largest such m in [low, top].
 
     ``blocks`` are sorted, duplicate-free tuples.  Levels m = low, ...,
@@ -312,6 +323,13 @@ def _shared_pair(blocks, low, top):
     incidence count is what keeps wide blocks, where C(|b|, m) explodes,
     within reach.
 
+    ``claimed`` is the level the caller expects to hold no repeat (a
+    family's t; None when nothing is claimed).  That level and each one
+    above it is decided first by one set of every block's m-subsets,
+    built at C level, and ``_first_repeat`` runs only when the set shows
+    a repeat, to name the block.  The levels below it, which usually
+    repeat within a few blocks, are walked block by block.
+
     Returns ``(i, j)``, ``i < j``, or None when level ``low`` has no
     repeat.  With ``top`` = the second largest block size, the pair
     shares the largest intersection of the family, and it is the first
@@ -321,17 +339,23 @@ def _shared_pair(blocks, low, top):
     """
     sizes = Counter(map(len, blocks))
     floor = _incidence_floor(blocks, sum(s * c for s, c in sizes.items()))
+    if claimed is None:
+        claimed = top + 1
     incidence_cost = None
     found = None  # (m, j): the first block j with an earlier block sharing m points
     for m in range(low, top + 1):
         subsets = {s: comb(s, m) for s in sizes}
-        cost = m * sum(c * subsets[s] for s, c in sizes.items())
+        total = sum(c * subsets[s] for s, c in sizes.items())
+        cost = m * total
         if cost > floor:
             if incidence_cost is None:
                 incidence_cost = sum(d * d for d in Counter(chain.from_iterable(blocks)).values())
             if cost > incidence_cost:
                 shared, pair = _incidence_pair(blocks)
                 return pair if shared >= low else None
+        if m >= claimed and len(set(chain.from_iterable(
+                map(combinations, blocks, repeat(m))))) == total:
+            break
         j = _first_repeat(blocks, m, subsets)
         if j is None:
             break
@@ -392,13 +416,14 @@ def _canonical(blocks):
     return [tuple(sorted(set(b))) for b in blocks]
 
 
-def _largest_overlap(blocks):
+def _largest_overlap(blocks, claimed=None):
     """``(i, j, shared points)`` for the first pair of blocks by (j, i)
     with the largest intersection, or None when every two blocks are
-    disjoint.  ``blocks`` are sorted, duplicate-free tuples."""
+    disjoint.  ``blocks`` are sorted, duplicate-free tuples; ``claimed``
+    is passed on to ``_shared_pair``."""
     if len(blocks) < 2:
         return None
-    pair = _shared_pair(blocks, 1, sorted(map(len, blocks))[-2])
+    pair = _shared_pair(blocks, 1, sorted(map(len, blocks))[-2], claimed)
     if pair is None:
         return None
     i, j = pair
@@ -421,11 +446,17 @@ def is_packing(t: int, blocks) -> bool:
     the empty set lies in every block, so only families of at most one block
     qualify.
     """
+    return _is_packing(t, _canonical(blocks))
+
+
+def _is_packing(t: int, blocks) -> bool:
+    """``is_packing`` for blocks that are already sorted, duplicate-free
+    tuples, in any order; level t is decided by one set of t-subsets."""
     if t < 0:
         raise PreconditionViolated("t must be >= 0")
     if t == 0:
         return len(blocks) <= 1
-    return _shared_pair(_canonical(blocks), t, t) is None
+    return _shared_pair(blocks, t, t, t) is None
 
 
 class VerificationReport(Record):
@@ -493,7 +524,7 @@ def verify(p: BalancedPacking) -> VerificationReport:
     three-boolean verdict.
     """
     regular = p.k == 0 or set(map(len, p.blocks)) <= {p.k}
-    overlap = _largest_overlap(p.blocks)
+    overlap = _largest_overlap(p.blocks, p.t or None)
     maxint = None
     if len(p.blocks) >= 2:
         maxint = 0 if overlap is None else len(overlap[2])
@@ -570,6 +601,9 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
 
 _REQUIRED_KEYS = ("version", "v", "t", "k", "labels", "blocks")
 _SIGNS = {"+": 1, "-": -1}
+# json.dumps's encoder without its cycle check: the rows it writes are
+# tuples or lists of checked ints, which hold no container to revisit
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def to_json(p: BalancedPacking, classes=None) -> str:
@@ -592,7 +626,7 @@ def to_json(p: BalancedPacking, classes=None) -> str:
         out.append(f'  "{name}": [')
         # one C-encoder call for every row; it writes int.__repr__ for an
         # int, int subclasses too, and no row holds "], ["
-        out.append("    " + json.dumps(rows)[1:-1].replace("], [", "],\n    ["))
+        out.append("    " + _encode(rows)[1:-1].replace("], [", "],\n    ["))
         out.append(f"  ]{tail}")
 
     array_lines("blocks", p.blocks, trailing)

@@ -21,6 +21,8 @@ from .core import (
     PackingError,
     PreconditionViolated,
     Record,
+    _is_packing,
+    _points_are_canonical,
     _short,
     is_packing,
     load_document,
@@ -137,6 +139,14 @@ class PartitionablePacking(Record):
         classes = self.classes
         if not (isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)):
             raise PreconditionViolated(f"classes must be a tuple of tuples, got {_short(classes)}")
+        # whole-class passes decide; only when one fails does the loop below
+        # run, to name the first bad block or class
+        blocks = tuple(itertools.chain.from_iterable(classes))
+        if (_points_are_canonical(blocks, self.v) and set(map(len, blocks)) <= {self.k}
+                and len(set(blocks)) == len(blocks)):
+            if not all(_is_packing(self.t_prime, cls) for cls in classes):
+                raise PreconditionViolated(f"a class is not a {self.t_prime}-packing")
+            return
         seen = set()
         for c, cls in enumerate(classes):
             for i, b in enumerate(cls):

@@ -2,9 +2,11 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_validation import Point, outcome
 
 from balpack.bounds import corollary_bound, lemma1_bound
-from balpack.core import PreconditionViolated, verify
+from balpack.core import PreconditionViolated, _short, is_packing, verify
 from balpack.factorization import (
     ClassCountMismatch,
     ClassesNotDisjoint,
@@ -106,6 +108,57 @@ def test_partitionable_validates_classes():
         PartitionablePacking(1, 2, 4, (((0, 1), (1, 2)),))  # not a matching
     with pytest.raises(PreconditionViolated):
         PartitionablePacking(1, 2, 4, (((0, 4),),))  # out of range
+
+
+def reference_classes_check(t_prime, k, v, classes):
+    """The per-block validator: raise for the first bad block or class."""
+    seen = set()
+    for c, cls in enumerate(classes):
+        for i, b in enumerate(cls):
+            where = f"class {c} block {i}"
+            if not isinstance(b, tuple) or len(b) != k or tuple(sorted(set(b))) != b:
+                raise PreconditionViolated(f"{where} is malformed: {_short(b)}")
+            if not all(0 <= x < v for x in b):
+                raise PreconditionViolated(f"{where} leaves [0, {v}): {_short(b)}")
+            if b in seen:
+                raise ClassesNotDisjoint(f"{where} repeats an earlier block: {_short(b)}")
+            seen.add(b)
+        if not is_packing(t_prime, cls):
+            raise PreconditionViolated(f"a class is not a {t_prime}-packing")
+
+
+@st.composite
+def class_families(draw):
+    """``(t_prime, k, v, classes)``: classes of k-subsets of [0, v), often
+    repeating a block or a t_prime-subset, with up to two faults."""
+    k = draw(st.integers(1, 3))
+    v = draw(st.integers(k, 7))
+    block = st.frozensets(st.integers(0, v - 1), min_size=k, max_size=k).map(sorted).map(tuple)
+    classes = draw(st.lists(st.lists(block, max_size=4), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(0, len(classes) - 1))
+        if not classes[c]:
+            continue
+        i = draw(st.integers(0, len(classes[c]) - 1))
+        b = classes[c][i]
+        if type(b) is not tuple or not b:  # a fault already hit it
+            continue
+        j = draw(st.integers(0, len(b) - 1))
+        classes[c][i] = draw(st.sampled_from([
+            b[:j] + (draw(st.sampled_from([-1, v, True, 0.5, Point(b[j])])),) + b[j + 1:],
+            b[::-1], b + b[:1], b[:-1], list(b),
+        ]))
+    t_prime = draw(st.integers(0, k))
+    return t_prime, k, v, tuple(map(tuple, classes))
+
+
+@given(class_families())
+@settings(max_examples=200)
+def test_class_validation_matches_the_per_block_reference(family):
+    # whole-class passes decide, and the loop names the first bad block or
+    # class with the reference's exception and text
+    expected = outcome(lambda: reference_classes_check(*family))
+    assert outcome(lambda: PartitionablePacking(*family)) == expected
 
 
 def test_singleton_classes_shape():

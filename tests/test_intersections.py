@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balpack import core
-from balpack.core import is_packing, make_packing, max_pairwise_intersection, verify
+from balpack.cli import latin_dispatch
+from balpack.core import (
+    BalancedPacking,
+    is_packing,
+    make_packing,
+    max_pairwise_intersection,
+    verify,
+)
 from balpack.latin import extract_triples, fill, seed_sets
 
 
@@ -29,6 +36,19 @@ def scan(blocks):
 def latin16():
     """The extremal (2,3,16) packing: 32 triples, pairwise sharing one point."""
     return extract_triples(fill(seed_sets(8)))
+
+
+def with_a_shared_pair(packing):
+    """The (2,3,16) ``packing`` plus the first balanced triple that shares
+    a pair with one of its blocks."""
+    signs = packing.labeling.signs
+    extra = next(
+        triple
+        for triple in combinations(range(16), 3)
+        if triple not in packing.blocks and abs(sum(signs[y] for y in triple)) <= 1
+        and any(len(set(triple) & set(b)) == 2 for b in packing.blocks)
+    )
+    return make_packing(16, 2, 3, signs, packing.blocks + (extra,))
 
 
 @st.composite
@@ -69,7 +89,9 @@ def test_is_packing_is_max_intersection_below_t(blocks, t):
 @given(irregular_families())
 def test_every_level_range_matches_the_scan(blocks):
     # verify walks levels 1..second largest size and is_packing walks t..t;
-    # every other range checks where the walk stops, one level at a time.
+    # every other range checks where the walk stops, one level at a time,
+    # and every claimed level (decided by one set from there up) finds
+    # what the block-by-block walk finds.
     best, pair = scan(blocks)
     canonical = [tuple(sorted(b)) for b in blocks]
     for top in range(1, max(map(len, canonical)) + 1):
@@ -82,6 +104,27 @@ def test_every_level_range_matches_the_scan(blocks):
             else:  # the range ends below the largest intersection
                 i, j = found
                 assert i < j and len(set(canonical[i]) & set(canonical[j])) >= top
+            for claimed in range(low, top + 2):
+                assert core._shared_pair(canonical, low, top, claimed) == found, (
+                    low, top, claimed)
+
+
+@given(irregular_families())
+def test_verify_at_every_claimed_level_matches_the_scan(blocks):
+    v = max(map(max, blocks)) + 1
+    base = make_packing(v, 0, 0, [1] * v, blocks)
+    best, pair = scan(base.blocks)
+    maxint = best if base.n_blocks >= 2 else None
+    for t in range(max(map(len, base.blocks)) + 2):
+        report = verify(BalancedPacking(v, t, 0, base.labeling, base.blocks))
+        packing = t == 0 or maxint is None or maxint < t
+        assert (report.max_intersection, report.packing) == (maxint, packing), t
+        if packing:
+            assert report.overlap is None, t
+        else:
+            i, j = pair
+            shared = tuple(sorted(set(base.blocks[i]) & set(base.blocks[j])))
+            assert report.overlap == (i, j, shared), t
 
 
 def test_wide_blocks_take_the_incidence_path(monkeypatch):
@@ -142,18 +185,41 @@ def test_the_walk_stops_at_the_first_level_with_no_repeat(monkeypatch):
 
     # One more balanced triple, which shares a pair with a block: the walk
     # goes on to level 3, and the witness is still the scan's.
-    signs = packing.labeling.signs
-    extra = next(
-        triple
-        for triple in combinations(range(16), 3)
-        if triple not in packing.blocks and abs(sum(signs[y] for y in triple)) <= 1
-        and any(len(set(triple) & set(b)) == 2 for b in packing.blocks)
-    )
-    bad = make_packing(16, 2, 3, signs, packing.blocks + (extra,))
+    bad = with_a_shared_pair(packing)
     best, (i, j) = scan(bad.blocks)
     levels.clear()
     report = verify(bad)
     assert set(levels) == {1, 2, 3} and levels == sorted(levels)
+    assert best == report.max_intersection == 2
+    assert report.overlap == (i, j, tuple(sorted(set(bad.blocks[i]) & set(bad.blocks[j]))))
+
+
+def test_the_claimed_level_is_decided_by_one_set(monkeypatch):
+    # verify hashes the levels below the family's claimed t block by block
+    # and decides level t, and each level above it, by one set of every
+    # block's m-subsets: the per-block walk runs there only to name the
+    # block of a repeat the set has shown.
+    levels = []
+
+    def recorded(blocks, m, subsets):
+        levels.append(m)
+        return first_repeat(blocks, m, subsets)
+
+    first_repeat = core._first_repeat
+    monkeypatch.setattr(core, "_first_repeat", recorded)
+    packing = latin_dispatch(16)
+    assert packing.t == 2
+    report = verify(packing)
+    assert report.packing and report.max_intersection == 1
+    assert levels == [1]
+
+    # one more balanced triple, sharing a pair with a block: level 2 shows a
+    # repeat, the walk names it, and the witness is the scan's
+    bad = with_a_shared_pair(packing)
+    best, (i, j) = scan(bad.blocks)
+    levels.clear()
+    report = verify(bad)
+    assert levels == [1, 2]
     assert best == report.max_intersection == 2
     assert report.overlap == (i, j, tuple(sorted(set(bad.blocks[i]) & set(bad.blocks[j]))))
 

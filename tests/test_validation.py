@@ -110,6 +110,17 @@ def canonical_families(draw):
     return v, sorted(tuple(sorted(row)) for row in rows)
 
 
+@st.composite
+def regular_families(draw):
+    """Canonical families of 3 to 10 blocks of one size k in 2..4: the
+    column pass then checks every block as one group."""
+    k = draw(st.integers(2, 4))
+    v = draw(st.integers(6, 9))
+    rows = draw(st.sets(st.frozensets(st.integers(0, v - 1), min_size=k, max_size=k),
+                        min_size=3, max_size=10))
+    return v, sorted(tuple(sorted(row)) for row in rows)
+
+
 def _replace_point(draw, v, b):
     i = draw(st.integers(0, len(b) - 1))
     x = draw(st.one_of(
@@ -123,9 +134,10 @@ def _replace_point(draw, v, b):
 
 @st.composite
 def families(draw):
-    """Canonical families with up to three faults or type changes, each
-    of which the per-block validator either rejects or accepts."""
-    v, blocks = draw(canonical_families())
+    """Canonical families, of mixed sizes or of one size, with up to
+    three faults or type changes, each of which the per-block validator
+    either rejects or accepts."""
+    v, blocks = draw(st.one_of(canonical_families(), regular_families()))
     for _ in range(draw(st.integers(0, 3))):
         if not blocks:
             blocks.append(())
