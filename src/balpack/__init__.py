@@ -13,18 +13,10 @@ family lives in its own submodule (:mod:`balpack.latin`,
 :mod:`balpack.transversal`, :mod:`balpack.babai_frankl`,
 :mod:`balpack.factorization`, :mod:`balpack.sumcode`), with exact search
 in :mod:`balpack.oracle` and the command-line front end in
-:mod:`balpack.cli`.
+:mod:`balpack.cli`.  The names from :mod:`balpack.bounds` load it on first
+use (PEP 562), so a program that never bounds a family never compiles it.
 """
 
-from balpack.bounds import (
-    GapResult,
-    SteinerSize,
-    corollary_bound,
-    lemma1_bound,
-    steiner_size,
-    theorem1_gap,
-    type_lp_bound,
-)
 from balpack.core import (
     BalancedPacking,
     FormatError,
@@ -68,3 +60,28 @@ __all__ = [
     "verify",
     "__version__",
 ]
+
+# Served by __getattr__, which looks each one up in balpack.bounds on every
+# access, so it is always the object that module holds.
+_BOUNDS_NAMES = frozenset({
+    "GapResult",
+    "SteinerSize",
+    "corollary_bound",
+    "lemma1_bound",
+    "steiner_size",
+    "theorem1_gap",
+    "type_lp_bound",
+})
+
+
+def __getattr__(name):
+    if name == "bounds" or name in _BOUNDS_NAMES:
+        from importlib import import_module
+
+        bounds = import_module("balpack.bounds")  # sets balpack.bounds
+        return bounds if name == "bounds" else getattr(bounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "bounds", *_BOUNDS_NAMES})

@@ -10,9 +10,12 @@ Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
 3 verification failure or a malformed file given to verify or derive,
 4 search budget exhausted.
 
-Route layers are registered lazily and run on first use, so a job compiles
-only the layers it calls.  Function-local imports would hide them from the
-traced benchmark launcher, which wraps every layer in ``sys.modules``.
+Route layers and ``bounds`` are registered lazily and run on first use, so
+a job compiles only the layers it calls: ``bound`` and ``compare`` load
+``bounds`` here and every job that verifies a family loads it through
+``core.verify``, while an exact search without ``--out``, or a baseline
+run, never compiles it.  Function-local imports would hide the layers from
+the traced benchmark launcher, which wraps every layer in ``sys.modules``.
 Likewise a job's parser lists every subcommand and route but declares the
 arguments of only the subcommand and the route its command line names
 (see ``_build_parser``), so every help text and usage line is the same.
@@ -25,7 +28,6 @@ import importlib.util
 import sys
 from contextlib import nullcontext
 
-from . import bounds
 from .core import (
     BalancedPacking,
     PackingError,
@@ -49,8 +51,9 @@ def _lazy(name: str):
     return sys.modules[fullname]
 
 
-babai_frankl, factorization, gf, latin, sumcode, transversal, oracle_mod = map(_lazy, (
-    "babai_frankl", "factorization", "gf", "latin", "sumcode", "transversal", "oracle"))
+babai_frankl, bounds, factorization, gf, latin, sumcode, transversal, oracle_mod = map(
+    _lazy, ("babai_frankl", "bounds", "factorization", "gf", "latin", "sumcode",
+            "transversal", "oracle"))
 
 EXIT_OK = 0
 EXIT_USAGE = 2

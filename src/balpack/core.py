@@ -31,7 +31,6 @@ and importing the package imports neither ``dataclasses`` nor ``inspect``.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from collections import Counter
 from itertools import chain, combinations, groupby, repeat
@@ -601,9 +600,19 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
 
 _REQUIRED_KEYS = ("version", "v", "t", "k", "labels", "blocks")
 _SIGNS = {"+": 1, "-": -1}
-# json.dumps's encoder without its cycle check: the rows it writes are
-# tuples or lists of checked ints, which hold no container to revisit
-_encode = json.JSONEncoder(check_circular=False).encode
+# json.dumps's encoder without its cycle check (the rows it writes are
+# tuples or lists of checked ints, which hold no container to revisit),
+# built by the first to_json, so that a job that writes no document never
+# imports json
+_encode = None
+
+
+def _encoder():
+    global _encode
+    import json
+
+    _encode = json.JSONEncoder(check_circular=False).encode
+    return _encode
 
 
 def to_json(p: BalancedPacking, classes=None) -> str:
@@ -618,6 +627,7 @@ def to_json(p: BalancedPacking, classes=None) -> str:
         f'  "labels": "{labels}",',
     ]
     trailing = "," if classes is not None else ""
+    encode = _encode or _encoder()
 
     def array_lines(name, rows, tail):
         if not rows:
@@ -626,7 +636,7 @@ def to_json(p: BalancedPacking, classes=None) -> str:
         out.append(f'  "{name}": [')
         # one C-encoder call for every row; it writes int.__repr__ for an
         # int, int subclasses too, and no row holds "], ["
-        out.append("    " + _encode(rows)[1:-1].replace("], [", "],\n    ["))
+        out.append("    " + encode(rows)[1:-1].replace("], [", "],\n    ["))
         out.append(f"  ]{tail}")
 
     array_lines("blocks", p.blocks, trailing)
@@ -657,6 +667,8 @@ def parse_document(text: str):
     positives the whole labeling is flipped, so in-memory families satisfy
     p_plus >= p_minus.
     """
+    import json
+
     try:
         doc = json.loads(text)
     except RecursionError as exc:

@@ -197,9 +197,8 @@ def product(
     product blocks share at most max(k2 + t1, k1 + t2) - 1 points, so
     the result is a packing at that strength; points of p1 are labeled
     +1, points of p2 are labeled -1, giving every block discrepancy
-    k1 - k2.  ``triples_from_factorization``, ``mds_product``,
-    ``mds_45_product`` and ``transversal.augment_34`` (its added blocks)
-    are each one call to this.
+    k1 - k2.  ``triples_from_factorization``, ``mds_product`` and
+    ``mds_45_product`` are each one call to this.
     """
     if len(p1.classes) != len(p2.classes) and not allow_prefix:
         raise ClassCountMismatch(
@@ -207,14 +206,22 @@ def product(
             "pass allow_prefix to zip the shorter prefix"
         )
     t_out = max(p2.k + p1.t_prime, p1.k + p2.t_prime)
+    signs = (1,) * p1.v + (-1,) * p2.v
+    return BalancedPacking(
+        p1.v + p2.v, t_out, p1.k + p2.k, Labeling(signs),
+        tuple(sorted(product_blocks(p1, p2))),
+    )
+
+
+def product_blocks(p1: PartitionablePacking, p2: PartitionablePacking) -> list:
+    """The blocks of ``product(p1, p2)``, unsorted and unchecked, over the
+    shorter prefix of classes.  ``transversal.augment_34`` adds
+    these to its design's blocks."""
     blocks = []
     for c1, c2 in zip(p1.classes, p2.classes):
         shifted = [tuple(x + p1.v for x in d) for d in c2]
         blocks.extend(b + d for b in c1 for d in shifted)
-    signs = (1,) * p1.v + (-1,) * p2.v
-    return BalancedPacking(
-        p1.v + p2.v, t_out, p1.k + p2.k, Labeling(signs), tuple(sorted(blocks))
-    )
+    return blocks
 
 
 # ---------------------------------------------------------------------------

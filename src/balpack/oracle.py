@@ -4,7 +4,9 @@
 Every labeling is, up to renaming the points, a split: +1 on [0, p+) and -1
 on [p+, v).  For each split p+ in [ceil(v/2), v] (the flipped splits are
 mirror images) it runs a deterministic branch-and-bound maximum-clique search
-on the compatibility graph of the admissible blocks.  G = S_{p+} x S_{p-}
+on the compatibility graph of the admissible blocks.  Compatibility does not
+depend on the split, so one call builds one graph on every k-subset, and
+each split searches its admissible blocks in it.  G = S_{p+} x S_{p-}
 fixes the split, and the search breaks that symmetry with one orbital
 branching rule at every depth (Ostrowski, Linderoth, Rossi and Smriglio,
 Math. Programming 2011).  The points fall into cells by sign and by
@@ -22,9 +24,10 @@ one clock.  Desk scale only.
 Sets of blocks are bitsets (ints).  The colouring bound builds one colour
 class at a time from the lowest candidate left, as in San Segundo's BBMC,
 which is first-fit in vertex order, born sorted.  ``_sharing_at_least``
-finds the sets that hold at least m of a block's points through
-point-holder bitsets: it builds each split graph and decides the baseline's
-retention.  Neither changes a node count, a witness or a retained set.
+finds the sets that hold at least m of some points through point-holder
+bitsets: it builds the graph, sorts each split's blocks into kinds and
+decides the baseline's retention.  Neither changes a node count, a witness
+or a retained set.
 
 ``structured_random`` is the randomized interval baseline: one uniform point
 per interval, greedy retention.  Its RNG is ``random.Random`` (Mersenne
@@ -34,7 +37,6 @@ Twister), so runs reproduce across platforms for a fixed seed.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
 from collections import namedtuple
@@ -133,6 +135,8 @@ class _CliqueSearch:
 
     def emit(self, event: str, **fields):
         if self.log is not None:
+            import json
+
             self.log.write(json.dumps({
                 "event": event,
                 "labeling": self.labeling,
@@ -169,8 +173,9 @@ class _CliqueSearch:
             self.emit("heartbeat")
         colored = self._color_order(cand)
         orbits = {}  # point counts per cell -> (largest colour, bitset)
+        masks = self.masks
         for color, u in colored if cells else ():
-            key = tuple((self.masks[u] & c).bit_count() for c in cells)
+            key = tuple(map(int.bit_count, map(masks[u].__and__, cells)))
             orbits[key] = (color, orbits.get(key, (0, 0))[1] | 1 << u)
         if cells and len(orbits) < len(colored):
             # Sorted key order; each branch is pruned by the largest
@@ -207,8 +212,9 @@ def _refine(cells, mask: int) -> list:
 
 
 def _sharing_at_least(points, holders, m: int) -> int:
-    """The bitset of the sets that hold at least m >= 1 of ``points``,
-    where ``holders[x]`` is the bitset of the sets that hold point x."""
+    """The bitset of the sets that hold at least m of ``points``, where
+    ``holders[x]`` is the bitset of the sets that hold point x.  For m = 0
+    it is -1, every set."""
     at_least = [-1] + [0] * m  # at_least[j]: sets holding >= j of the points so far
     for x in points:
         held = holders[x]
@@ -217,20 +223,31 @@ def _sharing_at_least(points, holders, m: int) -> int:
     return at_least[m]
 
 
-def _admissible_blocks(v: int, k: int, p_plus: int):
-    return [b for b in itertools.combinations(range(v), k)
-            if k // 2 <= sum(x < p_plus for x in b) <= (k + 1) // 2]
-
-
-def _split_graph(vertices, v: int, t: int) -> list:
-    """Adjacency bitsets: two blocks are adjacent when they share < t points."""
+def _point_holders(blocks, v: int) -> list:
+    """``holders[x]``: the bitset of the blocks that hold point x."""
     holders = [0] * v
-    for i, b in enumerate(vertices):
+    for i, b in enumerate(blocks):
         for x in b:
             holders[x] |= 1 << i
-    everyone = (1 << len(vertices)) - 1
+    return holders
+
+
+def _conflict_graph(blocks, holders, t: int) -> list:
+    """Adjacency bitsets: two blocks are adjacent when they share < t points."""
+    everyone = (1 << len(blocks)) - 1
     return [everyone & ~_sharing_at_least(b, holders, t) & ~(1 << i)
-            for i, b in enumerate(vertices)]
+            for i, b in enumerate(blocks)]
+
+
+def _split_kinds(holders, k: int, p_plus: int) -> list:
+    """The admissible blocks of the split p+ by kind: (a, bitset of the
+    blocks with exactly a points in [0, p+)) for each a in
+    {floor(k/2), ceil(k/2)}, ascending.  A k-block holds exactly a
+    positive points when it holds at least a of them and k - a others."""
+    positive, negative = range(p_plus), range(p_plus, len(holders))
+    return [(a, _sharing_at_least(positive, holders, a)
+             & _sharing_at_least(negative, holders, k - a))
+            for a in sorted({k // 2, (k + 1) // 2})]
 
 
 def max_balanced_packing(
@@ -249,7 +266,8 @@ def max_balanced_packing(
     only when the whole search ran to completion inside the budget.
 
     ``log`` gets one JSON line per split and block kind (``event``
-    "kind", with ``vertices``, ``edges``, ``orbits`` branched on under
+    "kind", with the split's admissible ``vertices`` and the ``edges``
+    among them, the ``orbits`` branched on under
     that kind at every depth, ``complete`` and the incumbent's blocks as
     ``best``), one per new incumbent and a heartbeat every
     ``HEARTBEAT_NODES`` nodes.  Every line carries ``labeling`` (p+),
@@ -259,33 +277,36 @@ def max_balanced_packing(
     if t < 1 or k < 1 or v < 1:
         raise PreconditionViolated("need t >= 1 and k, v >= 1")
     search = _CliqueSearch(budget or SearchBudget(), log)
+    # One graph on every k-subset serves every split; the admissible blocks
+    # keep their combinations order, and so the search its vertex order.
+    blocks = list(itertools.combinations(range(v), k))
+    holders = _point_holders(blocks, v)
+    search.masks = [sum(1 << x for x in b) for b in blocks]
+    search.adj = adj = _conflict_graph(blocks, holders, t)
     best_blocks: tuple = ()
     best_p_plus = (v + 1) // 2
     for p_plus in range((v + 1) // 2, v + 1):
-        vertices = _admissible_blocks(v, k, p_plus)
-        n = len(vertices)
-        search.masks = [sum(1 << x for x in b) for b in vertices]
-        search.adj = _split_graph(vertices, v, t)
-        edges = sum(a.bit_count() for a in search.adj) // 2
+        kinds = _split_kinds(holders, k, p_plus)
+        allowed = admissible = kinds[0][1] | kinds[-1][1]
+        n = admissible.bit_count()
+        edges = sum((a & admissible).bit_count()
+                    for i, a in enumerate(adj) if admissible >> i & 1) // 2
         search.labeling = p_plus
         positive = (1 << p_plus) - 1
-        allowed = (1 << n) - 1
-        for a in sorted({k // 2, (k + 1) // 2}):
+        for a, kind in kinds:
             # The root orbit is the kind; its representative, the first block.
-            kind = sum(1 << i for i, m in enumerate(search.masks)
-                       if (m & positive).bit_count() == a)
             search.kind = a
             search.bound = search.orbits = 0
             before = search.best_size
             if kind:
                 rep = (kind & -kind).bit_length() - 1
-                cand = allowed & search.adj[rep]
+                cand = allowed & adj[rep]
                 search.bound = 1 + search.color_bound(cand)
                 cells = _refine([positive, (1 << v) - 1 - positive], search.masks[rep])
                 search.run([rep], cand, cells)
                 allowed &= ~kind
             if search.best_size > before:
-                best_blocks = tuple(sorted(vertices[i] for i in search.best))
+                best_blocks = tuple(sorted(blocks[i] for i in search.best))
                 best_p_plus = p_plus
             search.emit(
                 "kind", vertices=n, edges=edges, orbits=search.orbits,

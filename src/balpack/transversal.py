@@ -153,10 +153,10 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     from a positive group and one matched pair from a negative group,
     both taken from the same round.  Matched pairs from the same round
     are disjoint, so added blocks collide with each other and with the
-    transverse blocks in at most 2 points.  The added blocks are the
-    class-aligned product of the round-by-round pairs of groups 0 and 1
-    with themselves.  Total: m^3 + m^2(m-1) blocks, the counting-bound
-    optimum.
+    transverse blocks in at most 2 points.  The added blocks are those of
+    the class-aligned product of the round-by-round pairs of groups 0 and
+    1 with themselves, checked once, with the rest.  Total: m^3 +
+    m^2(m-1) blocks, the counting-bound optimum.
     """
     if m < 2 or m % 2:
         raise PreconditionViolated(f"m={m} must be even and >= 2")
@@ -169,7 +169,7 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     rounds = factorization.one_factorization(m).classes
     pairs = factorization.PartitionablePacking(
         1, 2, 2 * m, tuple(r + tuple((a + m, b + m) for a, b in r) for r in rounds))
-    blocks = tuple(sorted(td.blocks + factorization.product(pairs, pairs).blocks))
+    blocks = tuple(sorted([*td.blocks, *factorization.product_blocks(pairs, pairs)]))
     assert len(blocks) == m**3 + m * m * (m - 1)
     return BalancedPacking(4 * m, 3, 4, label_groups(td), blocks)
 

@@ -593,42 +593,72 @@ def test_no_layer_imports_typing_and_every_annotation_resolves():
     assert json.loads(done.stdout) == {"typing": False, "unresolved": []}
 
 
-# Runs ``cli.main`` on its arguments, then prints which route layers have run
-# their module body, and whether ``fractions`` was imported.  ``type`` reads
-# a lazy module without loading it.
+# Runs ``cli.main`` on its arguments, then prints which lazily registered
+# layers have run their module body, and whether ``fractions`` and ``json``
+# were imported.  ``type`` reads a lazy module without loading it.
 LAZY_PROBE = """
-import json, sys, types
+import sys, types
 from balpack import cli
 code = cli.main(sys.argv[1:])
-route = ("babai_frankl", "factorization", "gf", "latin", "oracle", "sumcode",
-         "transversal")
-print(json.dumps({"code": code, "ran": [
-    name for name in route if type(sys.modules[f"balpack.{name}"]) is types.ModuleType
-], "fractions": "fractions" in sys.modules}))
+layers = ("babai_frankl", "bounds", "factorization", "gf", "latin", "oracle",
+          "sumcode", "transversal")
+ran = [name for name in layers if type(sys.modules[f"balpack.{name}"]) is types.ModuleType]
+loaded = {name: name in sys.modules for name in ("fractions", "json")}
+import json
+print(json.dumps({"code": code, "ran": ran, **loaded}))
 """
 
 
-@pytest.mark.parametrize("argv, ran, fractions", [
-    (["verify", "{family}"], [], False),
-    (["construct", "latin", "--v", "120", "--out", "{tmp}/l.json"], ["latin"], False),
+@pytest.mark.parametrize("argv, ran, fractions, json_", [
+    (["verify", "{family}"], ["bounds"], False, True),
+    (["construct", "latin", "--v", "120", "--out", "{tmp}/l.json"],
+     ["bounds", "latin"], False, True),
     # transversal imports gf, but the sum design never touches it
     (["construct", "td-augment34", "--v", "16", "--out", "{tmp}/a.json"],
-     ["factorization", "transversal"], False),
-    (["oracle", "2", "3", "8"], ["oracle"], False),
+     ["bounds", "factorization", "transversal"], False, True),
+    # an exact search without --out neither bounds nor writes a family
+    (["oracle", "2", "3", "8"], ["oracle"], False, False),
+    # the reference (v*t/k^2)^t is a Fraction
+    (["oracle", "2", "5", "100", "--baseline", "--trials", "300", "--seed", "1"],
+     ["oracle"], True, False),
     # neither TD route builds a one-factorization
     (["construct", "td", "--t", "2", "--k", "3", "--q", "3", "--out", "{tmp}/t.json"],
-     ["gf", "transversal"], False),
+     ["bounds", "gf", "transversal"], False, True),
     (["construct", "td-augment34", "--char2", "--v", "16", "--out", "{tmp}/c.json"],
-     ["transversal"], False),
+     ["bounds", "transversal"], False, True),
     # prints the Steiner size 7/2, a Fraction
-    (["compare", "3", "5", "7"], [], True),
-], ids=["verify", "construct-latin", "construct-td-augment34", "oracle",
+    (["compare", "3", "5", "7"], ["bounds"], True, False),
+], ids=["verify", "construct-latin", "construct-td-augment34", "oracle", "oracle-baseline",
         "construct-td", "construct-td-augment34-char2", "compare"])
-def test_a_job_runs_only_the_route_layers_it_uses(tmp_path, argv, ran, fractions):
+def test_a_job_runs_only_the_route_layers_it_uses(tmp_path, argv, ran, fractions, json_):
     family = construct(tmp_path, "f.json", "latin", "--v", "12")[1]
     probe = json.loads(run_fresh(
         LAZY_PROBE, *[arg.format(tmp=tmp_path, family=family) for arg in argv]))
-    assert probe == {"code": 0, "ran": ran, "fractions": fractions}
+    assert probe == {"code": 0, "ran": ran, "fractions": fractions, "json": json_}
+
+
+# A bare ``import balpack`` leaves ``balpack.bounds`` unexecuted; its names
+# load it on first use and are the objects it holds.
+PACKAGE_PROBE = """
+import sys, types
+import balpack
+lazy = type(sys.modules.get("balpack.bounds")) is not types.ModuleType
+from fractions import Fraction
+assert balpack.theorem1_gap(3, 5, 7) == (3, Fraction(7, 2), True)
+from balpack import corollary_bound, GapResult
+bounds = sys.modules["balpack.bounds"]
+assert balpack.bounds is bounds
+assert corollary_bound is bounds.corollary_bound and GapResult is bounds.GapResult
+assert all(getattr(balpack, name) is getattr(bounds, name) for name in (
+    "GapResult", "SteinerSize", "corollary_bound", "lemma1_bound", "steiner_size",
+    "theorem1_gap", "type_lp_bound"))
+assert set(balpack.__all__) <= set(dir(balpack))
+print(lazy)
+"""
+
+
+def test_package_loads_bounds_on_first_use():
+    assert run_fresh(PACKAGE_PROBE) == "True"
 
 
 # What the traced benchmark launcher relies on: after ``import balpack.cli``

@@ -135,6 +135,57 @@ def test_search_log_is_json_lines():
     assert tuple(map(tuple, kinds[-1]["best"])) == r.witness.blocks
 
 
+# Every field of the kind lines but ``elapsed``, frozen: per line (labeling,
+# kind, vertices, edges, orbits, bound, nodes, incumbent); the first
+# kind's incumbent is the maximum, so every line carries the same best
+# family and best_labeling.
+FROZEN_KIND_LINES = {
+    (2, 3, 8): {
+        "lines": [
+            (4, 1, 48, 816, 7, 13, 12, 8), (4, 2, 48, 816, 0, 6, 13, 8),
+            (5, 1, 45, 705, 3, 12, 17, 8), (5, 2, 45, 705, 2, 10, 20, 8),
+            (6, 1, 36, 420, 1, 11, 22, 8), (6, 2, 36, 420, 2, 9, 25, 8),
+            (7, 1, 21, 105, 0, 0, 25, 8), (7, 2, 21, 105, 0, 4, 26, 8),
+            (8, 1, 0, 0, 0, 0, 26, 8), (8, 2, 0, 0, 0, 0, 26, 8),
+        ],
+        "best": [[0, 2, 7], [0, 3, 6], [0, 4, 5], [1, 2, 5],
+                 [1, 3, 4], [1, 6, 7], [2, 4, 6], [3, 5, 7]],
+        "best_labeling": 4,
+    },
+    (3, 5, 10): {
+        "lines": [
+            (5, 2, 200, 10000, 26, 12, 25, 6), (5, 3, 200, 10000, 2, 7, 28, 6),
+            (6, 2, 180, 7740, 3, 9, 32, 6), (6, 3, 180, 7740, 9, 13, 41, 6),
+            (7, 2, 126, 3150, 0, 4, 42, 6), (7, 3, 126, 3150, 3, 8, 46, 6),
+            (8, 2, 56, 280, 0, 0, 46, 6), (8, 3, 56, 280, 0, 2, 47, 6),
+            (9, 2, 0, 0, 0, 0, 47, 6), (9, 3, 0, 0, 0, 0, 47, 6),
+            (10, 2, 0, 0, 0, 0, 47, 6), (10, 3, 0, 0, 0, 0, 47, 6),
+        ],
+        "best": [[0, 1, 2, 8, 9], [0, 1, 5, 6, 7], [0, 3, 4, 7, 8],
+                 [1, 3, 4, 6, 9], [2, 3, 5, 6, 8], [2, 4, 5, 7, 9]],
+        "best_labeling": 5,
+    },
+}
+
+
+@pytest.mark.parametrize("t,k,v", sorted(FROZEN_KIND_LINES))
+def test_search_log_kind_lines_are_frozen(t, k, v):
+    frozen = FROZEN_KIND_LINES[t, k, v]
+    sink = io.StringIO()
+    max_balanced_packing(t, k, v, log=sink)
+    kinds = [rec for rec in map(json.loads, sink.getvalue().splitlines())
+             if rec["event"] == "kind"]
+    fields = ("labeling", "kind", "vertices", "edges", "orbits", "bound", "nodes",
+              "incumbent")
+    assert [tuple(rec[f] for f in fields) for rec in kinds] == frozen["lines"]
+    for rec in kinds:
+        assert set(rec) == {"event", "elapsed", "complete", "best", "best_labeling",
+                            *fields}
+        assert rec["complete"] is True
+        assert rec["best"] == frozen["best"]
+        assert rec["best_labeling"] == frozen["best_labeling"]
+
+
 def test_search_log_heartbeat(monkeypatch):
     monkeypatch.setattr(oracle, "HEARTBEAT_NODES", 10)
     sink = io.StringIO()

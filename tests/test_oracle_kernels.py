@@ -1,7 +1,8 @@
 """The oracle's bitset kernels checked against the loops they replaced: the
-class-at-a-time colouring against first-fit with a sort, the point-holder
-split graph against the pairwise popcount, and the point-holder retention of
-the baseline against the scan of every kept set."""
+class-at-a-time colouring against first-fit with a sort, each split's
+point-holder graph and kinds against the pairwise popcount and the count of
+positive points, and the point-holder retention of the baseline against the
+scan of every kept set."""
 
 import random
 from itertools import combinations
@@ -94,18 +95,34 @@ def test_colouring_matches_first_fit(graph):
     assert search.color_bound(cand) == len({c for c, _ in expected})
 
 
+def members(bits):
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
 @pytest.mark.parametrize("v", range(1, 10))
 def test_split_graph_matches_the_pairwise_popcount(v):
     # Every split and every 1 <= t <= k, and t = k + 1, where no two
-    # blocks conflict and only the diagonal is left out.
+    # blocks conflict and only the diagonal is left out: the graph that
+    # one split searches is the graph on all k-subsets restricted to the
+    # split's kinds, renumbered in order.
     for k in range(1, v + 1):
+        blocks = list(combinations(range(v), k))
+        holders = oracle._point_holders(blocks, v)
+        graphs = {t: oracle._conflict_graph(blocks, holders, t) for t in range(1, k + 2)}
         for p_plus in range((v + 1) // 2, v + 1):
-            vertices = oracle._admissible_blocks(v, k, p_plus)
+            kinds = oracle._split_kinds(holders, k, p_plus)
+            assert [a for a, _ in kinds] == sorted({k // 2, (k + 1) // 2})
+            for a, kind in kinds:
+                assert all(sum(x < p_plus for x in blocks[i]) == a for i in members(kind))
+            admissible = members(kinds[0][1] | kinds[-1][1])
+            vertices = [blocks[i] for i in admissible]
             assert vertices == reference_admissible_blocks(v, k, p_plus)
-            for t in range(1, k + 2):
-                assert oracle._split_graph(vertices, v, t) == (
-                    reference_split_graph(vertices, t)
-                ), (v, k, p_plus, t)
+            for t, adj in graphs.items():
+                restricted = [
+                    sum(1 << j for j, w in enumerate(admissible) if adj[u] >> w & 1)
+                    for u in admissible
+                ]
+                assert restricted == reference_split_graph(vertices, t), (v, k, p_plus, t)
 
 
 @pytest.mark.parametrize("v,k,t,trials,seed", [
