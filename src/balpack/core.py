@@ -101,6 +101,13 @@ def _short(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _are_ints(values) -> bool:
+    """True when every value is an int and none is a bool; an int subclass
+    other than bool passes."""
+    types = set(map(type, values))
+    return types <= {int} or all(issubclass(c, int) and c is not bool for c in types)
+
+
 def _blocks_are_canonical(blocks, v) -> bool:
     """True when ``blocks`` is a tuple of nonempty tuples of ints, strictly
     increasing, within [0, v), and each block sorts after the one before.
@@ -202,9 +209,7 @@ class Labeling(Record):
         signs = self.signs
         if not isinstance(signs, tuple):
             raise LabelConstraint(f"labels must be a tuple, got {_short(signs)}")
-        types = set(map(type, signs))
-        ints = types <= {int} or all(issubclass(c, int) and c is not bool for c in types)
-        if not ints or signs.count(1) + signs.count(-1) != len(signs):
+        if not _are_ints(signs) or signs.count(1) + signs.count(-1) != len(signs):
             raise LabelConstraint(f"labels must be the integers +1 or -1, got {_short(signs)}")
 
     @property
@@ -258,8 +263,7 @@ class BalancedPacking(Record):
             raise PackingError(f"blocks must be a tuple, got {_short(self.blocks)}")
         prev = ()
         for index, b in enumerate(self.blocks):
-            if not (isinstance(b, tuple) and b and all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in b)):
+            if not (isinstance(b, tuple) and b and _are_ints(b)):
                 raise PackingError(
                     f"block {index} must be a nonempty tuple of integers, got {_short(b)}")
             if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):

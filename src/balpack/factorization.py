@@ -8,6 +8,7 @@ and is then one call to it: ``triples_from_factorization`` (round-robin
 matchings against singleton classes), ``mds_product`` (a large set of
 Steiner systems with itself), ``mds_45_product`` (a large set of STS
 with matchings) and the added blocks of ``transversal.augment_34``.
+A one-factorization is checked as the 1-partitionable family of pairs it is.
 """
 
 from __future__ import annotations
@@ -59,32 +60,24 @@ class OneFactorization(Record):
     """A partition of the complete graph K_n into n-1 perfect matchings.
 
     ``classes`` is a tuple of matchings, each matching a tuple of (a, b)
-    pairs.
+    pairs: a 1-partitionable family of pairs, checked as one by
+    ``from_one_factorization``, whose faults raise ``PreconditionViolated``.
+    n - 1 matchings of n/2 distinct edges then cover every edge.
     """
 
     _fields = ("n", "classes")
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2:
-            raise OddOrder(f"n={self.n} must be even and >= 2")
-        if len(self.classes) != self.n - 1:
+        n, classes = self.n, self.classes
+        if n < 2 or n % 2:
+            raise OddOrder(f"n={n} must be even and >= 2")
+        try:
+            from_one_factorization(self)
+        except PackingError as exc:
+            raise PreconditionViolated(str(exc)) from exc
+        if len(classes) != n - 1 or set(map(len, classes)) != {n // 2}:
             raise PreconditionViolated(
-                f"expected {self.n - 1} matchings, got {len(self.classes)}"
-            )
-        seen = set()
-        for matching in self.classes:
-            touched = set()
-            for a, b in matching:
-                if not (0 <= a < b < self.n):
-                    raise PreconditionViolated(f"bad edge ({a}, {b})")
-                if a in touched or b in touched:
-                    raise PreconditionViolated("matching reuses a vertex")
-                touched.update((a, b))
-            if len(matching) != self.n // 2:
-                raise PreconditionViolated("matching is not perfect")
-            seen.update(matching)
-        if len(seen) != comb(self.n, 2):
-            raise PreconditionViolated("classes do not cover every edge")
+                f"expected {n - 1} matchings of {n // 2} edges, got {_short(classes)}")
 
 
 def one_factorization(n: int) -> OneFactorization:

@@ -148,27 +148,14 @@ def _digits(index: int, p: int, length: int) -> tuple[int, ...]:
 # -- polynomial helpers over Z_p (tuples, lowest degree first) --------------
 
 
-def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of ``num`` modulo monic ``den`` over Z_p, untrimmed."""
-    rem = list(num)
-    dd = len(den) - 1
-    while len(rem) - 1 >= dd and rem:
-        lead = rem[-1]
-        if lead:
-            shift = len(rem) - 1 - dd
-            for i, c in enumerate(den):
-                rem[shift + i] = (rem[shift + i] - lead * c) % p
-        rem.pop()
-    return rem
-
-
 def _irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive trial division by all monic polynomials of degree <= m/2."""
+    """Exhaustive trial division by all monic polynomials of degree <= m/2.
+    The remainder is one times ``poly``, by the shift and reduction of ``_times``."""
     m = len(poly) - 1
     for d in range(1, m // 2 + 1):
+        one = [1] + [0] * (d - 1)
         for idx in range(p**d):
-            divisor = _digits(idx, p, d) + (1,)
-            if not any(_poly_mod(poly, divisor, p)):
+            if not any(_times(one, poly, p, _digits(idx, p, d) + (1,))):
                 return False
     return True
 
@@ -241,9 +228,9 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 
 
 def _times(a: list[int], b, p: int, modulus) -> list[int]:
-    """Product of two elements given as coefficient lists, lowest first:
-    ``a`` times x^j is a shift and one reduction by the monic ``modulus``,
-    once per digit of ``b``."""
+    """Product of ``a`` and ``b`` given as coefficient lists, lowest first,
+    reduced by the monic ``modulus``: ``a`` times x^j is a shift and one
+    reduction, once per digit of ``b``, which may be of any degree."""
     acc, y = [0] * len(a), a
     for j, d in enumerate(b):
         if j:

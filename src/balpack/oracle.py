@@ -232,11 +232,16 @@ def _point_holders(blocks, v: int) -> list:
     return holders
 
 
-def _conflict_graph(blocks, holders, t: int) -> list:
-    """Adjacency bitsets: two blocks are adjacent when they share < t points."""
+def _conflict_graph(blocks, holders, t: int, expired=lambda: False) -> list:
+    """Adjacency bitsets: two blocks are adjacent when they share < t points.
+    The rows stop where ``expired()``, asked every 64 rows, first returns true."""
     everyone = (1 << len(blocks)) - 1
-    return [everyone & ~_sharing_at_least(b, holders, t) & ~(1 << i)
-            for i, b in enumerate(blocks)]
+    adj = []
+    for i, b in enumerate(blocks):
+        if i % 64 == 0 and expired():
+            break
+        adj.append(everyone & ~_sharing_at_least(b, holders, t) & ~(1 << i))
+    return adj
 
 
 def _split_kinds(holders, k: int, p_plus: int) -> list:
@@ -263,7 +268,8 @@ def max_balanced_packing(
     labeling lies in {-1, 0, +1}; two blocks conflict when they share
     t or more points.  The answer maximizes an independent family,
     found as a maximum clique in the complement.  ``exact`` is True
-    only when the whole search ran to completion inside the budget.
+    only when the whole search, and the conflict graph before it, ran to
+    completion inside the budget; a graph cut short gives the empty family.
 
     ``log`` gets one JSON line per split and block kind (``event``
     "kind", with the split's admissible ``vertices`` and the ``edges``
@@ -282,10 +288,11 @@ def max_balanced_packing(
     blocks = list(itertools.combinations(range(v), k))
     holders = _point_holders(blocks, v)
     search.masks = [sum(1 << x for x in b) for b in blocks]
-    search.adj = adj = _conflict_graph(blocks, holders, t)
+    search.adj = adj = _conflict_graph(blocks, holders, t, search._out_of_budget)
+    search.complete = len(adj) == len(blocks)
     best_blocks: tuple = ()
     best_p_plus = (v + 1) // 2
-    for p_plus in range((v + 1) // 2, v + 1):
+    for p_plus in range((v + 1) // 2, v + 1) if search.complete else ():
         kinds = _split_kinds(holders, k, p_plus)
         allowed = admissible = kinds[0][1] | kinds[-1][1]
         n = admissible.bit_count()

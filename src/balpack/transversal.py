@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 
 from . import factorization, gf
-from .core import BalancedPacking, Labeling, PreconditionViolated, Record, _short, is_packing
+from .core import (BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints, _short,
+                   is_packing)
 
 
 class TransversalDesign(Record):
     """Blocks meeting each of k groups of size q in exactly one point;
-    ``blocks`` is a sorted tuple of point tuples."""
+    ``blocks`` is a sorted tuple of point tuples.  As in a
+    ``BalancedPacking``, a point is an int and not a bool."""
 
     _fields = ("t", "k", "q", "blocks")
 
@@ -28,11 +30,13 @@ class TransversalDesign(Record):
             raise PreconditionViolated(f"need 1 <= t <= k, got t={self.t}, k={self.k}")
         if self.q < 1:
             raise PreconditionViolated(f"group size must be positive, got {self.q}")
+        if not isinstance(self.blocks, tuple):
+            raise PreconditionViolated(f"blocks must be a tuple, got {_short(self.blocks)}")
+        groups = list(range(self.k))
         for index, b in enumerate(self.blocks):
-            if [x // self.q for x in b] != list(range(self.k)):
+            if not (isinstance(b, tuple) and _are_ints(b)) or [x // self.q for x in b] != groups:
                 raise PreconditionViolated(
-                    f"block {index} is not transverse to the groups: {_short(b)}"
-                )
+                    f"block {index} is not transverse to the groups, one int in each: {_short(b)}")
         if list(self.blocks) != sorted(set(self.blocks)):
             raise PreconditionViolated("blocks must be sorted and duplicate-free")
 

@@ -69,6 +69,20 @@ def test_one_factorization_type_rejects_bad_input():
         )
 
 
+@pytest.mark.parametrize("classes", [
+    (((0, 1), (2, 4)), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+    (((1, 0), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+    (((0, 1), (1, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+    (((0, 1),), ((0, 2), (1, 3)), ((0, 3), (1, 2))),
+    (((0, 1), (2, 3)), ((0, 1), (2, 3)), ((0, 3), (1, 2))),
+], ids=["edge-out-of-range", "reversed-edge", "reused-vertex", "short-matching",
+        "repeated-edge"])
+def test_one_factorization_faults_raise_precondition_violated(classes):
+    with pytest.raises(PreconditionViolated) as caught:
+        OneFactorization(4, classes)
+    assert type(caught.value) is PreconditionViolated
+
+
 def test_triples_single_block():
     p = triples_from_factorization(2, 1)
     assert p.blocks == ((0, 1, 2),)

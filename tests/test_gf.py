@@ -5,6 +5,8 @@ sampling we enumerate everything: the axioms are checked on full operation
 tables for every prime power up to 64.
 """
 
+import itertools
+
 import pytest
 
 from balpack import gf
@@ -72,6 +74,28 @@ def test_gf9_modulus_and_xi():
     field = gf.make_field(3, 2)
     assert field.modulus == (1, 0, 1)  # x^2 + 1
     assert field.xi_index == 4  # 1 + x
+
+
+def monic(p, degree):
+    """Every monic polynomial of the degree over Z_p, lowest coefficient first."""
+    return [c + (1,) for c in itertools.product(range(p), repeat=degree)]
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3), (7, 2)])
+def test_irreducible_agrees_with_products_of_factors(p, m):
+    reducible = {poly_mul(f, g, p)
+                 for d in range(1, m // 2 + 1)
+                 for f in monic(p, d) for g in monic(p, m - d)}
+    assert [gf._irreducible(poly, p) for poly in monic(p, m)] == [
+        poly not in reducible for poly in monic(p, m)]
 
 
 def test_gf5_mul_example():

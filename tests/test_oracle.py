@@ -198,6 +198,25 @@ def test_search_log_heartbeat(monkeypatch):
     assert all({"labeling", "nodes", "incumbent", "bound"} <= rec.keys() for rec in beats)
 
 
+def test_time_cap_covers_building_the_graph(monkeypatch):
+    # The clock reads 0 when the search starts and 1 ever after: the cap is
+    # spent at the first budget check while the conflict graph is built.
+    clock = iter([0.0])
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: next(clock, 1.0))
+    rows = []
+    sharing = oracle._sharing_at_least
+
+    def counted(points, holders, m):
+        rows.append(points)
+        return sharing(points, holders, m)
+
+    monkeypatch.setattr(oracle, "_sharing_at_least", counted)
+    r = max_balanced_packing(2, 3, 9, SearchBudget(time_cap=0.5))
+    assert r.exact is False
+    assert r.nodes == 0 and r.size == 0 and r.witness.blocks == ()
+    assert len(rows) < len(list(combinations(range(9), 3)))
+
+
 @pytest.mark.parametrize("t,k,v", [(2, 3, 9), (3, 4, 9), (2, 4, 12)])
 def test_budget_counts_the_whole_search(t, k, v):
     r = max_balanced_packing(t, k, v)

@@ -162,11 +162,20 @@ def test_one_positional_argument_too_many(cls, make, fields):
      core.PreconditionViolated),
     (lambda: factorization.PartitionablePacking(1, 2, 4, [((0, 1),)]),
      core.PreconditionViolated),
+    (lambda: factorization.OneFactorization(4, [[(0, 1), (2, 3)], [(0, 2), (1, 3)],
+                                                [(0, 3), (1, 2)]]),
+     core.PreconditionViolated),
+    (lambda: factorization.OneFactorization(4, None), core.PreconditionViolated),
+    (lambda: transversal.TransversalDesign(1, 2, 2, [(0, 2), (1, 3)]),
+     core.PreconditionViolated),
+    (lambda: transversal.TransversalDesign(1, 2, 2, None), core.PreconditionViolated),
 ], ids=["Labeling", "BalancedPacking", "OneFactorization", "PartitionablePacking",
         "SeedSets", "LatinRectangle", "SearchBudget", "SumCodeParams",
         "TransversalDesign", "Labeling-list-signs", "BalancedPacking-list-blocks",
         "PartitionablePacking-list-block", "PartitionablePacking-list-class",
-        "PartitionablePacking-list-classes"])
+        "PartitionablePacking-list-classes", "OneFactorization-list-classes",
+        "OneFactorization-none-classes", "TransversalDesign-list-blocks",
+        "TransversalDesign-none-blocks"])
 def test_post_init_checks_the_fields(call, error):
     with pytest.raises(error) as caught:
         call()

@@ -105,6 +105,16 @@ def test_td_type_rejects_non_transverse_blocks():
         TransversalDesign(2, 2, 2, ((0, 1),))  # both points in group 0
 
 
+@pytest.mark.parametrize("q, blocks", [
+    (2, ((0.0, 2.0), (1.0, 3.0))),
+    (1, ((False, True),)),
+    (2, ((0, 2.5),)),
+], ids=["floats", "bools", "half-integer"])
+def test_td_type_rejects_points_that_are_not_ints(q, blocks):
+    with pytest.raises(PreconditionViolated):
+        TransversalDesign(1, 2, q, blocks)
+
+
 def test_td_type_names_a_long_bad_block_briefly():
     # block 0 is transverse; block 1 puts 0 and 1 in group 0 and runs on
     # for 2998 more points
