@@ -18,8 +18,9 @@ packing check.
 Files: packings are exchanged as a small JSON document with keys exactly
 ``version, v, t, k, labels, blocks`` (plus an optional ``classes`` list of
 block-index groups for partitioned families).  The writer is deterministic;
-the parser is strict, checks the document's shape, and leaves the blocks
-to ``BalancedPacking``: every malformed document is a ``FormatError``.
+the parser is strict, checks only the document's JSON shape, and leaves v,
+t, k, the label count and the blocks to ``BalancedPacking``: every
+malformed document is a ``FormatError``.
 
 ``Record`` is the base of the package's immutable value classes, in place
 of a frozen dataclass: each subclass gets a generated ``__init__`` over its
@@ -103,7 +104,8 @@ def _short(value) -> str:
 
 def _are_ints(values) -> bool:
     """True when every value is an int and none is a bool; an int subclass
-    other than bool passes."""
+    other than bool passes.  The package's one integer rule: for points,
+    labels, parameters and document fields alike."""
     types = set(map(type, values))
     return types <= {int} or all(issubclass(c, int) and c is not bool for c in types)
 
@@ -241,21 +243,24 @@ class BalancedPacking(Record):
     the semantic booleans (regular / packing / balanced) are ``verify``'s
     job, so that failing families can still be represented and reported.
 
-    Fields: ``v``, ``t`` and ``k`` (ints), ``labeling`` (a ``Labeling``
-    over the v points) and ``blocks`` (a tuple of point tuples).
+    Fields: ``v``, ``t`` and ``k`` (ints under the point rule, so neither
+    a float nor a bool), ``labeling`` (a ``Labeling`` over the v points)
+    and ``blocks`` (a tuple of point tuples).
     """
 
     _fields = ("v", "t", "k", "labeling", "blocks")
 
     def __post_init__(self):
+        if not _are_ints((self.v, self.t, self.k)):
+            raise PackingError(
+                f"parameters v, t and k must be integers, got {_short((self.v, self.t, self.k))}")
         if self.v < 1:
-            raise PackingError(f"ground set size must be >= 1, got {self.v}")
+            raise PackingError(f"ground set size must be >= 1, got {_short(self.v)}")
         if self.t < 0 or self.k < 0:
             raise PackingError("parameters t and k must be >= 0")
         if self.labeling.v != self.v:
             raise LabelConstraint(
-                f"labeling covers {self.labeling.v} points, ground set has {self.v}"
-            )
+                f"labeling covers {self.labeling.v} points, ground set has {_short(self.v)}")
         if _blocks_are_canonical(self.blocks, self.v):
             return
         # name the first bad block; tuple and int subclasses pass here
@@ -577,8 +582,8 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
     to the same set are merged.
     """
     for e in (e1, e2):
-        if not 0 <= e < p.v:
-            raise OutOfRange(f"point {e} outside ground set [0, {p.v})")
+        if not (_are_ints((e,)) and 0 <= e < p.v):
+            raise OutOfRange(f"point {_short(e)} outside ground set [0, {p.v})")
     if p.labeling.signs[e1] != 1:
         raise LabelConstraint(f"point e1={e1} must be labeled +1")
     if p.labeling.signs[e2] != -1:
@@ -620,16 +625,12 @@ def _encoder():
 
 
 def to_json(p: BalancedPacking, classes=None) -> str:
-    """Serialize deterministically; one block (or class) per line."""
+    """Serialize deterministically; one block (or class) per line.  Every
+    int, header and rows alike, is written as ``int.__repr__`` writes it."""
     labels = "".join("+" if s == 1 else "-" for s in p.labeling.signs)
-    out = [
-        "{",
-        '  "version": 1,',
-        f'  "v": {p.v},',
-        f'  "t": {p.t},',
-        f'  "k": {p.k},',
-        f'  "labels": "{labels}",',
-    ]
+    v, t, k = map(int.__repr__, (p.v, p.t, p.k))
+    out = ["{", '  "version": 1,', f'  "v": {v},', f'  "t": {t},', f'  "k": {k},',
+           f'  "labels": "{labels}",']
     trailing = "," if classes is not None else ""
     encode = _encode or _encoder()
 
@@ -652,12 +653,11 @@ def to_json(p: BalancedPacking, classes=None) -> str:
 
 def _class_rows(classes) -> list:
     """The classes as lists of ints for the encoder; BalancedPacking checks
-    the blocks, nothing checks the classes, so a point that is not an int,
+    the blocks, nothing checks the classes, so an entry that is not an int,
     or is a bool, raises TypeError here."""
     rows = list(map(list, classes))
-    for x in chain.from_iterable(rows):
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise TypeError(f"class entry {x!r} is not an integer")
+    if not _are_ints(chain.from_iterable(rows)):
+        raise TypeError(f"class entries must be integers, got {_short(rows)}")
     return rows
 
 
@@ -665,7 +665,8 @@ def parse_document(text: str):
     """Strict parse of a packing document.
 
     Returns ``(packing, classes)`` where classes is None unless present.
-    ``BalancedPacking`` checks the blocks; any ``PackingError`` it raises
+    Only the JSON shape is checked here: ``BalancedPacking`` checks v, t,
+    k, the label count and the blocks, and any ``PackingError`` it raises
     is re-raised as ``FormatError``.
     The stored labeling is normalized on load: when negatives outnumber
     positives the whole labeling is flipped, so in-memory families satisfy
@@ -689,17 +690,12 @@ def parse_document(text: str):
     if missing:
         raise FormatError(f"missing keys: {missing}")
     version = doc["version"]
-    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+    if not _are_ints((version,)) or version != 1:
         raise FormatError(f"unsupported version {_short(version)}")
 
-    v, t, k = doc["v"], doc["t"], doc["k"]
-    for name, val in (("v", v), ("t", t), ("k", k)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise FormatError(f"field {name} must be a nonnegative integer")
-
     labels = doc["labels"]
-    if not isinstance(labels, str) or len(labels) != v or set(labels) - {"+", "-"}:
-        raise FormatError("labels must be a +/- string covering the ground set")
+    if not isinstance(labels, str) or set(labels) - {"+", "-"}:
+        raise FormatError("labels must be a +/- string")
     signs = tuple(map(_SIGNS.__getitem__, labels))
 
     raw_blocks = doc["blocks"]
@@ -720,8 +716,8 @@ def parse_document(text: str):
     if labeling.p_minus > labeling.p_plus:
         labeling = labeling.flipped()
     try:
-        packing = BalancedPacking(v, t, k, labeling, blocks)
-    except PackingError as exc:  # the blocks are checked there, and only there
+        packing = BalancedPacking(doc["v"], doc["t"], doc["k"], labeling, blocks)
+    except PackingError as exc:  # v, t, k and the blocks are checked there, and only there
         raise FormatError(str(exc)) from exc
     return packing, classes
 
@@ -732,9 +728,7 @@ def _parse_classes(raw, n_blocks: int):
     seen = set()
     classes = []
     for row in raw:
-        if not isinstance(row, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in row
-        ):
+        if not isinstance(row, list) or not _are_ints(row):
             raise FormatError("each class must be a list of integers")
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
             raise FormatError("class indices must be strictly increasing")

@@ -22,10 +22,10 @@ from .core import (
     PackingError,
     PreconditionViolated,
     Record,
+    _are_ints,
     _is_packing,
     _points_are_canonical,
     _short,
-    is_packing,
     load_document,
     save_packing,
 )
@@ -122,14 +122,18 @@ class PartitionablePacking(Record):
     """Blocks split into classes, each class a (t_prime, k, v) packing.
 
     Distinct classes never share a block; that is what makes the
-    class-aligned product below a packing again.  ``classes`` is a tuple
-    of block tuples.
+    class-aligned product below a packing again.  ``t_prime``, ``k`` and
+    ``v`` are ints and ``classes`` is a tuple of block tuples, whose points
+    are ints, under the point rule of ``BalancedPacking``.
     """
 
     _fields = ("t_prime", "k", "v", "classes")
 
     def __post_init__(self):
         classes = self.classes
+        if not _are_ints((self.t_prime, self.k, self.v)):
+            raise PreconditionViolated(
+                f"t_prime, k and v must be integers, got {_short((self.t_prime, self.k, self.v))}")
         if not (isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)):
             raise PreconditionViolated(f"classes must be a tuple of tuples, got {_short(classes)}")
         # whole-class passes decide; only when one fails does the loop below
@@ -144,7 +148,8 @@ class PartitionablePacking(Record):
         for c, cls in enumerate(classes):
             for i, b in enumerate(cls):
                 where = f"class {c} block {i}"
-                if not isinstance(b, tuple) or len(b) != self.k or tuple(sorted(set(b))) != b:
+                if not (isinstance(b, tuple) and _are_ints(b) and len(b) == self.k
+                        and tuple(sorted(set(b))) == b):
                     raise PreconditionViolated(f"{where} is malformed: {_short(b)}")
                 if not all(0 <= x < self.v for x in b):
                     raise PreconditionViolated(
@@ -152,10 +157,8 @@ class PartitionablePacking(Record):
                 if b in seen:
                     raise ClassesNotDisjoint(f"{where} repeats an earlier block: {_short(b)}")
                 seen.add(b)
-            if not is_packing(self.t_prime, cls):
-                raise PreconditionViolated(
-                    f"a class is not a {self.t_prime}-packing"
-                )
+            if not _is_packing(self.t_prime, cls):  # its blocks are canonical by now
+                raise PreconditionViolated(f"a class is not a {self.t_prime}-packing")
 
     @property
     def n_classes(self) -> int:

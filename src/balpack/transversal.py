@@ -21,11 +21,15 @@ from .core import (BalancedPacking, Labeling, PreconditionViolated, Record, _are
 class TransversalDesign(Record):
     """Blocks meeting each of k groups of size q in exactly one point;
     ``blocks`` is a sorted tuple of point tuples.  As in a
-    ``BalancedPacking``, a point is an int and not a bool."""
+    ``BalancedPacking``, a point is an int and not a bool, and so are
+    ``t``, ``k`` and ``q``."""
 
     _fields = ("t", "k", "q", "blocks")
 
     def __post_init__(self):
+        if not _are_ints((self.t, self.k, self.q)):
+            raise PreconditionViolated(
+                f"t, k and q must be integers, got {_short((self.t, self.k, self.q))}")
         if not 1 <= self.t <= self.k:
             raise PreconditionViolated(f"need 1 <= t <= k, got t={self.t}, k={self.k}")
         if self.q < 1:

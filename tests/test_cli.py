@@ -273,7 +273,15 @@ def _document(**fields):
     (_document(v=3001, t=1, labels="+" * 1501 + "-" * 1500,
                blocks=[[0, 1], list(range(1, 3000))], classes=[[0], [1]]),
      "class 1 block 0"),
-], ids=["nested-block", "long-version", "long-block", "long-class-block"])
+    # one fault each, from the parser's shape check or from BalancedPacking
+    (_document(blocks={"0": [0, 2]}), "blocks must be a list"),
+    (_document(classes=[[0, 1], [1]]), "block 1 appears in more than one class"),
+    (_document(v=4.0), "parameters v, t and k must be integers"),
+    (_document(v=10 ** 80), "labeling covers 4 points, ground set has 1000"),
+    (_document(labels="++-"), "labeling covers 3 points, ground set has 4"),
+    (_document(version=True), "unsupported version True"),
+], ids=["nested-block", "long-version", "long-block", "long-class-block", "blocks-not-list",
+        "class-repeats", "v-float", "v-huge", "labels-short", "version-bool"])
 def test_format_errors_print_a_short_line(tmp_path, capsys, doc, names):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

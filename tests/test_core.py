@@ -1,5 +1,8 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
+from test_validation import Point
 
 from balpack import core
 from balpack.core import (
@@ -220,6 +223,10 @@ def test_derive_requires_oppositely_labeled_points():
         derive_subdesign(p, 0, 1)  # e2 positive
     with pytest.raises(OutOfRange):
         derive_subdesign(p, 0, 17)
+    with pytest.raises(OutOfRange):
+        derive_subdesign(p, 0.0, 3)  # equal to a point, but not an int
+    with pytest.raises(OutOfRange):
+        derive_subdesign(p, 0, 3.0)
 
 
 def test_derive_uncovered_pair_gives_empty_family():
@@ -326,6 +333,84 @@ def test_parser_rejects_malformed_blocks_and_labels():
         from_json(base % ("++--", "[[1, 2], [0, 1]]"))  # unsorted family
     with pytest.raises(FormatError):
         from_json(base % ("++--", "[[0, true, 2]]"))
+
+
+def _document(**fields) -> str:
+    doc = {"version": 1, "v": 4, "t": 2, "k": 2, "labels": "++--",
+           "blocks": [[0, 2], [1, 3]]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+# one fault per document: the fields that differ from a valid (2, 2, 4)
+# family, and a substring of the FormatError's message
+MALFORMED = [
+    pytest.param({"blocks": {"0": [0, 2]}}, "blocks must be a list", id="blocks-not-list"),
+    pytest.param({"classes": {"0": [0]}}, "classes must be a list of block-index lists",
+                 id="classes-not-list"),
+    pytest.param({"classes": [[0], [1.0]]}, "each class must be a list of integers",
+                 id="class-not-ints"),
+    pytest.param({"classes": [[0], [2]]}, "class references block 2 of 2",
+                 id="class-out-of-range"),
+    pytest.param({"classes": [[0, 1], [1]]}, "block 1 appears in more than one class",
+                 id="class-repeats"),
+    pytest.param({"v": 4.0}, "parameters v, t and k must be integers", id="v-float"),
+    pytest.param({"v": True}, "parameters v, t and k must be integers", id="v-bool"),
+    pytest.param({"v": "4"}, "parameters v, t and k must be integers", id="v-string"),
+    pytest.param({"v": None}, "parameters v, t and k must be integers", id="v-null"),
+    pytest.param({"v": -4}, "ground set size must be >= 1, got -4", id="v-negative"),
+    pytest.param({"v": 0, "labels": "", "blocks": []}, "ground set size must be >= 1, got 0",
+                 id="v-zero"),
+    pytest.param({"v": 10 ** 80}, "labeling covers 4 points, ground set has 1000",
+                 id="v-huge"),
+    pytest.param({"t": -1}, "parameters t and k must be >= 0", id="t-negative"),
+    pytest.param({"k": 2.0}, "parameters v, t and k must be integers", id="k-float"),
+    pytest.param({"k": -2}, "parameters t and k must be >= 0", id="k-negative"),
+    pytest.param({"labels": "++-"}, "labeling covers 3 points, ground set has 4",
+                 id="labels-short"),
+    pytest.param({"labels": "++--+"}, "labeling covers 5 points, ground set has 4",
+                 id="labels-long"),
+    pytest.param({"labels": "++-x"}, "labels must be a +/- string", id="labels-bad-char"),
+    pytest.param({"labels": ["+", "+", "-", "-"]}, "labels must be a +/- string",
+                 id="labels-not-string"),
+    pytest.param({"version": True}, "unsupported version True", id="version-bool"),
+]
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED)
+def test_parser_reports_each_fault_as_a_format_error(fields, message):
+    # the parser checks the JSON shape; BalancedPacking checks v, t, k and
+    # the label count, and the parser re-raises its faults as FormatError
+    with pytest.raises(FormatError) as caught:
+        parse_document(_document(**fields))
+    assert message in str(caught.value)
+    assert len(str(caught.value)) < 200
+
+
+@st.composite
+def header_fields(draw):
+    """``(n, v, t, k)``: a ground set size n for the labeling, and v, t, k
+    drawn from ints (negatives included), an int subclass with its own
+    ``__str__`` and ``__repr__``, floats, bools, strings and None."""
+    n = draw(st.integers(1, 6))
+    field = st.one_of(st.integers(-3, 8), st.integers(-3, 8).map(Point), st.floats(-3, 8),
+                      st.booleans(), st.text("0123+-", max_size=2), st.none())
+    v = draw(st.one_of(st.sampled_from([n, Point(n), float(n), n == 1]), field))
+    return n, v, draw(field), draw(field)
+
+
+@given(header_fields())
+def test_every_packing_that_constructs_round_trips(fields):
+    # BalancedPacking alone decides v, t and k; whatever it accepts, to_json
+    # writes and parse_document reads back (p+ >= p-, so no flip on load)
+    n, v, t, k = fields
+    plus = (n + 1) // 2
+    labeling = Labeling((1,) * plus + (-1,) * (n - plus))
+    try:
+        p = BalancedPacking(v, t, k, labeling, tuple((x,) for x in range(n)))
+    except PackingError:
+        return
+    assert parse_document(to_json(p))[0] == p
 
 
 def test_classes_round_trip_and_partition_check():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_validation import Point, outcome
 
 from balpack.bounds import corollary_bound, lemma1_bound
-from balpack.core import PreconditionViolated, _short, is_packing, verify
+from balpack.core import PreconditionViolated, _are_ints, _short, is_packing, verify
 from balpack.factorization import (
     ClassCountMismatch,
     ClassesNotDisjoint,
@@ -130,7 +130,8 @@ def reference_classes_check(t_prime, k, v, classes):
     for c, cls in enumerate(classes):
         for i, b in enumerate(cls):
             where = f"class {c} block {i}"
-            if not isinstance(b, tuple) or len(b) != k or tuple(sorted(set(b))) != b:
+            if not (isinstance(b, tuple) and _are_ints(b) and len(b) == k
+                    and tuple(sorted(set(b))) == b):
                 raise PreconditionViolated(f"{where} is malformed: {_short(b)}")
             if not all(0 <= x < v for x in b):
                 raise PreconditionViolated(f"{where} leaves [0, {v}): {_short(b)}")

@@ -169,13 +169,36 @@ def test_one_positional_argument_too_many(cls, make, fields):
     (lambda: transversal.TransversalDesign(1, 2, 2, [(0, 2), (1, 3)]),
      core.PreconditionViolated),
     (lambda: transversal.TransversalDesign(1, 2, 2, None), core.PreconditionViolated),
+    # a float or bool point or parameter: the int rule of BalancedPacking's points
+    (lambda: factorization.PartitionablePacking(1, 2, 4, (((0.0, 1.0),), ((2.0, 3.0),))),
+     core.PreconditionViolated),
+    (lambda: factorization.PartitionablePacking(1, 2, 4, (((False, True),),)),
+     core.PreconditionViolated),
+    (lambda: factorization.PartitionablePacking(1, 2, 4.0, (((0, 1),),)),
+     core.PreconditionViolated),
+    (lambda: factorization.PartitionablePacking(1.0, 2, 4, (((0, 1),),)),
+     core.PreconditionViolated),
+    (lambda: factorization.OneFactorization(4, (((0.0, 1.0), (2.0, 3.0)),
+                                                ((0.0, 2.0), (1.0, 3.0)),
+                                                ((0.0, 3.0), (1.0, 2.0)))),
+     core.PreconditionViolated),
+    (lambda: transversal.TransversalDesign(1.0, 2, 2, ((0, 2), (1, 3))),
+     core.PreconditionViolated),
+    (lambda: transversal.TransversalDesign(1, 2, 2.0, ((0, 2), (1, 3))),
+     core.PreconditionViolated),
+    (lambda: BalancedPacking(3.0, 2, 2, Labeling((1, -1, 1)), ((0, 1),)), core.PackingError),
+    (lambda: BalancedPacking(3, True, 2, Labeling((1, -1, 1)), ((0, 1),)), core.PackingError),
 ], ids=["Labeling", "BalancedPacking", "OneFactorization", "PartitionablePacking",
         "SeedSets", "LatinRectangle", "SearchBudget", "SumCodeParams",
         "TransversalDesign", "Labeling-list-signs", "BalancedPacking-list-blocks",
         "PartitionablePacking-list-block", "PartitionablePacking-list-class",
         "PartitionablePacking-list-classes", "OneFactorization-list-classes",
         "OneFactorization-none-classes", "TransversalDesign-list-blocks",
-        "TransversalDesign-none-blocks"])
+        "TransversalDesign-none-blocks", "PartitionablePacking-float-points",
+        "PartitionablePacking-bool-points", "PartitionablePacking-float-v",
+        "PartitionablePacking-float-t_prime", "OneFactorization-float-matchings",
+        "TransversalDesign-float-t", "TransversalDesign-float-q", "BalancedPacking-float-v",
+        "BalancedPacking-bool-t"])
 def test_post_init_checks_the_fields(call, error):
     with pytest.raises(error) as caught:
         call()
