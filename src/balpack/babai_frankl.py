@@ -60,10 +60,7 @@ def construct(q: int, k: int, t: int) -> BalancedPacking:
     are at most t-1 and all block discrepancies agree (0 for even k,
     -1 for odd k).
     """
-    p, m = gf._prime_power(q)
-    if not 1 <= t <= k <= q:
-        raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
-    field = gf.make_field(p, m)
+    field = gf._code_field(t, k, q)
     # the evaluation point with discrete index r owns row r, so the points
     # of a block come out in increasing order
     code = [[q * r + field.discrete_index(b) for b in range(q)] for r in range(k)]

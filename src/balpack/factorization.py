@@ -31,7 +31,7 @@ from .core import (
 )
 
 
-class OddOrder(PackingError):
+class OddOrder(PreconditionViolated):
     """Perfect matchings need an even number of vertices."""
 
 
@@ -69,8 +69,7 @@ class OneFactorization(Record):
 
     def __post_init__(self):
         n, classes = self.n, self.classes
-        if n < 2 or n % 2:
-            raise OddOrder(f"n={n} must be even and >= 2")
+        _check_even_order("n", n)
         try:
             from_one_factorization(self)
         except PackingError as exc:
@@ -80,12 +79,19 @@ class OneFactorization(Record):
                 f"expected {n - 1} matchings of {n // 2} edges, got {_short(classes)}")
 
 
+def _check_even_order(name: str, n) -> None:
+    """The matching routes' order rule for their order ``name``: an even int >= 2."""
+    if not _are_ints((n,)):
+        raise PreconditionViolated(f"{name} must be an integer, got {_short(n)}")
+    if n < 2 or n % 2:
+        raise OddOrder(f"{name}={n} must be even and >= 2")
+
+
 def one_factorization(n: int) -> OneFactorization:
     """Round-robin factorization of K_n: vertex n-1 sits at the hub and
     the rest rotate around a circle; deterministic.
     """
-    if n < 2 or n % 2:
-        raise OddOrder(f"n={n} must be even and >= 2")
+    _check_even_order("n", n)
     m = n - 1
     classes = []
     for r in range(m):
@@ -105,8 +111,7 @@ def triples_from_factorization(p_plus: int, p_minus: int) -> BalancedPacking:
     p_plus * p_minus / 2 triples forming a (2, 3, p_plus + p_minus)
     balanced packing, every discrepancy +1.
     """
-    if p_plus < 2 or p_plus % 2:
-        raise PreconditionViolated(f"p_plus={p_plus} must be even and >= 2")
+    _check_even_order("p_plus", p_plus)
     if not 1 <= p_minus < p_plus:
         raise PreconditionViolated(f"need 1 <= p_minus < p_plus, got {p_minus}")
     return product(from_one_factorization(one_factorization(p_plus)),
@@ -176,8 +181,9 @@ def from_one_factorization(factors: OneFactorization) -> PartitionablePacking:
 
 def singleton_classes(n: int) -> PartitionablePacking:
     """n classes, each holding the single block {i}."""
-    if n < 1:
-        raise PreconditionViolated("need at least one class")
+    if not _are_ints((n,)) or n < 1:
+        raise PreconditionViolated("need at least one class" if _are_ints((n,))
+                                   else f"n must be an integer, got {_short(n)}")
     return PartitionablePacking(0, 1, n, tuple(((i,),) for i in range(n)))
 
 

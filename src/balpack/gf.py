@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .core import PreconditionViolated, Record
+from .core import PreconditionViolated, Record, _are_ints, _short
 
 __all__ = [
     "FieldError",
@@ -42,7 +42,7 @@ __all__ = [
 SIZE_CAP = 2**16
 
 
-class FieldError(Exception):
+class FieldError(PreconditionViolated):
     """Base class for field construction/arithmetic errors."""
 
 
@@ -174,23 +174,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    """Return (p, m) with q == p**m, or raise PreconditionViolated.
-
-    The size cap is checked before q is factored, so an oversized q is
-    rejected at once.
-    """
-    if q > SIZE_CAP:
-        raise PreconditionViolated(f"q={q} exceeds the field size cap {SIZE_CAP}")
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        raise PreconditionViolated(f"q={q} is not a prime power")
-    p, m = factors[0], 1
-    while p**m < q:
-        m += 1
-    return p, m
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldSpec:
     """Build the canonical GF(p^m) description.
@@ -225,6 +208,21 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     )
 
     return FieldSpec(p=p, m=m, modulus=modulus, xi_index=xi_index)
+
+
+def _code_field(t: int, k: int, q: int) -> FieldSpec:
+    """GF(q) for the code of degree < t at k points: ints, q <= cap, q = p^m, 1 <= t <= k <= q."""
+    if not _are_ints((t, k, q)):
+        raise PreconditionViolated(f"t, k and q must be integers, got {_short((t, k, q))}")
+    if q > SIZE_CAP:
+        raise PreconditionViolated(f"q={q} exceeds the field size cap {SIZE_CAP}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise PreconditionViolated(f"q={q} is not a prime power")
+    if not 1 <= t <= k <= q:
+        raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
+    p = factors[0]
+    return make_field(p, next(m for m in itertools.count(1) if p**m == q))
 
 
 def _times(a: list[int], b, p: int, modulus) -> list[int]:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from .core import BalancedPacking, Labeling, PackingError, PreconditionViolated, Record
+from .core import (BalancedPacking, Labeling, PackingError, PreconditionViolated, Record,
+                   _are_ints, _short)
 
 
 class SeedInvalid(PackingError):
@@ -33,6 +34,14 @@ class InvariantViolation(PackingError):
 # ---------------------------------------------------------------------------
 
 
+def _check_p_plus(p) -> None:
+    """The order rule of the seed sets: p_plus is an int, even and >= 4."""
+    if not _are_ints((p,)):
+        raise PreconditionViolated(f"p_plus must be an integer, got {_short(p)}")
+    if p < 4 or p % 2:
+        raise PreconditionViolated(f"p_plus={p} must be even and >= 4")
+
+
 class SeedSets(Record):
     """Two sets of unordered pairs that together partition Z_{p_plus}.
 
@@ -46,8 +55,7 @@ class SeedSets(Record):
 
     def __post_init__(self):
         p = self.p_plus
-        if p < 4 or p % 2:
-            raise PreconditionViolated(f"p_plus={p} must be even and >= 4")
+        _check_p_plus(p)
         covered = []
         for a, b in self.positive_pairs + self.negative_pairs:
             if not (0 <= a < b < p):
@@ -69,8 +77,7 @@ def seed_sets(p_plus: int) -> SeedSets:
     pair.  Both families are regular and fill without fixed points.
     """
     p = p_plus
-    if p < 4 or p % 2:
-        raise PreconditionViolated(f"p_plus={p} must be even and >= 4")
+    _check_p_plus(p)
     if p % 4 == 0:
         positive = [(i, (-i - 1) % p) for i in range(p // 4)]
         negative = [(i, (-i - 1) % p) for i in range(p // 4, p // 2)]
@@ -113,8 +120,9 @@ class LatinRectangle(Record):
 
     def __post_init__(self):
         p = self.p_plus
-        if self.cols not in (p, p + 1):
-            raise PreconditionViolated(f"cols must be {p} or {p + 1}")
+        if not _are_ints((p, self.cols)) or self.cols not in (p, p + 1):
+            raise PreconditionViolated(f"cols must be {p} or {p + 1}" if _are_ints((p,))
+                                       else f"p_plus must be an integer, got {_short(p)}")
         if len(self.cells) != p or any(len(row) != self.cols for row in self.cells):
             raise PreconditionViolated("cell array has the wrong shape")
         for row in self.cells:

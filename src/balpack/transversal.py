@@ -60,10 +60,7 @@ def construct_td(t: int, k: int, q: int) -> TransversalDesign:
     degree-<t polynomials at the g-th field element.  q**t blocks;
     requires 1 <= t <= k <= q with q a prime power.
     """
-    p, m = gf._prime_power(q)
-    if not 1 <= t <= k <= q:
-        raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
-    field = gf.make_field(p, m)
+    field = gf._code_field(t, k, q)
     blocks = [
         tuple(g * q + value for g, value in enumerate(values))
         for values in gf._poly_values(field, t, range(k))
@@ -76,7 +73,7 @@ def construct_td_sum(t: int, m: int) -> TransversalDesign:
     coordinate is the sum of the first t.  Exists for every m >= 1,
     unlike the polynomial construction.
     """
-    if t < 1 or m < 1:
+    if not (_are_ints((t, m)) and t >= 1 and m >= 1):
         raise PreconditionViolated(f"need t >= 1 and m >= 1, got t={t}, m={m}")
     blocks = []
     for xs in itertools.product(range(m), repeat=t):
@@ -166,8 +163,7 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     1 with themselves, checked once, with the rest.  Total: m^3 +
     m^2(m-1) blocks, the counting-bound optimum.
     """
-    if m < 2 or m % 2:
-        raise PreconditionViolated(f"m={m} must be even and >= 2")
+    factorization._check_even_order("m", m)
     if td is None:
         td = construct_td_sum(3, m)
     if (td.t, td.k, td.q) != (3, 4, m):
@@ -194,7 +190,7 @@ def augment_34_char2(m: int) -> BalancedPacking:
     here, not through ``factorization.product``, so this route loads no
     other layer.
     """
-    if m < 2 or m & (m - 1):
+    if not _are_ints((m,)) or m < 2 or m & (m - 1):
         raise PreconditionViolated(f"m={m} must be a power of two and >= 2")
     by_sum: dict = {}
     for i, j in itertools.combinations(range(2 * m), 2):

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from balpack import core, factorization, gf, latin, oracle, sumcode, transversal
+from balpack import babai_frankl, core, factorization, gf, latin, oracle, sumcode, transversal
 from balpack.core import BalancedPacking, Labeling, VerificationReport
 
 
@@ -203,6 +203,69 @@ def test_post_init_checks_the_fields(call, error):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error
+
+
+# a float or str order or size given to a construction route: refused by the
+# route's own check, naming the parameter, before any block is built
+@pytest.mark.parametrize("call, message", [
+    (lambda: factorization.one_factorization(4.0), "n must be an integer, got 4.0"),
+    (lambda: factorization.OneFactorization("4", ()), "n must be an integer, got '4'"),
+    (lambda: factorization.singleton_classes(2.0), "n must be an integer, got 2.0"),
+    (lambda: transversal.construct_td(2.0, 3, 5),
+     "t, k and q must be integers, got (2.0, 3, 5)"),
+    (lambda: babai_frankl.construct(4.0, 3, 2), "t, k and q must be integers, got (2, 3, 4.0)"),
+    (lambda: factorization.triples_from_factorization(4.0, 3),
+     "p_plus must be an integer, got 4.0"),
+    (lambda: transversal.augment_34(2.0), "m must be an integer, got 2.0"),
+    (lambda: transversal.augment_34_char2(2.0), "m=2.0 must be a power of two and >= 2"),
+    (lambda: latin.seed_sets(8.0), "p_plus must be an integer, got 8.0"),
+    (lambda: transversal.construct_td_sum(2, 3.0), "need t >= 1 and m >= 1, got t=2, m=3.0"),
+    (lambda: latin.LatinRectangle(4.0, 3, ()), "p_plus must be an integer, got 4.0"),
+    (lambda: transversal.construct_td(2, 3, 4.0), "t, k and q must be integers, got (2, 3, 4.0)"),
+], ids=["one_factorization", "OneFactorization", "singleton_classes", "construct_td-t",
+        "babai_frankl", "triples_from_factorization", "augment_34", "augment_34_char2",
+        "seed_sets", "construct_td_sum", "LatinRectangle", "construct_td-q"])
+def test_route_parameters_take_the_integer_rule(call, message):
+    with pytest.raises(core.PreconditionViolated) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+# an int parameter keeps its message, from the one owner of each rule
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: factorization.one_factorization(5), factorization.OddOrder,
+     "n=5 must be even and >= 2"),
+    (lambda: factorization.triples_from_factorization(5, 3), factorization.OddOrder,
+     "p_plus=5 must be even and >= 2"),
+    (lambda: transversal.augment_34(3), factorization.OddOrder, "m=3 must be even and >= 2"),
+    (lambda: latin.SeedSets(5, (), ()), core.PreconditionViolated,
+     "p_plus=5 must be even and >= 4"),
+    (lambda: latin.seed_sets(2), core.PreconditionViolated, "p_plus=2 must be even and >= 4"),
+    (lambda: factorization.singleton_classes(0), core.PreconditionViolated,
+     "need at least one class"),
+    (lambda: latin.LatinRectangle(4, 3, ()), core.PreconditionViolated, "cols must be 4 or 5"),
+    (lambda: transversal.construct_td(2, 3, 2**17), core.PreconditionViolated,
+     "q=131072 exceeds the field size cap 65536"),
+    (lambda: babai_frankl.construct(6, 3, 2), core.PreconditionViolated,
+     "q=6 is not a prime power"),
+    (lambda: transversal.construct_td(3, 2, 5), core.PreconditionViolated,
+     "need 1 <= t <= k <= q, got t=3, k=2, q=5"),
+], ids=["one_factorization", "triples_from_factorization", "augment_34", "SeedSets",
+        "seed_sets", "singleton_classes", "LatinRectangle", "construct_td-cap",
+        "babai_frankl-prime-power", "construct_td-range"])
+def test_route_rules_keep_their_messages(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_parameter_errors_are_preconditions():
+    assert issubclass(factorization.OddOrder, core.PreconditionViolated)
+    assert issubclass(gf.FieldError, core.PreconditionViolated)
+    for call in (lambda: gf.make_field(4), lambda: gf.make_field(2, 0),
+                 lambda: gf.make_field(2, 17)):
+        with pytest.raises(core.PreconditionViolated):
+            call()
 
 
 class Row(tuple):
