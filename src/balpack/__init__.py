@@ -13,11 +13,31 @@ family lives in its own submodule (:mod:`balpack.latin`,
 :mod:`balpack.transversal`, :mod:`balpack.babai_frankl`,
 :mod:`balpack.factorization`, :mod:`balpack.sumcode`), with exact search
 in :mod:`balpack.oracle` and the command-line front end in
-:mod:`balpack.cli`.  The names from :mod:`balpack.bounds` load it on first
-use (PEP 562), so a program that never bounds a family never compiles it.
+:mod:`balpack.cli`.  The package registers the eight layers above
+:mod:`balpack.core` as package globals with a lazy loader, before it imports
+``core``: a layer's body runs on first attribute access, so a program
+compiles only the layers it calls, and layers import each other plainly.
+The names from :mod:`balpack.bounds` are served from that module (PEP 562),
+so a program that never bounds a family never compiles it.
 """
 
-from balpack.core import (
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """Register ``balpack.<name>``; its body runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+babai_frankl, bounds, factorization, gf, latin, oracle, sumcode, transversal = map(
+    _lazy, "babai_frankl bounds factorization gf latin oracle sumcode transversal".split())
+
+from balpack.core import (  # noqa: E402  (after the layers are registered)
     BalancedPacking,
     FormatError,
     Labeling,
@@ -61,27 +81,17 @@ __all__ = [
     "__version__",
 ]
 
-# Served by __getattr__, which looks each one up in balpack.bounds on every
-# access, so it is always the object that module holds.
-_BOUNDS_NAMES = frozenset({
-    "GapResult",
-    "SteinerSize",
-    "corollary_bound",
-    "lemma1_bound",
-    "steiner_size",
-    "theorem1_gap",
-    "type_lp_bound",
-})
+# The names of __all__ bound nowhere above are balpack.bounds's: __getattr__
+# looks each one up there on every access, so it is always the object that
+# module holds.
+_BOUNDS_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name):
-    if name == "bounds" or name in _BOUNDS_NAMES:
-        from importlib import import_module
-
-        bounds = import_module("balpack.bounds")  # sets balpack.bounds
-        return bounds if name == "bounds" else getattr(bounds, name)
+    if name in _BOUNDS_NAMES:
+        return getattr(bounds, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), "bounds", *_BOUNDS_NAMES})
+    return sorted({*globals(), *_BOUNDS_NAMES})

@@ -10,12 +10,12 @@ Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
 3 verification failure or a malformed file given to verify or derive,
 4 search budget exhausted.
 
-Route layers and ``bounds`` are registered lazily and run on first use, so
-a job compiles only the layers it calls: ``bound`` and ``compare`` load
-``bounds`` here and every job that verifies a family loads it through
-``core.verify``, while an exact search without ``--out``, or a baseline
-run, never compiles it.  Function-local imports would hide the layers from
-the traced benchmark launcher, which wraps every layer in ``sys.modules``.
+The package registers the route layers, ``bounds`` and ``oracle`` lazily
+(see ``balpack/__init__.py``) and this module imports them plainly, so a
+job compiles only the layers it calls: ``bound``, ``compare`` and every job
+that verifies a family load ``bounds``, while an exact search without
+``--out``, or a baseline run, never compiles it.  The traced benchmark
+launcher wraps each layer where the package registered it, in sys.modules.
 Likewise a job's parser lists every subcommand and route but declares the
 arguments of only the subcommand and the route its command line names
 (see ``_build_parser``), so every help text and usage line is the same.
@@ -24,10 +24,11 @@ arguments of only the subcommand and the route its command line names
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from contextlib import nullcontext
 
+from . import babai_frankl, bounds, factorization, latin, sumcode, transversal
+from . import oracle as oracle_mod
 from .core import (
     BalancedPacking,
     PackingError,
@@ -38,22 +39,6 @@ from .core import (
     verify,
 )
 
-
-def _lazy(name: str):
-    """Register ``balpack.<name>``; its body runs on first attribute access."""
-    fullname = f"{__package__}.{name}"
-    if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)  # as import does
-    return sys.modules[fullname]
-
-
-babai_frankl, bounds, factorization, gf, latin, sumcode, transversal, oracle_mod = map(
-    _lazy, ("babai_frankl", "bounds", "factorization", "gf", "latin", "sumcode",
-            "transversal", "oracle"))
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -38,6 +38,8 @@ from itertools import chain, combinations, groupby, repeat
 from math import comb
 from operator import itemgetter, lt
 
+from . import bounds  # registered lazily: it imports core, and runs when verify calls it
+
 __all__ = [
     "PackingError",
     "OutOfRange",
@@ -546,8 +548,6 @@ def verify(p: BalancedPacking) -> VerificationReport:
         (i, d) for i, d in enumerate(discs) if not -1 <= d <= 1)
     mixed = bool(ordered) and ordered[0] < 0 < ordered[-1]
 
-    from . import bounds  # local import; bounds depends on this module
-
     p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus
     try:
         bound = bounds.lemma1_bound(
@@ -609,30 +609,21 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
 
 _REQUIRED_KEYS = ("version", "v", "t", "k", "labels", "blocks")
 _SIGNS = {"+": 1, "-": -1}
-# json.dumps's encoder without its cycle check (the rows it writes are
-# tuples or lists of checked ints, which hold no container to revisit),
-# built by the first to_json, so that a job that writes no document never
-# imports json
-_encode = None
-
-
-def _encoder():
-    global _encode
-    import json
-
-    _encode = json.JSONEncoder(check_circular=False).encode
-    return _encode
 
 
 def to_json(p: BalancedPacking, classes=None) -> str:
     """Serialize deterministically; one block (or class) per line.  Every
     int, header and rows alike, is written as ``int.__repr__`` writes it."""
+    import json
+
     labels = "".join("+" if s == 1 else "-" for s in p.labeling.signs)
     v, t, k = map(int.__repr__, (p.v, p.t, p.k))
     out = ["{", '  "version": 1,', f'  "v": {v},', f'  "t": {t},', f'  "k": {k},',
            f'  "labels": "{labels}",']
     trailing = "," if classes is not None else ""
-    encode = _encode or _encoder()
+    # json.dumps's encoder without its cycle check: the rows are tuples or
+    # lists of checked ints, which hold no container to revisit
+    encode = json.JSONEncoder(check_circular=False).encode
 
     def array_lines(name, rows, tail):
         if not rows:

@@ -174,7 +174,7 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: make_field(3, True) is not make_field(3, 1)
 def make_field(p: int, m: int = 1) -> FieldSpec:
     """Build the canonical GF(p^m) description.
 
@@ -183,6 +183,8 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     multiplicative order q-1.  Both searches are exhaustive, which is fine
     under the 2^16 size cap.  No table is built here.
     """
+    if not _are_ints((p, m)):
+        raise FieldError(f"p and m must be integers, got {_short((p, m))}")
     if _prime_factors(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:

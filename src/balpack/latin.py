@@ -120,9 +120,11 @@ class LatinRectangle(Record):
 
     def __post_init__(self):
         p = self.p_plus
-        if not _are_ints((p, self.cols)) or self.cols not in (p, p + 1):
-            raise PreconditionViolated(f"cols must be {p} or {p + 1}" if _are_ints((p,))
-                                       else f"p_plus must be an integer, got {_short(p)}")
+        for name, value in (("p_plus", p), ("cols", self.cols)):
+            if not _are_ints((value,)):
+                raise PreconditionViolated(f"{name} must be an integer, got {_short(value)}")
+        if self.cols not in (p, p + 1):
+            raise PreconditionViolated(f"cols must be {p} or {p + 1}")
         if len(self.cells) != p or any(len(row) != self.cols for row in self.cells):
             raise PreconditionViolated("cell array has the wrong shape")
         for row in self.cells:

@@ -48,6 +48,8 @@ from .core import (
     PackingError,
     PreconditionViolated,
     Record,
+    _are_ints,
+    _short,
 )
 
 
@@ -330,6 +332,8 @@ def max_balanced_packing(
 
 def interval_labeling(v: int, k: int) -> Labeling:
     """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest."""
+    if not (_are_ints((v, k)) and k >= 1):
+        raise PreconditionViolated(f"need integers v and k >= 1, got {_short((v, k))}")
     if v % k:
         raise Indivisible(f"{k} does not divide {v}")
     width = v // k
@@ -368,6 +372,8 @@ def structured_random(
 
 def existence_reference(v: int, k: int, t: int):
     """The (v*t/k^2)^t count the baseline is compared against."""
+    if not (_are_ints((v, k, t)) and k >= 1):
+        raise PreconditionViolated(f"need integers v, k, t and k >= 1, got {_short((v, k, t))}")
     import fractions
 
     return fractions.Fraction(v * t, k * k) ** t

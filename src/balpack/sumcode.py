@@ -20,6 +20,8 @@ from .core import (
     PackingError,
     PreconditionViolated,
     Record,
+    _are_ints,
+    _short,
     max_pairwise_intersection,
 )
 
@@ -101,6 +103,8 @@ def missing_pair_predicate(v: int, x: int, y: int) -> bool:
     elements even, or the forced completion collides with x or y
     (y == -2x or x == -2y mod v).
     """
+    if not (_are_ints((v, x, y)) and v >= 1):
+        raise PreconditionViolated(f"need integers v, x, y and v >= 1, got {_short((v, x, y))}")
     x, y = x % v, y % v
     if x % 2 == 0 and y % 2 == 0:
         return True

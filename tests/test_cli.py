@@ -669,6 +669,32 @@ def test_package_loads_bounds_on_first_use():
     assert run_fresh(PACKAGE_PROBE) == "True"
 
 
+# A bare ``import balpack`` registers every layer above core without running
+# it: prints the layers in sys.modules, those that ran, those that are the
+# package attribute of their name, and whether core holds the registered bounds.
+REGISTRY_PROBE = """
+import json, sys, types
+import balpack
+layers = ("babai_frankl", "bounds", "factorization", "gf", "latin", "oracle",
+          "sumcode", "transversal")
+modules = {name: sys.modules.get(f"balpack.{name}") for name in layers}
+print(json.dumps({
+    "registered": [name for name, module in modules.items() if module is not None],
+    "ran": [name for name, module in modules.items() if type(module) is types.ModuleType],
+    "attributes": [name for name, module in modules.items()
+                   if module is not None and vars(balpack).get(name) is module],
+    "core_bounds": vars(balpack.core).get("bounds", False) is modules["bounds"],
+}))
+"""
+
+
+def test_package_registers_every_layer_unexecuted():
+    layers = ["babai_frankl", "bounds", "factorization", "gf", "latin", "oracle",
+              "sumcode", "transversal"]
+    assert json.loads(run_fresh(REGISTRY_PROBE)) == {
+        "registered": layers, "ran": [], "attributes": layers, "core_bounds": True}
+
+
 # What the traced benchmark launcher relies on: after ``import balpack.cli``
 # every layer's namespace is in sys.modules and holds its public functions,
 # and a function replaced there is the one a job calls.

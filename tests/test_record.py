@@ -268,6 +268,43 @@ def test_parameter_errors_are_preconditions():
             call()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    # typed cache: neither a bool nor a float reaches or leaves a cached field
+    (lambda: (gf.make_field(3, 1), gf.make_field(3, True)), gf.FieldError,
+     "p and m must be integers, got (3, True)"),
+    (lambda: (gf.make_field(5, 1), gf.make_field(5, 1.0)), gf.FieldError,
+     "p and m must be integers, got (5, 1.0)"),
+    (lambda: gf.make_field(7, 1.0), gf.FieldError, "p and m must be integers, got (7, 1.0)"),
+    (lambda: gf.make_field("2"), gf.FieldError, "p and m must be integers, got ('2', 1)"),
+    (lambda: latin.LatinRectangle(8, 8.0, ()), core.PreconditionViolated,
+     "cols must be an integer, got 8.0"),
+    (lambda: latin.LatinRectangle(8, "8", ()), core.PreconditionViolated,
+     "cols must be an integer, got '8'"),
+    (lambda: oracle.interval_labeling(8, 0), core.PreconditionViolated,
+     "need integers v and k >= 1, got (8, 0)"),
+    (lambda: oracle.interval_labeling(8, -2), core.PreconditionViolated,
+     "need integers v and k >= 1, got (8, -2)"),
+    (lambda: oracle.interval_labeling(8.0, 2), core.PreconditionViolated,
+     "need integers v and k >= 1, got (8.0, 2)"),
+    (lambda: oracle.existence_reference(100, 0, 2), core.PreconditionViolated,
+     "need integers v, k, t and k >= 1, got (100, 0, 2)"),
+    (lambda: oracle.existence_reference(100, 5, 2.0), core.PreconditionViolated,
+     "need integers v, k, t and k >= 1, got (100, 5, 2.0)"),
+    (lambda: sumcode.missing_pair_predicate(0, 1, 2), core.PreconditionViolated,
+     "need integers v, x, y and v >= 1, got (0, 1, 2)"),
+    (lambda: sumcode.missing_pair_predicate(12, 1.0, 2), core.PreconditionViolated,
+     "need integers v, x, y and v >= 1, got (12, 1.0, 2)"),
+], ids=["make_field-bool-after-int", "make_field-float-after-int", "make_field-float",
+        "make_field-str", "LatinRectangle-float-cols", "LatinRectangle-str-cols",
+        "interval_labeling-zero", "interval_labeling-negative", "interval_labeling-float",
+        "existence_reference-zero", "existence_reference-float", "missing_pair_predicate-zero",
+        "missing_pair_predicate-float"])
+def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 class Row(tuple):
     """A tuple subclass: accepted wherever a tuple is."""
 
