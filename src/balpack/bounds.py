@@ -6,6 +6,7 @@ Everything here is big-int / Fraction arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import comb
 
 from .core import PreconditionViolated
@@ -132,6 +133,7 @@ def steiner_size(t: int, k: int, v: int) -> SteinerSize:
 GapResult = namedtuple("GapResult", "bound steiner strict")
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: theorem1_gap(2.0, 3, 9) is not theorem1_gap(2, 3, 9)
 def theorem1_gap(t: int, k: int, v: int) -> GapResult:
     """Balanced-family ceiling vs. the unrestricted Steiner count.
 
@@ -139,6 +141,10 @@ def theorem1_gap(t: int, k: int, v: int) -> GapResult:
     ``corollary_bound`` and ``type_lp_bound``.  ``strict`` records that the
     balance requirement genuinely costs blocks: that bound falls strictly
     below the Steiner size.
+
+    Memoised for the life of the process: a batch of families repeats a
+    few (t, k, v) many times.  The result is an immutable tuple, so callers
+    share it safely, and a failed precondition raises on every call.
     """
     if not (t < k < v) or v <= 2:
         raise PreconditionViolated(f"need t < k < v and v > 2, got ({t},{k},{v})")

@@ -541,7 +541,7 @@ def verify(p: BalancedPacking) -> VerificationReport:
     packing = p.t == 0 or maxint is None or maxint < p.t
     # BalancedPacking holds every point in [0, v): no range check per point
     sign = p.labeling.signs.__getitem__
-    discs = [sum(map(sign, b)) for b in p.blocks]
+    discs = list(map(sum, map(map, repeat(sign), p.blocks)))  # no Python frame per block
     ordered = tuple(sorted(discs))
     balanced = not ordered or (ordered[0] >= -1 and ordered[-1] <= 1)
     unbalanced = None if balanced else next(

@@ -174,17 +174,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: make_field(3, True) is not make_field(3, 1)
 def make_field(p: int, m: int = 1) -> FieldSpec:
     """Build the canonical GF(p^m) description.
 
     The modulus is the first irreducible monic degree-m polynomial in
     canonical-index order, and ``xi_index`` points at the first element of
     multiplicative order q-1.  Both searches are exhaustive, which is fine
-    under the 2^16 size cap.  No table is built here.
+    under the 2^16 size cap.  No table is built here.  Each field is built
+    once per process; ``make_field.cache_info()`` reports that cache.
     """
+    # checked before the cache, which would hash an unhashable argument first
     if not _are_ints((p, m)):
         raise FieldError(f"p and m must be integers, got {_short((p, m))}")
+    return _field(p, m)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: an int subclass is not its int value
+def _field(p: int, m: int) -> FieldSpec:
     if _prime_factors(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:
@@ -210,6 +216,9 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     )
 
     return FieldSpec(p=p, m=m, modulus=modulus, xi_index=xi_index)
+
+
+make_field.cache_info = _field.cache_info
 
 
 def _code_field(t: int, k: int, q: int) -> FieldSpec:

@@ -86,15 +86,22 @@ def test_theorem1_gap_values():
     assert theorem1_gap(2, 3, 9) == (10, Fraction(12), True)
     assert theorem1_gap(3, 4, 8) == (12, Fraction(14), True)
     assert theorem1_gap(3, 4, 16) == (112, Fraction(140), True)
+    # memoised: a repeat returns an equal result, and a bool gets its own entry
+    assert theorem1_gap(3, 4, 16) == theorem1_gap(3, 4, 16)
+    assert theorem1_gap(True, 3, 9) == (3, Fraction(3), False)
 
 
 def test_theorem1_gap_preconditions():
-    with pytest.raises(PreconditionViolated):
-        theorem1_gap(2, 3, 3)  # k < v required
+    for _ in range(2):  # a failure is never cached
+        with pytest.raises(PreconditionViolated):
+            theorem1_gap(2, 3, 3)  # k < v required
     with pytest.raises(PreconditionViolated):
         theorem1_gap(2, 3, 2)
     with pytest.raises(PreconditionViolated):
         theorem1_gap(2, 7, 8)  # ceil(v/2) must exceed (k+1)/2
+    theorem1_gap(2, 3, 9)
+    with pytest.raises(TypeError):
+        theorem1_gap(2.0, 3, 9)  # typed cache: a float never hits the int entry
 
 
 def test_everything_is_exact_integers_and_fractions():

@@ -276,6 +276,9 @@ def test_parameter_errors_are_preconditions():
      "p and m must be integers, got (5, 1.0)"),
     (lambda: gf.make_field(7, 1.0), gf.FieldError, "p and m must be integers, got (7, 1.0)"),
     (lambda: gf.make_field("2"), gf.FieldError, "p and m must be integers, got ('2', 1)"),
+    # checked before the cache hashes the arguments
+    (lambda: gf.make_field([2]), gf.FieldError, "p and m must be integers, got ([2], 1)"),
+    (lambda: gf.make_field(2, [1]), gf.FieldError, "p and m must be integers, got (2, [1])"),
     (lambda: latin.LatinRectangle(8, 8.0, ()), core.PreconditionViolated,
      "cols must be an integer, got 8.0"),
     (lambda: latin.LatinRectangle(8, "8", ()), core.PreconditionViolated,
@@ -295,7 +298,8 @@ def test_parameter_errors_are_preconditions():
     (lambda: sumcode.missing_pair_predicate(12, 1.0, 2), core.PreconditionViolated,
      "need integers v, x, y and v >= 1, got (12, 1.0, 2)"),
 ], ids=["make_field-bool-after-int", "make_field-float-after-int", "make_field-float",
-        "make_field-str", "LatinRectangle-float-cols", "LatinRectangle-str-cols",
+        "make_field-str", "make_field-unhashable-p", "make_field-unhashable-m",
+        "LatinRectangle-float-cols", "LatinRectangle-str-cols",
         "interval_labeling-zero", "interval_labeling-negative", "interval_labeling-float",
         "existence_reference-zero", "existence_reference-float", "missing_pair_predicate-zero",
         "missing_pair_predicate-float"])
