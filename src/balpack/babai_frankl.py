@@ -10,11 +10,7 @@ pairwise intersections stay below ``t``.
 from __future__ import annotations
 
 from . import gf
-from .core import BalancedPacking, Labeling, PackingError, PreconditionViolated
-
-
-class NotInA(PackingError):
-    """First argument of the point encoding is not in the evaluation set."""
+from .core import BalancedPacking, Labeling, PreconditionViolated, _are_ints, _short
 
 
 def evaluation_set(field: gf.FieldSpec, k: int) -> tuple[int, ...]:
@@ -22,20 +18,11 @@ def evaluation_set(field: gf.FieldSpec, k: int) -> tuple[int, ...]:
 
     Their discrete indices are exactly 0, 1, ..., k-1.
     """
+    if not _are_ints((k,)):
+        raise PreconditionViolated(f"k must be an integer, got {_short(k)}")
     if not 1 <= k <= field.q:
         raise PreconditionViolated(f"need 1 <= k <= q, got k={k}, q={field.q}")
     return (0,) + field.exp[: k - 1]
-
-
-def sigma(field: gf.FieldSpec, k: int, a: int, b: int) -> int:
-    """Encode the pair (evaluation point, value) as a point in [0, k*q).
-
-    Row-major: evaluation point ``a`` selects the row, the discrete index
-    of ``b`` selects the position inside it.
-    """
-    if a not in evaluation_set(field, k):
-        raise NotInA(f"{a!r} is not one of the {k} evaluation points")
-    return field.q * field.discrete_index(a) + field.discrete_index(b)
 
 
 def label_points(q: int, k: int) -> Labeling:
@@ -45,6 +32,8 @@ def label_points(q: int, k: int) -> Labeling:
     block has discrepancy 0; for odd k the negative prefix covers
     (k+1)/2 rows and every block has discrepancy -1.
     """
+    if not _are_ints((q, k)):
+        raise PreconditionViolated(f"q and k must be integers, got {_short((q, k))}")
     if k % 2 == 0:
         cut = k * q // 2
     else:
@@ -61,8 +50,10 @@ def construct(q: int, k: int, t: int) -> BalancedPacking:
     -1 for odd k).
     """
     field = gf._code_field(t, k, q)
-    # the evaluation point with discrete index r owns row r, so the points
-    # of a block come out in increasing order
+    # the point encoding: the evaluation point with discrete index r owns
+    # row r, and value b sits at position index(b) in it, so (a, b) is
+    # point q * index(a) + index(b) and a block's points come out in
+    # increasing order
     code = [[q * r + field.discrete_index(b) for b in range(q)] for r in range(k)]
     blocks = [
         tuple(row[b] for row, b in zip(code, values))

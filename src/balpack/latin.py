@@ -15,8 +15,6 @@ sets of size 2p+1.
 
 from __future__ import annotations
 
-import itertools
-
 from .core import (BalancedPacking, Labeling, PackingError, PreconditionViolated, Record,
                    _are_ints, _short)
 
@@ -47,8 +45,8 @@ class SeedSets(Record):
 
     The positive pairs seed the plain cells, the negative pairs the
     boxed cells; each set is a tuple of (a, b) pairs with a < b.
-    Regularity is a separate predicate (check_regularity), not enforced
-    here, so deliberately broken seeds can be represented.
+    Regularity is not enforced here, so deliberately broken seeds can be
+    represented; ``fill`` checks the rectangle they grow.
     """
 
     _fields = ("p_plus", "positive_pairs", "negative_pairs")
@@ -92,19 +90,6 @@ def seed_sets(p_plus: int) -> SeedSets:
         tuple(sorted(canon(x) for x in positive)),
         tuple(sorted(canon(x) for x in negative)),
     )
-
-
-def check_regularity(seeds: SeedSets) -> bool:
-    """No two distinct pairs in the same set may share a circular
-    difference (in either orientation); equivalently, the unordered
-    difference classes within each set are pairwise distinct.
-    """
-    p = seeds.p_plus
-    for pairs in (seeds.positive_pairs, seeds.negative_pairs):
-        diffs = [min((b - a) % p, (a - b) % p) for a, b in pairs]
-        if len(set(diffs)) != len(diffs):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +239,3 @@ def extract_triples(r: LatinRectangle) -> BalancedPacking:
         p + cols, 2, 3, Labeling(signs), tuple(sorted(triples))
     )
 
-
-# ---------------------------------------------------------------------------
-# display
-# ---------------------------------------------------------------------------
-
-
-def render(r: LatinRectangle) -> str:
-    """Plain-text table; boxed entries print as [v]."""
-    body = [
-        [f"[{val}]" if boxed else str(val) for val, boxed in row]
-        for row in r.cells
-    ]
-    header = [f"[{j}]" for j in range(r.cols)]
-    width = max(
-        len(s) for s in itertools.chain(header, *body)
-    )
-    lines = ["    " + " ".join(h.rjust(width) for h in header)]
-    for i, row in enumerate(body):
-        lines.append(f"{i:>3} " + " ".join(s.rjust(width) for s in row))
-    return "\n".join(lines)

@@ -42,6 +42,9 @@ class SumCodeParams(Record):
     _fields = ("v", "k")
 
     def __post_init__(self):
+        if not _are_ints((self.v, self.k)):
+            raise PreconditionViolated(
+                f"v and k must be integers, got {_short((self.v, self.k))}")
         if self.v < 2 or self.v % 2:
             raise OddGroundSet(f"v={self.v} must be even and >= 2")
         if self.k < 3:

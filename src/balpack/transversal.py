@@ -5,8 +5,8 @@ The point set is k groups of q consecutive integers; flattening is
 the polynomial construction over GF(q) (needs q a prime power and
 k <= q) and a sum construction over Z_m with k = t+1 groups which
 exists for every modulus.  Labeling half the groups positive makes
-every transverse block balanced, and the augmentation routines then
-pack extra blocks into pairs of opposite-sign groups.
+every transverse block balanced, and the (3, 4, 4m) augmentation then
+packs extra blocks into pairs of opposite-sign groups.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import factorization, gf
-from .core import (BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints, _short,
-                   is_packing)
+from .core import BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints, _short
 
 
 class TransversalDesign(Record):
@@ -48,12 +47,6 @@ class TransversalDesign(Record):
     def v(self) -> int:
         return self.k * self.q
 
-    @property
-    def groups(self) -> tuple:
-        return tuple(
-            tuple(range(g * self.q, (g + 1) * self.q)) for g in range(self.k)
-        )
-
 
 def construct_td(t: int, k: int, q: int) -> TransversalDesign:
     """Polynomial transversal design: group g holds the values of the
@@ -82,16 +75,6 @@ def construct_td_sum(t: int, m: int) -> TransversalDesign:
     return TransversalDesign(t, t + 1, m, tuple(sorted(blocks)))
 
 
-def check_td(td: TransversalDesign) -> bool:
-    """Confirm that every cross-group t-subset lies in exactly one block.
-
-    Every block is transverse, so each covers C(k, t) of the C(k, t)·q^t
-    cross-group t-subsets and no other t-subset.  Every one is covered
-    exactly once iff no t-subset is covered twice and there are q^t blocks.
-    """
-    return len(td.blocks) == td.q ** td.t and is_packing(td.t, td.blocks)
-
-
 def label_groups(td: TransversalDesign) -> Labeling:
     """First ceil(k/2) groups positive, the rest negative; every block
     then has discrepancy 0 (k even) or +1 (k odd).
@@ -99,54 +82,6 @@ def label_groups(td: TransversalDesign) -> Labeling:
     plus = (td.k + 1) // 2
     signs = (1,) * (plus * td.q) + (-1,) * ((td.k - plus) * td.q)
     return Labeling(signs)
-
-
-def _group_signs(td: TransversalDesign, labeling: Labeling) -> list:
-    if labeling.v != td.v:
-        raise PreconditionViolated("labeling does not match the point count")
-    signs = []
-    for grp in td.groups:
-        sgns = {labeling.signs[x] for x in grp}
-        if len(sgns) != 1:
-            raise PreconditionViolated("labeling must be constant on each group")
-        signs.append(sgns.pop())
-    return signs
-
-
-def augment_generic(td: TransversalDesign, labeling: Labeling, t: int) -> tuple:
-    """Extra blocks joining the first k/2 points of a positive group to
-    the first k/2 points of a negative group, one block per group pair.
-
-    Any two added blocks overlap in at most k/2 points, and an added
-    block meets a transverse block at most twice; for t above both,
-    the combined family is still a t-packing.  Returns only the added
-    blocks.
-    """
-    if td.k % 2:
-        raise PreconditionViolated(f"k={td.k} must be even")
-    if t <= max(td.k // 2, 2):
-        raise PreconditionViolated(
-            f"need t > max(k/2, 2) = {max(td.k // 2, 2)}, got t={t}"
-        )
-    if t < td.t:
-        raise PreconditionViolated(
-            f"target strength t={t} is below the design's t={td.t}"
-        )
-    if td.k // 2 > td.q:
-        raise PreconditionViolated("groups are too small to take k/2 points")
-    signs = _group_signs(td, labeling)
-    half = td.k // 2
-    added = []
-    for gp, sp in enumerate(signs):
-        if sp != 1:
-            continue
-        for gn, sn in enumerate(signs):
-            if sn != -1:
-                continue
-            added.append(
-                tuple(sorted(td.groups[gp][:half] + td.groups[gn][:half]))
-            )
-    return tuple(sorted(added))
 
 
 def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:

@@ -1,13 +1,7 @@
 import pytest
 
 from balpack import gf
-from balpack.babai_frankl import (
-    NotInA,
-    construct,
-    evaluation_set,
-    label_points,
-    sigma,
-)
+from balpack.babai_frankl import construct, evaluation_set, label_points
 from balpack.bounds import lemma1_bound
 from balpack.core import PreconditionViolated, max_pairwise_intersection, verify
 
@@ -27,15 +21,6 @@ def test_evaluation_set_indices():
 def test_evaluation_set_rejects_oversized_k():
     with pytest.raises(PreconditionViolated):
         evaluation_set(gf.make_field(5), 6)
-
-
-def test_sigma_values_and_rejection():
-    field = gf.make_field(5)
-    three = 3  # 3 = xi^3, discrete index 4
-    assert sigma(field, 3, 1, three) == 9
-    assert sigma(field, 3, 0, 0) == 0
-    with pytest.raises(NotInA):
-        sigma(field, 3, three, 0)  # 3 is outside {0, 1, 2}
 
 
 def test_label_split_even_and_odd():

@@ -7,11 +7,9 @@ from balpack.latin import (
     SeedInvalid,
     SeedSets,
     augment_column,
-    check_regularity,
     check_symmetry,
     extract_triples,
     fill,
-    render,
     seed_sets,
 )
 
@@ -111,6 +109,20 @@ def test_seed_type_requires_exact_cover():
         SeedSets(8, ((0, 7), (1, 6)), ((2, 5), (3, 5)))  # 5 twice, 4 missing
     with pytest.raises(PreconditionViolated):
         SeedSets(8, ((0, 7),), ((2, 5), (3, 4)))  # 1 and 6 uncovered
+
+
+def check_regularity(seeds):
+    """Reference check of the seeds' regularity: no two distinct pairs in
+    the same set may share a circular difference (in either orientation);
+    equivalently, the unordered difference classes within each set are
+    pairwise distinct.
+    """
+    p = seeds.p_plus
+    for pairs in (seeds.positive_pairs, seeds.negative_pairs):
+        diffs = [min((b - a) % p, (a - b) % p) for a, b in pairs]
+        if len(set(diffs)) != len(diffs):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("p", [4, 6, 8, 10, 12, 14, 16])
@@ -220,13 +232,3 @@ def test_augment_rejects_double_append():
     with pytest.raises(PreconditionViolated):
         augment_column(aug)
 
-
-# --- rendering ------------------------------------------------------------------
-
-
-def test_render_marks_boxed_entries():
-    text = render(fill(seed_sets(4)))
-    lines = text.splitlines()
-    assert len(lines) == 5  # header plus four rows
-    assert "[2]" in lines[1]
-    assert lines[1].split()[0] == "0"

@@ -5,8 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balpack import gf
-from balpack.babai_frankl import evaluation_set, sigma
+from balpack import babai_frankl
 from balpack.core import (
     BalancedPacking,
     Labeling,
@@ -20,14 +19,17 @@ from balpack.latin import (
     SeedInvalid,
     SeedSets,
     augment_column,
-    check_regularity,
     extract_triples,
     fill,
     seed_sets,
 )
 from balpack.sumcode import construct as sum_blocks
 from balpack.sumcode import missing_pair_predicate
-from balpack.transversal import check_td, construct_td
+from balpack.transversal import construct_td
+
+# reference checks kept next to the tests of the module they check
+from test_latin import check_regularity
+from test_transversal import check_td
 
 
 @st.composite
@@ -122,12 +124,14 @@ def test_transversal_designs_exhaustive_small():
 
 @pytest.mark.parametrize("q,p,m", [(4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2)])
 def test_block_encoding_is_injective(q, p, m):
-    field = gf.make_field(p, m)
+    # the q constant polynomials put every (evaluation point, value) pair
+    # in one block, so the k*q encoded points cover [0, k*q) exactly when
+    # the encoding is a bijection onto it
+    assert q == p**m
     k = min(q, 5)
-    points = evaluation_set(field, k)
-    codes = {sigma(field, k, a, b) for a in points for b in range(q)}
-    assert len(codes) == k * q
-    assert all(0 <= c < k * q for c in codes)
+    packing = babai_frankl.construct(q, k, 1)
+    assert packing.n_blocks == q
+    assert sorted(x for block in packing.blocks for x in block) == list(range(k * q))
 
 
 @given(st.integers(min_value=2, max_value=16))

@@ -297,12 +297,27 @@ def test_parameter_errors_are_preconditions():
      "need integers v, x, y and v >= 1, got (0, 1, 2)"),
     (lambda: sumcode.missing_pair_predicate(12, 1.0, 2), core.PreconditionViolated,
      "need integers v, x, y and v >= 1, got (12, 1.0, 2)"),
+    # SumCodeParams checks v and k for construct and failure_rate alike
+    (lambda: sumcode.construct(8.0, 3), core.PreconditionViolated,
+     "v and k must be integers, got (8.0, 3)"),
+    (lambda: sumcode.construct("8", 3), core.PreconditionViolated,
+     "v and k must be integers, got ('8', 3)"),
+    (lambda: sumcode.failure_rate(8, 3.0), core.PreconditionViolated,
+     "v and k must be integers, got (8, 3.0)"),
+    (lambda: babai_frankl.label_points(5.0, 3), core.PreconditionViolated,
+     "q and k must be integers, got (5.0, 3)"),
+    (lambda: babai_frankl.label_points(True, 2), core.PreconditionViolated,
+     "q and k must be integers, got (True, 2)"),
+    (lambda: babai_frankl.evaluation_set(gf.make_field(5), 2.0), core.PreconditionViolated,
+     "k must be an integer, got 2.0"),
 ], ids=["make_field-bool-after-int", "make_field-float-after-int", "make_field-float",
         "make_field-str", "make_field-unhashable-p", "make_field-unhashable-m",
         "LatinRectangle-float-cols", "LatinRectangle-str-cols",
         "interval_labeling-zero", "interval_labeling-negative", "interval_labeling-float",
         "existence_reference-zero", "existence_reference-float", "missing_pair_predicate-zero",
-        "missing_pair_predicate-float"])
+        "missing_pair_predicate-float", "sumcode-float-v", "sumcode-str-v",
+        "failure_rate-float-k", "label_points-float-q", "label_points-bool-q",
+        "evaluation_set-float-k"])
 def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
     with pytest.raises(error) as caught:
         call()

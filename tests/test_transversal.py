@@ -4,22 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balpack.bounds import corollary_bound
-from balpack.core import (
-    PreconditionViolated,
-    make_packing,
-    max_pairwise_intersection,
-    verify,
-)
+from balpack.core import PreconditionViolated, is_packing, make_packing, verify
 from balpack.transversal import (
     TransversalDesign,
     augment_34,
     augment_34_char2,
-    augment_generic,
-    check_td,
     construct_td,
     construct_td_sum,
     label_groups,
 )
+
+
+def check_td(td):
+    """Reference check that every cross-group t-subset lies in exactly one
+    block.
+
+    Every block is transverse, so each covers C(k, t) of the C(k, t)·q^t
+    cross-group t-subsets and no other t-subset.  Every one is covered
+    exactly once iff no t-subset is covered twice and there are q^t blocks.
+    """
+    return len(td.blocks) == td.q ** td.t and is_packing(td.t, td.blocks)
 
 
 def test_td_two_groups_is_all_pairs():
@@ -47,14 +51,15 @@ def test_sum_td_is_a_td(t, m):
 
 
 def exhaustive_check_td(td):
-    """The reference check_td replaced: count every t-subset of every block
+    """The exhaustive form of check_td: count every t-subset of every block
     and require each cross-group t-subset to be covered exactly once."""
     cover: dict = {}
     for b in td.blocks:
         for sub in itertools.combinations(b, td.t):
             cover[sub] = cover.get(sub, 0) + 1
-    for groups in itertools.combinations(td.groups, td.t):
-        for sub in itertools.product(*groups):
+    groups = [range(g * td.q, (g + 1) * td.q) for g in range(td.k)]
+    for chosen in itertools.combinations(groups, td.t):
+        for sub in itertools.product(*chosen):
             if cover.get(sub, 0) != 1:
                 return False
     return True
@@ -149,37 +154,6 @@ def test_label_groups_split():
     rep = verify(q)
     assert rep.passed
     assert set(rep.discrepancies) == {0}
-
-
-def test_augment_generic_grows_the_family():
-    td = construct_td(4, 6, 7)
-    lab = label_groups(td)
-    added = augment_generic(td, lab, 4)
-    assert len(added) == 9  # one block per (positive, negative) group pair
-    combined = make_packing(td.v, 4, td.k, lab.signs, td.blocks + added)
-    assert combined.n_blocks == 7**4 + 9
-    assert verify(combined).passed
-    assert max_pairwise_intersection(combined.blocks) <= 3
-
-
-def test_augment_generic_preconditions():
-    td = construct_td(3, 4, 5)
-    lab = label_groups(td)
-    with pytest.raises(PreconditionViolated):
-        augment_generic(td, lab, 2)  # t not above k/2 and 2
-    odd = construct_td(3, 3, 5)
-    with pytest.raises(PreconditionViolated):
-        augment_generic(odd, label_groups(odd), 4)  # odd k
-    strong = construct_td(4, 4, 5)
-    with pytest.raises(PreconditionViolated):
-        augment_generic(strong, label_groups(strong), 3)  # below the design's t
-    # labeling must be constant per group
-    broken = list(lab.signs)
-    broken[0] = -1
-    from balpack.core import Labeling
-
-    with pytest.raises(PreconditionViolated):
-        augment_generic(td, Labeling(tuple(broken)), 4)
 
 
 def test_augment_34_smallest_case_meets_bound():
