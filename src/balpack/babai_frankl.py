@@ -10,7 +10,7 @@ pairwise intersections stay below ``t``.
 from __future__ import annotations
 
 from . import gf
-from .core import BalancedPacking, Labeling, PreconditionViolated, _are_ints, _short
+from .core import BalancedPacking, Labeling, PreconditionViolated, _check_ints, interval_labeling
 
 
 def evaluation_set(field: gf.FieldSpec, k: int) -> tuple[int, ...]:
@@ -18,8 +18,7 @@ def evaluation_set(field: gf.FieldSpec, k: int) -> tuple[int, ...]:
 
     Their discrete indices are exactly 0, 1, ..., k-1.
     """
-    if not _are_ints((k,)):
-        raise PreconditionViolated(f"k must be an integer, got {_short(k)}")
+    _check_ints("k", (k,))
     if not 1 <= k <= field.q:
         raise PreconditionViolated(f"need 1 <= k <= q, got k={k}, q={field.q}")
     return (0,) + field.exp[: k - 1]
@@ -32,13 +31,8 @@ def label_points(q: int, k: int) -> Labeling:
     block has discrepancy 0; for odd k the negative prefix covers
     (k+1)/2 rows and every block has discrepancy -1.
     """
-    if not _are_ints((q, k)):
-        raise PreconditionViolated(f"q and k must be integers, got {_short((q, k))}")
-    if k % 2 == 0:
-        cut = k * q // 2
-    else:
-        cut = q * (k + 1) // 2
-    return Labeling(tuple(-1 if i < cut else 1 for i in range(k * q)))
+    _check_ints("q and k", (q, k))
+    return interval_labeling(k * q, k).flipped()
 
 
 def construct(q: int, k: int, t: int) -> BalancedPacking:

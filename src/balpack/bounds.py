@@ -1,6 +1,9 @@
 """Exact counting bounds for balanced families with t-bounded intersections.
 
 Everything here is big-int / Fraction arithmetic; no floats anywhere.
+Every parameter takes the package's integer rule first: a float, a str,
+None or a bool is a ``PreconditionViolated``, so ``True`` is never read
+as 1.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .core import PreconditionViolated
+from .core import PreconditionViolated, _check_ints
 
 __all__ = [
     "lemma1_bound",
@@ -29,6 +32,7 @@ def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
     floor( C(p+, floor(t/2)) * C(p-, ceil(t/2))
            / (C(ceil(k/2), floor(t/2)) * C(floor(k/2), ceil(t/2))) )
     """
+    _check_ints("t, k, p_plus and p_minus", (t, k, p_plus, p_minus))
     if t < 1 or t >= k:
         raise PreconditionViolated(f"need 1 <= t < k, got t={t}, k={k}")
     if p_minus < 0:
@@ -45,6 +49,7 @@ def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
 
 def corollary_bound(t: int, k: int, v: int) -> int:
     """``lemma1_bound`` at the balanced split p+ = ceil(v/2), p- = floor(v/2)."""
+    _check_ints("t, k and v", (t, k, v))
     return lemma1_bound(t, k, (v + 1) // 2, v // 2)
 
 
@@ -89,6 +94,7 @@ def type_lp_bound(t: int, k: int, v: int) -> int:
     labeling swaps the two kinds, so splits with p+ >= ceil(v/2) suffice.
     The bound never exceeds ``corollary_bound`` where that is defined.
     """
+    _check_ints("t, k and v", (t, k, v))
     if not 1 <= t < k <= v:
         raise PreconditionViolated(f"need 1 <= t < k <= v, got ({t},{k},{v})")
     hi, lo = (k + 1) // 2, k // 2
@@ -121,6 +127,7 @@ SteinerSize = namedtuple("SteinerSize", "size integral")
 
 def steiner_size(t: int, k: int, v: int) -> SteinerSize:
     """Block count C(v,t)/C(k,t) of a hypothetical S(t,k,v), kept exact."""
+    _check_ints("t, k and v", (t, k, v))
     if not 1 <= t <= k <= v:
         raise PreconditionViolated(f"need 1 <= t <= k <= v, got ({t},{k},{v})")
     import fractions
@@ -133,7 +140,6 @@ def steiner_size(t: int, k: int, v: int) -> SteinerSize:
 GapResult = namedtuple("GapResult", "bound steiner strict")
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: theorem1_gap(2.0, 3, 9) is not theorem1_gap(2, 3, 9)
 def theorem1_gap(t: int, k: int, v: int) -> GapResult:
     """Balanced-family ceiling vs. the unrestricted Steiner count.
 
@@ -145,7 +151,15 @@ def theorem1_gap(t: int, k: int, v: int) -> GapResult:
     Memoised for the life of the process: a batch of families repeats a
     few (t, k, v) many times.  The result is an immutable tuple, so callers
     share it safely, and a failed precondition raises on every call.
+    ``theorem1_gap.cache_info()`` reports that cache.
     """
+    # checked before the cache, which would hash an unhashable argument first
+    _check_ints("t, k and v", (t, k, v))
+    return _gap(t, k, v)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: an int subclass is not its int value
+def _gap(t: int, k: int, v: int) -> GapResult:
     if not (t < k < v) or v <= 2:
         raise PreconditionViolated(f"need t < k < v and v > 2, got ({t},{k},{v})")
     if 2 * ((v + 1) // 2) <= k + 1:
@@ -153,3 +167,6 @@ def theorem1_gap(t: int, k: int, v: int) -> GapResult:
     bound = min(corollary_bound(t, k, v), type_lp_bound(t, k, v))
     steiner = steiner_size(t, k, v).size
     return GapResult(bound, steiner, bound < steiner)
+
+
+theorem1_gap.cache_info = _gap.cache_info

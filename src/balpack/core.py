@@ -47,9 +47,11 @@ __all__ = [
     "LabelConstraint",
     "PreconditionViolated",
     "FormatError",
+    "Indivisible",
     "Block",
     "Record",
     "Labeling",
+    "interval_labeling",
     "BalancedPacking",
     "VerificationReport",
     "make_packing",
@@ -91,6 +93,10 @@ class FormatError(PackingError):
     """A packing document is malformed."""
 
 
+class Indivisible(PackingError):
+    """Interval construction needs the block size to divide v."""
+
+
 Block = tuple  # tuple[int, ...]; strictly increasing point indices
 
 _SHORT = reprlib.Repr()
@@ -110,6 +116,16 @@ def _are_ints(values) -> bool:
     labels, parameters and document fields alike."""
     types = set(map(type, values))
     return types <= {int} or all(issubclass(c, int) and c is not bool for c in types)
+
+
+def _check_ints(names: str, values, error=PreconditionViolated) -> None:
+    """The package's one refusal of a parameter that fails ``_are_ints``:
+    raise ``error`` naming ``names``, with the one value or the tuple
+    ``values``.  Callers pick the class their own errors belong to."""
+    if not _are_ints(values):
+        if len(values) == 1:
+            raise error(f"{names} must be an integer, got {_short(values[0])}")
+        raise error(f"{names} must be integers, got {_short(values)}")
 
 
 def _blocks_are_canonical(blocks, v) -> bool:
@@ -233,6 +249,18 @@ class Labeling(Record):
         return Labeling(tuple(-s for s in self.signs))
 
 
+def interval_labeling(v: int, k: int) -> Labeling:
+    """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest:
+    the group labeling of every construction whose points fall into k
+    equal groups, and of the oracle's interval baseline."""
+    if not (_are_ints((v, k)) and k >= 1):
+        raise PreconditionViolated(f"need integers v and k >= 1, got {_short((v, k))}")
+    if v % k:
+        raise Indivisible(f"{k} does not divide {v}")
+    cut = (k + 1) // 2 * (v // k)
+    return Labeling((1,) * cut + (-1,) * (v - cut))
+
+
 class BalancedPacking(Record):
     """A claimed (t, k, v) balanced packing.
 
@@ -253,9 +281,7 @@ class BalancedPacking(Record):
     _fields = ("v", "t", "k", "labeling", "blocks")
 
     def __post_init__(self):
-        if not _are_ints((self.v, self.t, self.k)):
-            raise PackingError(
-                f"parameters v, t and k must be integers, got {_short((self.v, self.t, self.k))}")
+        _check_ints("parameters v, t and k", (self.v, self.t, self.k), PackingError)
         if self.v < 1:
             raise PackingError(f"ground set size must be >= 1, got {_short(self.v)}")
         if self.t < 0 or self.k < 0:
@@ -647,8 +673,7 @@ def _class_rows(classes) -> list:
     the blocks, nothing checks the classes, so an entry that is not an int,
     or is a bool, raises TypeError here."""
     rows = list(map(list, classes))
-    if not _are_ints(chain.from_iterable(rows)):
-        raise TypeError(f"class entries must be integers, got {_short(rows)}")
+    _check_ints("class entries", tuple(chain.from_iterable(rows)), TypeError)
     return rows
 
 

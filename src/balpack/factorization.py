@@ -23,6 +23,7 @@ from .core import (
     PreconditionViolated,
     Record,
     _are_ints,
+    _check_ints,
     _is_packing,
     _points_are_canonical,
     _short,
@@ -81,8 +82,7 @@ class OneFactorization(Record):
 
 def _check_even_order(name: str, n) -> None:
     """The matching routes' order rule for their order ``name``: an even int >= 2."""
-    if not _are_ints((n,)):
-        raise PreconditionViolated(f"{name} must be an integer, got {_short(n)}")
+    _check_ints(name, (n,))
     if n < 2 or n % 2:
         raise OddOrder(f"{name}={n} must be even and >= 2")
 
@@ -112,6 +112,7 @@ def triples_from_factorization(p_plus: int, p_minus: int) -> BalancedPacking:
     balanced packing, every discrepancy +1.
     """
     _check_even_order("p_plus", p_plus)
+    _check_ints("p_minus", (p_minus,))
     if not 1 <= p_minus < p_plus:
         raise PreconditionViolated(f"need 1 <= p_minus < p_plus, got {p_minus}")
     return product(from_one_factorization(one_factorization(p_plus)),
@@ -136,9 +137,7 @@ class PartitionablePacking(Record):
 
     def __post_init__(self):
         classes = self.classes
-        if not _are_ints((self.t_prime, self.k, self.v)):
-            raise PreconditionViolated(
-                f"t_prime, k and v must be integers, got {_short((self.t_prime, self.k, self.v))}")
+        _check_ints("t_prime, k and v", (self.t_prime, self.k, self.v))
         if not (isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)):
             raise PreconditionViolated(f"classes must be a tuple of tuples, got {_short(classes)}")
         # whole-class passes decide; only when one fails does the loop below
@@ -181,9 +180,9 @@ def from_one_factorization(factors: OneFactorization) -> PartitionablePacking:
 
 def singleton_classes(n: int) -> PartitionablePacking:
     """n classes, each holding the single block {i}."""
-    if not _are_ints((n,)) or n < 1:
-        raise PreconditionViolated("need at least one class" if _are_ints((n,))
-                                   else f"n must be an integer, got {_short(n)}")
+    _check_ints("n", (n,))
+    if n < 1:
+        raise PreconditionViolated("need at least one class")
     return PartitionablePacking(0, 1, n, tuple(((i,),) for i in range(n)))
 
 

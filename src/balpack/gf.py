@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .core import PreconditionViolated, Record, _are_ints, _short
+from .core import PreconditionViolated, Record, _check_ints
 
 __all__ = [
     "FieldError",
@@ -184,8 +184,7 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
     once per process; ``make_field.cache_info()`` reports that cache.
     """
     # checked before the cache, which would hash an unhashable argument first
-    if not _are_ints((p, m)):
-        raise FieldError(f"p and m must be integers, got {_short((p, m))}")
+    _check_ints("p and m", (p, m), FieldError)
     return _field(p, m)
 
 
@@ -223,8 +222,7 @@ make_field.cache_info = _field.cache_info
 
 def _code_field(t: int, k: int, q: int) -> FieldSpec:
     """GF(q) for the code of degree < t at k points: ints, q <= cap, q = p^m, 1 <= t <= k <= q."""
-    if not _are_ints((t, k, q)):
-        raise PreconditionViolated(f"t, k and q must be integers, got {_short((t, k, q))}")
+    _check_ints("t, k and q", (t, k, q))
     if q > SIZE_CAP:
         raise PreconditionViolated(f"q={q} exceeds the field size cap {SIZE_CAP}")
     factors = _prime_factors(q)

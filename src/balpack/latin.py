@@ -16,7 +16,7 @@ sets of size 2p+1.
 from __future__ import annotations
 
 from .core import (BalancedPacking, Labeling, PackingError, PreconditionViolated, Record,
-                   _are_ints, _short)
+                   _check_ints)
 
 
 class SeedInvalid(PackingError):
@@ -34,8 +34,7 @@ class InvariantViolation(PackingError):
 
 def _check_p_plus(p) -> None:
     """The order rule of the seed sets: p_plus is an int, even and >= 4."""
-    if not _are_ints((p,)):
-        raise PreconditionViolated(f"p_plus must be an integer, got {_short(p)}")
+    _check_ints("p_plus", (p,))
     if p < 4 or p % 2:
         raise PreconditionViolated(f"p_plus={p} must be even and >= 4")
 
@@ -105,9 +104,8 @@ class LatinRectangle(Record):
 
     def __post_init__(self):
         p = self.p_plus
-        for name, value in (("p_plus", p), ("cols", self.cols)):
-            if not _are_ints((value,)):
-                raise PreconditionViolated(f"{name} must be an integer, got {_short(value)}")
+        _check_ints("p_plus", (p,))
+        _check_ints("cols", (self.cols,))
         if self.cols not in (p, p + 1):
             raise PreconditionViolated(f"cols must be {p} or {p + 1}")
         if len(self.cells) != p or any(len(row) != self.cols for row in self.cells):

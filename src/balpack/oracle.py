@@ -41,25 +41,24 @@ import random
 import time
 from collections import namedtuple
 
-from .core import (
+from .core import (  # noqa: F401  (Indivisible: oracle.Indivisible stays importable)
     BalancedPacking,
     Block,
+    Indivisible,
     Labeling,
-    PackingError,
     PreconditionViolated,
     Record,
     _are_ints,
+    _check_ints,
     _short,
+    interval_labeling,
 )
 
 
-class Indivisible(PackingError):
-    """Interval construction needs the block size to divide v."""
-
-
 class SearchBudget(Record):
-    """Caps on the exact search: ``max_nodes`` (default 10**8) and
-    ``time_cap`` in seconds (default 600.0).
+    """Caps on the exact search: ``max_nodes`` (default 10**8), an int
+    under the package's integer rule, and ``time_cap`` in seconds
+    (default 600.0), an int or a float and not a bool.
 
     Exceeding either cap stops the search and surfaces ``exact=False``
     on the result together with the best packing found so far; it is
@@ -70,6 +69,10 @@ class SearchBudget(Record):
     _defaults = {"max_nodes": 10**8, "time_cap": 600.0}
 
     def __post_init__(self):
+        _check_ints("max_nodes", (self.max_nodes,))
+        if isinstance(self.time_cap, bool) or not isinstance(self.time_cap, (int, float)):
+            raise PreconditionViolated(
+                f"time_cap must be an int or a float, got {_short(self.time_cap)}")
         # not (cap > 0), so that a NaN cap, which compares False both ways,
         # is refused rather than switching the time limit off
         if not (self.max_nodes > 0 and self.time_cap > 0):
@@ -226,12 +229,14 @@ def _sharing_at_least(points, holders, m: int) -> int:
 
 
 def _point_holders(blocks, v: int) -> list:
-    """``holders[x]``: the bitset of the blocks that hold point x."""
-    holders = [0] * v
+    """``holders[x]``: the bitset of the blocks that hold point x, set bit
+    by bit in one bytearray per point and read as an int once."""
+    rows = [bytearray((len(blocks) + 7) // 8) for _ in range(v)]
     for i, b in enumerate(blocks):
+        byte, bit = i >> 3, 1 << (i & 7)
         for x in b:
-            holders[x] |= 1 << i
-    return holders
+            rows[x][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _conflict_graph(blocks, holders, t: int, expired=lambda: False) -> list:
@@ -257,6 +262,29 @@ def _split_kinds(holders, k: int, p_plus: int) -> list:
             for a in sorted({k // 2, (k + 1) // 2})]
 
 
+def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
+    """Give ``search`` the masks and the conflict graph of every k-subset
+    of [0, v), and return the subsets and their point holders.  One graph
+    serves every split; the admissible blocks keep their combinations
+    order, and so the search its vertex order.  No step starts once the
+    budget is spent (the graph asks at its first row), and a skipped step
+    leaves ``search.complete`` False."""
+    expired = search._out_of_budget
+    search.complete = False
+    if expired():
+        return [], []
+    blocks = list(itertools.combinations(range(v), k))
+    if expired():
+        return blocks, []
+    holders = _point_holders(blocks, v)
+    if expired():
+        return blocks, holders
+    search.masks = [sum(1 << x for x in b) for b in blocks]
+    search.adj = _conflict_graph(blocks, holders, t, expired)
+    search.complete = len(search.adj) == len(blocks)
+    return blocks, holders
+
+
 def max_balanced_packing(
     t: int,
     k: int,
@@ -270,8 +298,9 @@ def max_balanced_packing(
     labeling lies in {-1, 0, +1}; two blocks conflict when they share
     t or more points.  The answer maximizes an independent family,
     found as a maximum clique in the complement.  ``exact`` is True
-    only when the whole search, and the conflict graph before it, ran to
-    completion inside the budget; a graph cut short gives the empty family.
+    only when the whole search, and the set-up before it (``_set_up``), ran
+    to completion inside the budget; a set-up cut short gives the empty
+    family.
 
     ``log`` gets one JSON line per split and block kind (``event``
     "kind", with the split's admissible ``vertices`` and the ``edges``
@@ -282,16 +311,12 @@ def max_balanced_packing(
     ``kind``, ``elapsed``, ``nodes``, ``incumbent`` and ``bound``, the
     coloring bound at the kind's first block.
     """
+    _check_ints("t, k and v", (t, k, v))
     if t < 1 or k < 1 or v < 1:
         raise PreconditionViolated("need t >= 1 and k, v >= 1")
     search = _CliqueSearch(budget or SearchBudget(), log)
-    # One graph on every k-subset serves every split; the admissible blocks
-    # keep their combinations order, and so the search its vertex order.
-    blocks = list(itertools.combinations(range(v), k))
-    holders = _point_holders(blocks, v)
-    search.masks = [sum(1 << x for x in b) for b in blocks]
-    search.adj = adj = _conflict_graph(blocks, holders, t, search._out_of_budget)
-    search.complete = len(adj) == len(blocks)
+    blocks, holders = _set_up(search, t, k, v)
+    adj = search.adj
     best_blocks: tuple = ()
     best_p_plus = (v + 1) // 2
     for p_plus in range((v + 1) // 2, v + 1) if search.complete else ():
@@ -330,17 +355,6 @@ def max_balanced_packing(
     return OracleResult(search.best_size, witness, search.complete, search.nodes)
 
 
-def interval_labeling(v: int, k: int) -> Labeling:
-    """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest."""
-    if not (_are_ints((v, k)) and k >= 1):
-        raise PreconditionViolated(f"need integers v and k >= 1, got {_short((v, k))}")
-    if v % k:
-        raise Indivisible(f"{k} does not divide {v}")
-    width = v // k
-    cut = ((k + 1) // 2) * width
-    return Labeling(tuple(1 if x < cut else -1 for x in range(v)))
-
-
 def structured_random(
     v: int, k: int, t: int, trials: int, rng_seed: int
 ) -> tuple[tuple[Block, ...], Labeling]:
@@ -351,7 +365,12 @@ def structured_random(
     previously kept set in at most t points.  Note the retention rule
     is <= t, one looser than the packing predicate.  Interval labeling
     makes each kept set's discrepancy 0 (k even) or +1 (k odd).
+
+    v, k, t and trials take the package's integer rule; ``rng_seed`` is
+    handed to ``random.Random`` as it is, which seeds from None, an int,
+    a float, a str or bytes and refuses anything else with a TypeError.
     """
+    _check_ints("v, k, t and trials", (v, k, t, trials))
     if k < 1 or v < 1 or t < 0 or trials < 0:
         raise PreconditionViolated("need k, v >= 1 and t, trials >= 0")
     labeling = interval_labeling(v, k)

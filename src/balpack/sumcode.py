@@ -21,6 +21,7 @@ from .core import (
     PreconditionViolated,
     Record,
     _are_ints,
+    _check_ints,
     _short,
     max_pairwise_intersection,
 )
@@ -42,9 +43,7 @@ class SumCodeParams(Record):
     _fields = ("v", "k")
 
     def __post_init__(self):
-        if not _are_ints((self.v, self.k)):
-            raise PreconditionViolated(
-                f"v and k must be integers, got {_short((self.v, self.k))}")
+        _check_ints("v and k", (self.v, self.k))
         if self.v < 2 or self.v % 2:
             raise OddGroundSet(f"v={self.v} must be even and >= 2")
         if self.k < 3:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from . import factorization, gf
-from .core import BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints, _short
+from .core import (BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints,
+                   _check_ints, _short, interval_labeling)
 
 
 class TransversalDesign(Record):
@@ -26,9 +27,7 @@ class TransversalDesign(Record):
     _fields = ("t", "k", "q", "blocks")
 
     def __post_init__(self):
-        if not _are_ints((self.t, self.k, self.q)):
-            raise PreconditionViolated(
-                f"t, k and q must be integers, got {_short((self.t, self.k, self.q))}")
+        _check_ints("t, k and q", (self.t, self.k, self.q))
         if not 1 <= self.t <= self.k:
             raise PreconditionViolated(f"need 1 <= t <= k, got t={self.t}, k={self.k}")
         if self.q < 1:
@@ -79,9 +78,7 @@ def label_groups(td: TransversalDesign) -> Labeling:
     """First ceil(k/2) groups positive, the rest negative; every block
     then has discrepancy 0 (k even) or +1 (k odd).
     """
-    plus = (td.k + 1) // 2
-    signs = (1,) * (plus * td.q) + (-1,) * ((td.k - plus) * td.q)
-    return Labeling(signs)
+    return interval_labeling(td.v, td.k)
 
 
 def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
@@ -136,5 +133,4 @@ def augment_34_char2(m: int) -> BalancedPacking:
             for b1, b2 in pairs:
                 blocks.append((a1, a2, 2 * m + b1, 2 * m + b2))
     assert len(blocks) == m * m * (2 * m - 1)
-    signs = (1,) * (2 * m) + (-1,) * (2 * m)
-    return BalancedPacking(4 * m, 3, 4, Labeling(signs), tuple(sorted(blocks)))
+    return BalancedPacking(4 * m, 3, 4, interval_labeling(4 * m, 2), tuple(sorted(blocks)))

@@ -86,9 +86,10 @@ def test_theorem1_gap_values():
     assert theorem1_gap(2, 3, 9) == (10, Fraction(12), True)
     assert theorem1_gap(3, 4, 8) == (12, Fraction(14), True)
     assert theorem1_gap(3, 4, 16) == (112, Fraction(140), True)
-    # memoised: a repeat returns an equal result, and a bool gets its own entry
+    # memoised: a repeat returns an equal result, and a bool is refused, never read as 1
     assert theorem1_gap(3, 4, 16) == theorem1_gap(3, 4, 16)
-    assert theorem1_gap(True, 3, 9) == (3, Fraction(3), False)
+    with pytest.raises(PreconditionViolated):
+        theorem1_gap(True, 3, 9)
 
 
 def test_theorem1_gap_preconditions():
@@ -100,8 +101,8 @@ def test_theorem1_gap_preconditions():
     with pytest.raises(PreconditionViolated):
         theorem1_gap(2, 7, 8)  # ceil(v/2) must exceed (k+1)/2
     theorem1_gap(2, 3, 9)
-    with pytest.raises(TypeError):
-        theorem1_gap(2.0, 3, 9)  # typed cache: a float never hits the int entry
+    with pytest.raises(PreconditionViolated):
+        theorem1_gap(2.0, 3, 9)  # refused before the cache: a float never hits the int entry
 
 
 def test_everything_is_exact_integers_and_fractions():

@@ -217,6 +217,50 @@ def test_time_cap_covers_building_the_graph(monkeypatch):
     assert len(rows) < len(list(combinations(range(9), 3)))
 
 
+def test_time_cap_covers_the_set_up(monkeypatch):
+    # The clock moves only while the point holders are built, by 1 s: the
+    # 0.5 s cap is spent there, and no set-up step starts after it.
+    clock = [0.0]
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: clock[0])
+    holders = oracle._point_holders
+
+    def slow(blocks, v):
+        clock[0] += 1.0
+        return holders(blocks, v)
+
+    monkeypatch.setattr(oracle, "_point_holders", slow)
+    monkeypatch.setattr(oracle, "_conflict_graph",
+                        lambda *args: pytest.fail("the graph started after the cap"))
+    r = max_balanced_packing(2, 3, 9, SearchBudget(time_cap=0.5))
+    assert (r.exact, r.nodes, r.size, r.witness.blocks) == (False, 0, 0, ())
+
+
+def test_time_cap_stops_the_graph_at_its_next_check(monkeypatch):
+    # The clock moves by 1 s at the graph's first row: the 0.5 s cap is
+    # spent there, and the rows stop at the next check, 64 rows on.
+    clock = [0.0]
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: clock[0])
+    rows = []
+    sharing = oracle._sharing_at_least
+
+    def slow(points, holders, m):
+        rows.append(points)
+        clock[0] = 1.0
+        return sharing(points, holders, m)
+
+    monkeypatch.setattr(oracle, "_sharing_at_least", slow)
+    r = max_balanced_packing(2, 3, 9, SearchBudget(time_cap=0.5))
+    assert (r.exact, r.nodes, r.size) == (False, 0, 0)
+    assert len(rows) == 64 < len(list(combinations(range(9), 3)))
+
+
+def test_time_cap_is_a_number_of_seconds():
+    assert SearchBudget(time_cap=3).time_cap == 3
+    for cap in ("5", True, None, [1.0]):
+        with pytest.raises(PreconditionViolated, match="time_cap must be an int or a float"):
+            SearchBudget(time_cap=cap)
+
+
 @pytest.mark.parametrize("t,k,v", [(2, 3, 9), (3, 4, 9), (2, 4, 12)])
 def test_budget_counts_the_whole_search(t, k, v):
     r = max_balanced_packing(t, k, v)

@@ -125,6 +125,16 @@ def test_split_graph_matches_the_pairwise_popcount(v):
                 assert restricted == reference_split_graph(vertices, t), (v, k, p_plus, t)
 
 
+@pytest.mark.parametrize("v,k", [(9, 3), (12, 4), (16, 5), (3, 4)])
+def test_point_holders_match_the_bit_loop(v, k):
+    blocks = list(combinations(range(v), k))
+    expected = [0] * v
+    for i, b in enumerate(blocks):
+        for x in b:
+            expected[x] |= 1 << i
+    assert oracle._point_holders(blocks, v) == expected
+
+
 @pytest.mark.parametrize("v,k,t,trials,seed", [
     (100, 5, 2, 3000, 1),  # the benchmark's baseline
     (100, 5, 2, 1000, 7),

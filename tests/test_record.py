@@ -1,11 +1,13 @@
 """The value classes built on ``core.Record``: construction, equality,
 hashing, repr, immutability and the checks each one runs on its fields."""
 
+import functools
 import inspect
 
 import pytest
 
-from balpack import babai_frankl, core, factorization, gf, latin, oracle, sumcode, transversal
+from balpack import (babai_frankl, bounds, core, factorization, gf, latin, oracle, sumcode,
+                     transversal)
 from balpack.core import BalancedPacking, Labeling, VerificationReport
 
 
@@ -222,9 +224,14 @@ def test_post_init_checks_the_fields(call, error):
     (lambda: transversal.construct_td_sum(2, 3.0), "need t >= 1 and m >= 1, got t=2, m=3.0"),
     (lambda: latin.LatinRectangle(4.0, 3, ()), "p_plus must be an integer, got 4.0"),
     (lambda: transversal.construct_td(2, 3, 4.0), "t, k and q must be integers, got (2, 3, 4.0)"),
+    (lambda: factorization.triples_from_factorization(6, 2.0),
+     "p_minus must be an integer, got 2.0"),
+    (lambda: factorization.triples_from_factorization(6, "2"),
+     "p_minus must be an integer, got '2'"),
 ], ids=["one_factorization", "OneFactorization", "singleton_classes", "construct_td-t",
         "babai_frankl", "triples_from_factorization", "augment_34", "augment_34_char2",
-        "seed_sets", "construct_td_sum", "LatinRectangle", "construct_td-q"])
+        "seed_sets", "construct_td_sum", "LatinRectangle", "construct_td-q",
+        "triples_from_factorization-float-p_minus", "triples_from_factorization-str-p_minus"])
 def test_route_parameters_take_the_integer_rule(call, message):
     with pytest.raises(core.PreconditionViolated) as caught:
         call()
@@ -310,6 +317,16 @@ def test_parameter_errors_are_preconditions():
      "q and k must be integers, got (True, 2)"),
     (lambda: babai_frankl.evaluation_set(gf.make_field(5), 2.0), core.PreconditionViolated,
      "k must be an integer, got 2.0"),
+    (lambda: babai_frankl.label_points(5, 0), core.PreconditionViolated,
+     "need integers v and k >= 1, got (0, 0)"),
+    (lambda: bounds.lemma1_bound(2.0, 3, 4, 3), core.PreconditionViolated,
+     "t, k, p_plus and p_minus must be integers, got (2.0, 3, 4, 3)"),
+    (lambda: bounds.theorem1_gap([2], 3, 9), core.PreconditionViolated,
+     "t, k and v must be integers, got ([2], 3, 9)"),
+    (lambda: oracle.max_balanced_packing(True, 3, 8), core.PreconditionViolated,
+     "t, k and v must be integers, got (True, 3, 8)"),
+    (lambda: oracle.SearchBudget("5"), core.PreconditionViolated,
+     "max_nodes must be an integer, got '5'"),
 ], ids=["make_field-bool-after-int", "make_field-float-after-int", "make_field-float",
         "make_field-str", "make_field-unhashable-p", "make_field-unhashable-m",
         "LatinRectangle-float-cols", "LatinRectangle-str-cols",
@@ -317,11 +334,42 @@ def test_parameter_errors_are_preconditions():
         "existence_reference-zero", "existence_reference-float", "missing_pair_predicate-zero",
         "missing_pair_predicate-float", "sumcode-float-v", "sumcode-str-v",
         "failure_rate-float-k", "label_points-float-q", "label_points-bool-q",
-        "evaluation_set-float-k"])
+        "evaluation_set-float-k", "label_points-zero-k", "lemma1_bound-float-t",
+        "theorem1_gap-unhashable-t", "max_balanced_packing-bool-t", "SearchBudget-str-max_nodes"])
 def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+# The bounds and oracle entries, and the one route parameter that named
+# the wrong parameter, under the integer rule: each entry with one valid
+# call, and every int parameter in turn replaced by each hostile value.
+# A float, a str, None, a list or a bool is refused, never read as an int.
+HOSTILE = {"float": 2.0, "str": "3", "none": None, "list": [2], "bool": True}
+INT_ENTRIES = [
+    ("lemma1_bound", bounds.lemma1_bound, {"t": 2, "k": 3, "p_plus": 4, "p_minus": 3}),
+    ("corollary_bound", bounds.corollary_bound, {"t": 2, "k": 3, "v": 9}),
+    ("type_lp_bound", bounds.type_lp_bound, {"t": 2, "k": 3, "v": 9}),
+    ("steiner_size", bounds.steiner_size, {"t": 2, "k": 3, "v": 9}),
+    ("theorem1_gap", bounds.theorem1_gap, {"t": 2, "k": 3, "v": 9}),
+    ("max_balanced_packing", oracle.max_balanced_packing, {"t": 2, "k": 3, "v": 6}),
+    ("structured_random", functools.partial(oracle.structured_random, rng_seed=0),
+     {"v": 9, "k": 3, "t": 1, "trials": 10}),
+    ("SearchBudget", oracle.SearchBudget, {"max_nodes": 50}),
+    ("triples_from_factorization", factorization.triples_from_factorization,
+     {"p_plus": 6, "p_minus": 2}),
+]
+INT_PARAMETERS = [pytest.param(call, kwargs, name, id=f"{entry}-{name}")
+                  for entry, call, kwargs in INT_ENTRIES for name in kwargs]
+
+
+@pytest.mark.parametrize("value", HOSTILE.values(), ids=HOSTILE)
+@pytest.mark.parametrize("call, kwargs, name", INT_PARAMETERS)
+def test_entries_refuse_every_non_integer_parameter(call, kwargs, name, value):
+    call(**kwargs)
+    with pytest.raises(core.PreconditionViolated):
+        call(**{**kwargs, name: value})
 
 
 class Row(tuple):

@@ -2,12 +2,14 @@
 
 Those steps are informational (``continue-on-error``), so a script that a
 renamed or deleted library function breaks would not fail CI.  This test
-compiles each ``python … <<'EOF'`` script and checks that every name it
+compiles each ``python … <<'EOF'`` script, and each string such a script
+runs through ``[sys.executable, "-c", …]``, and checks that every name it
 imports from ``balpack`` exists, and every attribute it reads from an
 imported ``balpack`` module.
 """
 
 import ast
+import contextlib
 import importlib
 import pathlib
 import textwrap
@@ -31,6 +33,26 @@ def heredoc_scripts(text):
     return scripts
 
 
+def inline_scripts(tree):
+    """(name, source) for each string the script runs through
+    ``[sys.executable, "-c", <string>, …]``: a literal, named ``-c``, or a
+    name bound to one."""
+    strings = {target.id: node.value.value for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+               and isinstance(node.value.value, str)
+               for target in node.targets if isinstance(target, ast.Name)}
+    scripts = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.List) and len(node.elts) >= 3
+                and list(map(ast.unparse, node.elts[:2])) == ["sys.executable", "'-c'"]):
+            code = node.elts[2]
+            if isinstance(code, ast.Name):
+                scripts.append((code.id, strings[code.id]))
+            else:
+                scripts.append(("-c", code.value))
+    return scripts
+
+
 def missing_balpack_names(tree):
     """Each ``module.name`` the script imports or reads that does not exist."""
     missing = []
@@ -39,6 +61,9 @@ def missing_balpack_names(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "balpack":
             module = importlib.import_module(node.module)
             for alias in node.names:
+                if not hasattr(module, alias.name):  # ``from package import module`` loads it
+                    with contextlib.suppress(ModuleNotFoundError):
+                        importlib.import_module(f"{node.module}.{alias.name}")
                 if not hasattr(module, alias.name):
                     missing.append(f"{node.module}.{alias.name}")
                 elif isinstance(getattr(module, alias.name), types.ModuleType):
@@ -59,8 +84,16 @@ def test_workflow_scripts_compile_and_name_only_what_exists():
     scripts = heredoc_scripts(text)
     assert scripts and len(scripts) == text.count("<<'EOF'")
     missing = {}
+    inline = 0
     for step, script in scripts:
         tree = compile(script, f"{WORKFLOW.name}: {step}", "exec", ast.PyCF_ONLY_AST)
         compile(tree, f"{WORKFLOW.name}: {step}", "exec")
         missing[step] = missing_balpack_names(tree)
-    assert missing == {step: [] for step, _ in scripts}
+        for name, source in inline_scripts(tree):
+            where = f"{WORKFLOW.name}: {step}: {name}"
+            inner = compile(textwrap.dedent(source), where, "exec", ast.PyCF_ONLY_AST)
+            compile(inner, where, "exec")
+            missing[f"{step}: {name}"] = missing_balpack_names(inner)
+            inline += 1
+    assert inline and inline == text.count('"-c"')
+    assert missing == dict.fromkeys(missing, [])
