@@ -32,6 +32,8 @@ def label_points(q: int, k: int) -> Labeling:
     (k+1)/2 rows and every block has discrepancy -1.
     """
     _check_ints("q and k", (q, k))
+    if q < 1 or k < 1:
+        raise PreconditionViolated(f"need q >= 1 and k >= 1, got q={q}, k={k}")
     return interval_labeling(k * q, k).flipped()
 
 

@@ -253,7 +253,7 @@ def interval_labeling(v: int, k: int) -> Labeling:
     """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest:
     the group labeling of every construction whose points fall into k
     equal groups, and of the oracle's interval baseline."""
-    if not (_are_ints((v, k)) and k >= 1):
+    if not (_are_ints((v, k)) and v >= 1 and k >= 1):
         raise PreconditionViolated(f"need integers v and k >= 1, got {_short((v, k))}")
     if v % k:
         raise Indivisible(f"{k} does not divide {v}")

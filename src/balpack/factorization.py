@@ -1,13 +1,14 @@
 """Matchings, large sets of triple systems, and their class-aligned product.
 
-Every gluing of two families here is one operation, ``product``: given
-two families whose blocks are partitioned into classes, pair up blocks
-class-by-class on a disjoint union of the ground sets, the first side
-labeled +1 and the second -1.  Each route checks its own preconditions
-and is then one call to it: ``triples_from_factorization`` (round-robin
-matchings against singleton classes), ``mds_product`` (a large set of
-Steiner systems with itself), ``mds_45_product`` (a large set of STS
-with matchings) and the added blocks of ``transversal.augment_34``.
+Every gluing of two families in the package is one operation, ``product``:
+given two families whose blocks are partitioned into classes, pair up
+blocks class-by-class on a disjoint union of the ground sets, the first
+side labeled +1 and the second -1.  Each route checks its own
+preconditions and is then one call to it: ``triples_from_factorization``
+(round-robin matchings against singleton classes), ``mds_product`` (a
+large set of Steiner systems with itself), ``mds_45_product`` (a large
+set of STS with matchings), and ``transversal.augment_34`` (the added
+blocks) and ``transversal.augment_34_char2`` (the whole family).
 A one-factorization is checked as the 1-partitionable family of pairs it is.
 """
 
@@ -198,31 +199,21 @@ def product(
     product blocks share at most max(k2 + t1, k1 + t2) - 1 points, so
     the result is a packing at that strength; points of p1 are labeled
     +1, points of p2 are labeled -1, giving every block discrepancy
-    k1 - k2.  ``triples_from_factorization``, ``mds_product`` and
-    ``mds_45_product`` are each one call to this.
+    k1 - k2.  This holds the package's one class-aligned pairing loop.
     """
     if len(p1.classes) != len(p2.classes) and not allow_prefix:
         raise ClassCountMismatch(
             f"{len(p1.classes)} classes vs {len(p2.classes)}; "
             "pass allow_prefix to zip the shorter prefix"
         )
-    t_out = max(p2.k + p1.t_prime, p1.k + p2.t_prime)
-    signs = (1,) * p1.v + (-1,) * p2.v
-    return BalancedPacking(
-        p1.v + p2.v, t_out, p1.k + p2.k, Labeling(signs),
-        tuple(sorted(product_blocks(p1, p2))),
-    )
-
-
-def product_blocks(p1: PartitionablePacking, p2: PartitionablePacking) -> list:
-    """The blocks of ``product(p1, p2)``, unsorted and unchecked, over the
-    shorter prefix of classes.  ``transversal.augment_34`` adds
-    these to its design's blocks."""
     blocks = []
     for c1, c2 in zip(p1.classes, p2.classes):
         shifted = [tuple(x + p1.v for x in d) for d in c2]
         blocks.extend(b + d for b in c1 for d in shifted)
-    return blocks
+    t_out = max(p2.k + p1.t_prime, p1.k + p2.t_prime)
+    signs = (1,) * p1.v + (-1,) * p2.v
+    return BalancedPacking(
+        p1.v + p2.v, t_out, p1.k + p2.k, Labeling(signs), tuple(sorted(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +349,12 @@ def mds_45_product(m: PartitionablePacking, p_minus: int) -> BalancedPacking:
 
 def save_large_set(m: PartitionablePacking, path) -> None:
     """Write a partitionable packing as a packing file with a "classes"
-    field of block-index lists; labels are the canonical half split.
+    field of block-index lists, each in increasing order as
+    ``load_large_set`` reads them; labels are the canonical half split.
     """
     blocks = m.all_blocks
     index = {b: i for i, b in enumerate(blocks)}
-    classes = tuple(tuple(index[b] for b in cls) for cls in m.classes)
+    classes = tuple(tuple(sorted(index[b] for b in cls)) for cls in m.classes)
     half = (m.v + 1) // 2
     signs = (1,) * half + (-1,) * (m.v - half)
     packing = BalancedPacking(m.v, m.t_prime, m.k, Labeling(signs), blocks)

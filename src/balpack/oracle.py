@@ -41,10 +41,9 @@ import random
 import time
 from collections import namedtuple
 
-from .core import (  # noqa: F401  (Indivisible: oracle.Indivisible stays importable)
+from .core import (
     BalancedPacking,
     Block,
-    Indivisible,
     Labeling,
     PreconditionViolated,
     Record,
@@ -368,14 +367,19 @@ def structured_random(
 
     v, k, t and trials take the package's integer rule; ``rng_seed`` is
     handed to ``random.Random`` as it is, which seeds from None, an int,
-    a float, a str or bytes and refuses anything else with a TypeError.
+    a float, a str or bytes; any other seed is a ``PreconditionViolated``.
     """
     _check_ints("v, k, t and trials", (v, k, t, trials))
     if k < 1 or v < 1 or t < 0 or trials < 0:
         raise PreconditionViolated("need k, v >= 1 and t, trials >= 0")
     labeling = interval_labeling(v, k)
     width = v // k
-    rng = random.Random(rng_seed)
+    try:
+        rng = random.Random(rng_seed)
+    except TypeError:
+        raise PreconditionViolated(
+            f"rng_seed must be None, an int, a float, a str or bytes, got {_short(rng_seed)}"
+        ) from None
     kept: list[Block] = []
     holders = [0] * v  # holders[x]: bitset of the kept sets that hold x
     for _ in range(trials):

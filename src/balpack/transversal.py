@@ -6,7 +6,8 @@ the polynomial construction over GF(q) (needs q a prime power and
 k <= q) and a sum construction over Z_m with k = t+1 groups which
 exists for every modulus.  Labeling half the groups positive makes
 every transverse block balanced, and the (3, 4, 4m) augmentation then
-packs extra blocks into pairs of opposite-sign groups.
+packs extra blocks into pairs of opposite-sign groups.  Both (3, 4, 4m)
+routes pair their classes through ``factorization.product``.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     both taken from the same round.  Matched pairs from the same round
     are disjoint, so added blocks collide with each other and with the
     transverse blocks in at most 2 points.  The added blocks are those of
-    the class-aligned product of the round-by-round pairs of groups 0 and
-    1 with themselves, checked once, with the rest.  Total: m^3 +
-    m^2(m-1) blocks, the counting-bound optimum.
+    ``factorization.product`` of the round-by-round pairs of groups 0 and
+    1 with themselves.  Total: m^3 + m^2(m-1) blocks, the counting-bound
+    optimum.
     """
     factorization._check_even_order("m", m)
     if td is None:
@@ -105,7 +106,7 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     rounds = factorization.one_factorization(m).classes
     pairs = factorization.PartitionablePacking(
         1, 2, 2 * m, tuple(r + tuple((a + m, b + m) for a, b in r) for r in rounds))
-    blocks = tuple(sorted([*td.blocks, *factorization.product_blocks(pairs, pairs)]))
+    blocks = tuple(sorted([*td.blocks, *factorization.product(pairs, pairs).blocks]))
     assert len(blocks) == m**3 + m * m * (m - 1)
     return BalancedPacking(4 * m, 3, 4, label_groups(td), blocks)
 
@@ -117,20 +118,16 @@ def augment_34_char2(m: int) -> BalancedPacking:
     Points are two copies of the field with 2m elements; blocks are
     {a1, a2} from the first copy together with {b1, b2} from the
     second where a1 + a2 == b1 + b2.  Since three of the four values
-    force the fourth, two blocks never share three points.  The count
-    m^2(2m-1) equals augment_34's total.  The sum classes are paired
-    here, not through ``factorization.product``, so this route loads no
-    other layer.
+    force the fourth, two blocks never share three points.  The pairs
+    of each sum form one class of a one-factorization of K_2m, and the
+    family is ``factorization.product`` of those classes with themselves:
+    m^2(2m-1) blocks, augment_34's total.
     """
     if not _are_ints((m,)) or m < 2 or m & (m - 1):
         raise PreconditionViolated(f"m={m} must be a power of two and >= 2")
-    by_sum: dict = {}
-    for i, j in itertools.combinations(range(2 * m), 2):
-        by_sum.setdefault(i ^ j, []).append((i, j))  # addition in GF(2m)
-    blocks = []
-    for pairs in by_sum.values():
-        for a1, a2 in pairs:
-            for b1, b2 in pairs:
-                blocks.append((a1, a2, 2 * m + b1, 2 * m + b2))
-    assert len(blocks) == m * m * (2 * m - 1)
-    return BalancedPacking(4 * m, 3, 4, interval_labeling(4 * m, 2), tuple(sorted(blocks)))
+    sums = factorization.PartitionablePacking(1, 2, 2 * m, tuple(
+        tuple((i, i ^ s) for i in range(2 * m) if i < i ^ s)  # i + s in GF(2m)
+        for s in range(1, 2 * m)))
+    packing = factorization.product(sums, sums)
+    assert packing.n_blocks == m * m * (2 * m - 1)
+    return packing

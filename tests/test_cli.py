@@ -629,11 +629,12 @@ print(json.dumps({"code": code, "ran": ran, **loaded}))
     # the reference (v*t/k^2)^t is a Fraction
     (["oracle", "2", "5", "100", "--baseline", "--trials", "300", "--seed", "1"],
      ["oracle"], True, False),
-    # neither TD route builds a one-factorization
+    # the polynomial TD route builds no one-factorization
     (["construct", "td", "--t", "2", "--k", "3", "--q", "3", "--out", "{tmp}/t.json"],
      ["bounds", "gf", "transversal"], False, True),
+    # the char2 route pairs its sum classes through factorization.product
     (["construct", "td-augment34", "--char2", "--v", "16", "--out", "{tmp}/c.json"],
-     ["bounds", "transversal"], False, True),
+     ["bounds", "factorization", "transversal"], False, True),
     # prints the Steiner size 7/2, a Fraction
     (["compare", "3", "5", "7"], ["bounds"], True, False),
 ], ids=["verify", "construct-latin", "construct-td-augment34", "oracle", "oracle-baseline",

@@ -263,6 +263,14 @@ def test_large_set_round_trips_through_file(tmp_path):
     assert sorted(map(sorted, again.classes)) == sorted(map(sorted, ls.classes))
 
 
+def test_large_set_with_an_unsorted_class_round_trips(tmp_path):
+    # class 0 lists (2, 3) before (0, 1): its block indices are written sorted
+    m = PartitionablePacking(1, 2, 4, (((2, 3), (0, 1)), ((0, 2), (1, 3)), ((0, 3), (1, 2))))
+    path = tmp_path / "unsorted.json"
+    save_large_set(m, path)
+    assert load_large_set(path).classes == tuple(tuple(sorted(c)) for c in m.classes)
+
+
 def test_load_rejects_plain_packing_file(tmp_path):
     from balpack.core import make_packing, save_packing
 

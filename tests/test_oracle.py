@@ -8,13 +8,13 @@ import pytest
 from balpack import oracle
 from balpack.core import (
     BalancedPacking,
+    Indivisible,
     Labeling,
     PreconditionViolated,
     discrepancy,
     verify,
 )
 from balpack.oracle import (
-    Indivisible,
     OracleResult,
     SearchBudget,
     existence_reference,

@@ -296,6 +296,10 @@ def test_parameter_errors_are_preconditions():
      "need integers v and k >= 1, got (8, -2)"),
     (lambda: oracle.interval_labeling(8.0, 2), core.PreconditionViolated,
      "need integers v and k >= 1, got (8.0, 2)"),
+    (lambda: core.interval_labeling(0, 3), core.PreconditionViolated,
+     "need integers v and k >= 1, got (0, 3)"),
+    (lambda: core.interval_labeling(-6, 3), core.PreconditionViolated,
+     "need integers v and k >= 1, got (-6, 3)"),
     (lambda: oracle.existence_reference(100, 0, 2), core.PreconditionViolated,
      "need integers v, k, t and k >= 1, got (100, 0, 2)"),
     (lambda: oracle.existence_reference(100, 5, 2.0), core.PreconditionViolated,
@@ -318,7 +322,13 @@ def test_parameter_errors_are_preconditions():
     (lambda: babai_frankl.evaluation_set(gf.make_field(5), 2.0), core.PreconditionViolated,
      "k must be an integer, got 2.0"),
     (lambda: babai_frankl.label_points(5, 0), core.PreconditionViolated,
-     "need integers v and k >= 1, got (0, 0)"),
+     "need q >= 1 and k >= 1, got q=5, k=0"),
+    (lambda: babai_frankl.label_points(0, 3), core.PreconditionViolated,
+     "need q >= 1 and k >= 1, got q=0, k=3"),
+    (lambda: babai_frankl.label_points(-2, 3), core.PreconditionViolated,
+     "need q >= 1 and k >= 1, got q=-2, k=3"),
+    (lambda: oracle.structured_random(9, 3, 1, 10, (1, 2)), core.PreconditionViolated,
+     "rng_seed must be None, an int, a float, a str or bytes, got (1, 2)"),
     (lambda: bounds.lemma1_bound(2.0, 3, 4, 3), core.PreconditionViolated,
      "t, k, p_plus and p_minus must be integers, got (2.0, 3, 4, 3)"),
     (lambda: bounds.theorem1_gap([2], 3, 9), core.PreconditionViolated,
@@ -331,10 +341,12 @@ def test_parameter_errors_are_preconditions():
         "make_field-str", "make_field-unhashable-p", "make_field-unhashable-m",
         "LatinRectangle-float-cols", "LatinRectangle-str-cols",
         "interval_labeling-zero", "interval_labeling-negative", "interval_labeling-float",
+        "interval_labeling-zero-v", "interval_labeling-negative-v",
         "existence_reference-zero", "existence_reference-float", "missing_pair_predicate-zero",
         "missing_pair_predicate-float", "sumcode-float-v", "sumcode-str-v",
         "failure_rate-float-k", "label_points-float-q", "label_points-bool-q",
-        "evaluation_set-float-k", "label_points-zero-k", "lemma1_bound-float-t",
+        "evaluation_set-float-k", "label_points-zero-k", "label_points-zero-q",
+        "label_points-negative-q", "structured_random-tuple-seed", "lemma1_bound-float-t",
         "theorem1_gap-unhashable-t", "max_balanced_packing-bool-t", "SearchBudget-str-max_nodes"])
 def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
     with pytest.raises(error) as caught:
