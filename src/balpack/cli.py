@@ -32,6 +32,7 @@ from . import oracle as oracle_mod
 from .core import (
     BalancedPacking,
     PackingError,
+    _check_ints,
     derive_subdesign,
     load_document,
     load_packing,
@@ -80,6 +81,7 @@ def latin_dispatch(v: int) -> BalancedPacking:
     4m+3 -> matching triples at the near-balanced split.  Every route
     emits exactly floor(floor(v/2) * ceil(v/2) / 2) triples.
     """
+    _check_ints("v", (v,))
     if v < 8:
         raise PackingError(f"dispatcher covers v >= 8, got {v}")
     residue = v % 4

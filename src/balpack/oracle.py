@@ -278,7 +278,7 @@ def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
     holders = _point_holders(blocks, v)
     if expired():
         return blocks, holders
-    search.masks = [sum(1 << x for x in b) for b in blocks]
+    search.masks = list(map(sum, itertools.combinations([1 << x for x in range(v)], k)))
     search.adj = _conflict_graph(blocks, holders, t, expired)
     search.complete = len(search.adj) == len(blocks)
     return blocks, holders

@@ -48,6 +48,8 @@ class SumCodeParams(Record):
             raise OddGroundSet(f"v={self.v} must be even and >= 2")
         if self.k < 3:
             raise PreconditionViolated(f"k={self.k} must be at least 3")
+        if self.k > self.v:
+            raise PreconditionViolated(f"k={self.k} must be at most v={self.v}")
 
     @property
     def residue_class(self) -> int:

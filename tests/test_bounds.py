@@ -105,6 +105,14 @@ def test_theorem1_gap_preconditions():
         theorem1_gap(2.0, 3, 9)  # refused before the cache: a float never hits the int entry
 
 
+def test_theorem1_gap_repeat_call_reads_the_cache():
+    first = theorem1_gap(3, 4, 16)
+    before = theorem1_gap.cache_info()
+    assert theorem1_gap(3, 4, 16) is first
+    after = theorem1_gap.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+
+
 def test_everything_is_exact_integers_and_fractions():
     b = corollary_bound(4, 7, 33)
     assert isinstance(b, int)

@@ -400,13 +400,14 @@ def test_derive_roundtrip(tmp_path):
      "--second", "singletons:3", "--out", "{tmp}/x.json"],
     ["bound", "3", "3", "9"],
     ["construct", "sum", "--v", "0", "--k", "3", "--out", "{tmp}/x.json"],
+    ["construct", "sum", "--v", "4", "--k", "9", "--out", "{tmp}/x.json"],
 ], ids=[
     "construct-out", "oracle-out", "derive-out", "oracle-log",
     "mds-write-large-set", "budget-nodes-0", "time-cap-nan", "oracle-t0",
     "baseline-indivisible", "baseline-k0", "baseline-v-negative", "baseline-k-negative",
     "baseline-t-negative",
     "derive-out-of-range", "derive-missing-file", "product-missing-file",
-    "bound-t-equals-k", "sum-v0",
+    "bound-t-equals-k", "sum-v0", "sum-k-above-v",
 ])
 def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
     src = tmp_path / "src.json"

@@ -117,6 +117,14 @@ def test_mul_by_one_is_identity():
             assert field.mul(1, a) == a
 
 
+def test_make_field_repeat_call_reads_the_cache():
+    first = gf.make_field(3, 2)
+    before = gf.make_field.cache_info()
+    assert gf.make_field(3, 2) is first
+    after = gf.make_field.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+
+
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------

@@ -133,6 +133,9 @@ def test_point_holders_match_the_bit_loop(v, k):
         for x in b:
             expected[x] |= 1 << i
     assert oracle._point_holders(blocks, v) == expected
+    search = oracle._CliqueSearch(SearchBudget(), None)
+    assert oracle._set_up(search, 2, k, v) == (blocks, expected)
+    assert search.masks == [sum(1 << x for x in b) for b in blocks]
 
 
 @pytest.mark.parametrize("v,k,t,trials,seed", [

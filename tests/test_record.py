@@ -8,6 +8,7 @@ import pytest
 
 from balpack import (babai_frankl, bounds, core, factorization, gf, latin, oracle, sumcode,
                      transversal)
+from balpack.cli import latin_dispatch
 from balpack.core import BalancedPacking, Labeling, VerificationReport
 
 
@@ -315,6 +316,15 @@ def test_parameter_errors_are_preconditions():
      "v and k must be integers, got ('8', 3)"),
     (lambda: sumcode.failure_rate(8, 3.0), core.PreconditionViolated,
      "v and k must be integers, got (8, 3.0)"),
+    # k > v leaves no seed choice
+    (lambda: sumcode.failure_rate(4, 6), core.PreconditionViolated, "k=6 must be at most v=4"),
+    (lambda: sumcode.failure_rate(4, 9), core.PreconditionViolated, "k=9 must be at most v=4"),
+    (lambda: sumcode.failure_rate(6, 8), core.PreconditionViolated, "k=8 must be at most v=6"),
+    (lambda: sumcode.construct(4, 9), core.PreconditionViolated, "k=9 must be at most v=4"),
+    (lambda: latin_dispatch("8"), core.PreconditionViolated, "v must be an integer, got '8'"),
+    (lambda: latin_dispatch(None), core.PreconditionViolated, "v must be an integer, got None"),
+    (lambda: latin_dispatch(8.0), core.PreconditionViolated, "v must be an integer, got 8.0"),
+    (lambda: latin_dispatch(7), core.PackingError, "dispatcher covers v >= 8, got 7"),
     (lambda: babai_frankl.label_points(5.0, 3), core.PreconditionViolated,
      "q and k must be integers, got (5.0, 3)"),
     (lambda: babai_frankl.label_points(True, 2), core.PreconditionViolated,
@@ -344,7 +354,9 @@ def test_parameter_errors_are_preconditions():
         "interval_labeling-zero-v", "interval_labeling-negative-v",
         "existence_reference-zero", "existence_reference-float", "missing_pair_predicate-zero",
         "missing_pair_predicate-float", "sumcode-float-v", "sumcode-str-v",
-        "failure_rate-float-k", "label_points-float-q", "label_points-bool-q",
+        "failure_rate-float-k", "failure_rate-k6-v4", "failure_rate-k9-v4",
+        "failure_rate-k8-v6", "sumcode-k9-v4", "latin_dispatch-str", "latin_dispatch-none",
+        "latin_dispatch-float", "latin_dispatch-v7", "label_points-float-q", "label_points-bool-q",
         "evaluation_set-float-k", "label_points-zero-k", "label_points-zero-q",
         "label_points-negative-q", "structured_random-tuple-seed", "lemma1_bound-float-t",
         "theorem1_gap-unhashable-t", "max_balanced_packing-bool-t", "SearchBudget-str-max_nodes"])
