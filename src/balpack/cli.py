@@ -8,7 +8,10 @@ files.
 
 Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
 3 verification failure or a malformed file given to verify or derive,
-4 search budget exhausted.
+4 search budget exhausted, 141 (128 + SIGPIPE, as a shell reports it)
+when the reader of standard output has gone: ``main`` flushes stdout
+itself, and on a broken pipe points it at ``os.devnull`` and prints
+nothing, since a vanished reader is not a usage error.
 
 The package registers the route layers, ``bounds`` and ``oracle`` lazily
 (see ``balpack/__init__.py``) and this module imports them plainly, so a
@@ -24,6 +27,7 @@ arguments of only the subcommand and the route its command line names
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -45,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 SOURCE_SPECS = "onefact:N | singletons:N | lts:9 | file:PATH"
 
@@ -426,7 +431,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the reader has gone; what is left goes nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (PackingError, OSError) as exc:  # every parameter and I/O error
         return _usage(str(exc))
 

@@ -33,10 +33,10 @@ and importing the package imports neither ``dataclasses`` nor ``inspect``.
 from __future__ import annotations
 
 import reprlib
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, combinations, groupby, repeat
 from math import comb
-from operator import itemgetter, lt
+from operator import add, lt
 
 from . import bounds  # registered lazily: it imports core, and runs when verify calls it
 
@@ -101,6 +101,7 @@ Block = tuple  # tuple[int, ...]; strictly increasing point indices
 
 _SHORT = reprlib.Repr()
 _SHORT.maxlevel, _SHORT.maxlist = 3, 4
+_Profile = namedtuple("_Profile", "sizes lo hi columns")  # built by _profile
 
 
 def _short(value) -> str:
@@ -128,36 +129,40 @@ def _check_ints(names: str, values, error=PreconditionViolated) -> None:
         raise error(f"{names} must be integers, got {_short(values)}")
 
 
-def _blocks_are_canonical(blocks, v) -> bool:
-    """True when ``blocks`` is a tuple of nonempty tuples of ints, strictly
-    increasing, within [0, v), and each block sorts after the one before.
-
-    Decided in whole-family passes that run at C level; exact ``tuple`` and
-    ``int`` types only, so bools (and any subclass) read False here.
-    """
-    return _points_are_canonical(blocks, v) and all(map(lt, blocks, blocks[1:]))
-
-
-def _points_are_canonical(blocks, v) -> bool:
-    """True when ``blocks`` is a tuple of nonempty tuples of ints, each
-    strictly increasing within [0, v); exact types only, as above.
-
-    The points are checked one block size at a time, through columns: the
-    i-th points of the blocks of one size make one tuple, each column lies
-    below the next, the first starts at 0 or above and the last ends below
-    v.  Regular and irregular families take the same path.
-    """
+def _points_are_canonical(blocks, v):
+    """The family's profile (see ``_profile``) when ``blocks`` is a tuple
+    of nonempty tuples of ints, each strictly increasing within [0, v),
+    else None.  Decided in whole-family passes at C level, through the
+    profile's columns (in each size, each column lies below the next);
+    exact ``tuple`` and ``int`` types only, so bools (and any subclass)
+    fail here.  Regular and irregular families take the same path."""
     if not (type(blocks) is tuple
             and set(map(type, blocks)) <= {tuple}
             and all(blocks)
             and set(map(type, chain.from_iterable(blocks))) <= {int}):
-        return False
-    for _, same in groupby(sorted(blocks, key=len), key=len):
-        cols = tuple(zip(*same))
-        if not (all([all(map(lt, cols[i], cols[i + 1])) for i in range(len(cols) - 1)])
-                and min(cols[0]) >= 0 and max(cols[-1]) < v):
-            return False
-    return True
+        return None
+    profile = _profile(blocks)
+    increasing = all([all(map(lt, cols[i], cols[i + 1]))
+                      for cols in profile.columns.values() for i in range(len(cols) - 1)])
+    return profile if increasing and (not blocks or 0 <= profile.lo <= profile.hi < v) else None
+
+
+def _profile(blocks) -> _Profile:
+    """One count of what the measurements read from sorted ``blocks``, in
+    any order: ``sizes`` maps each size, ascending, to its number of blocks,
+    ``lo`` and ``hi`` are the smallest and largest point (None when there is
+    none or they do not compare), and ``columns`` maps each size to its
+    columns, the i-th holding each block's i-th point, in block order."""
+    sizes, columns = {}, {}
+    for size, same in groupby(sorted(blocks, key=len), key=len):
+        group = tuple(same)
+        sizes[size], columns[size] = len(group), tuple(zip(*group))
+    try:
+        lo = min([min(cols[0]) for cols in columns.values() if cols])
+        hi = max([max(cols[-1]) for cols in columns.values() if cols])
+    except (TypeError, ValueError):
+        lo = hi = None
+    return _Profile(sizes, lo, hi, columns)
 
 
 class Record:
@@ -272,6 +277,8 @@ class BalancedPacking(Record):
     does a per-block loop run to name the first bad block;
     the semantic booleans (regular / packing / balanced) are ``verify``'s
     job, so that failing families can still be represented and reported.
+    A valid packing keeps the profile its validation built as ``_profile``
+    (see the function), which ``verify`` reads instead of recounting.
 
     Fields: ``v``, ``t`` and ``k`` (ints under the point rule, so neither
     a float nor a bool), ``labeling`` (a ``Labeling`` over the v points)
@@ -289,25 +296,27 @@ class BalancedPacking(Record):
         if self.labeling.v != self.v:
             raise LabelConstraint(
                 f"labeling covers {self.labeling.v} points, ground set has {_short(self.v)}")
-        if _blocks_are_canonical(self.blocks, self.v):
-            return
-        # name the first bad block; tuple and int subclasses pass here
-        if not isinstance(self.blocks, tuple):
-            raise PackingError(f"blocks must be a tuple, got {_short(self.blocks)}")
-        prev = ()
-        for index, b in enumerate(self.blocks):
-            if not (isinstance(b, tuple) and b and _are_ints(b)):
-                raise PackingError(
-                    f"block {index} must be a nonempty tuple of integers, got {_short(b)}")
-            if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-                raise PackingError(f"block {index} is not strictly increasing: {_short(b)}")
-            if b[0] < 0 or b[-1] >= self.v:
-                raise OutOfRange(
-                    f"block {index} leaves the ground set [0, {self.v}): {_short(b)}")
-            if b <= prev:
-                raise PackingError(
-                    f"block {index} does not sort after block {index - 1}: {_short(b)}")
-            prev = b
+        profile = _points_are_canonical(self.blocks, self.v)
+        if profile is None or not all(map(lt, self.blocks, self.blocks[1:])):
+            # name the first bad block; tuple and int subclasses pass here
+            if not isinstance(self.blocks, tuple):
+                raise PackingError(f"blocks must be a tuple, got {_short(self.blocks)}")
+            prev = ()
+            for index, b in enumerate(self.blocks):
+                if not (isinstance(b, tuple) and b and _are_ints(b)):
+                    raise PackingError(
+                        f"block {index} must be a nonempty tuple of integers, got {_short(b)}")
+                if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+                    raise PackingError(f"block {index} is not strictly increasing: {_short(b)}")
+                if b[0] < 0 or b[-1] >= self.v:
+                    raise OutOfRange(
+                        f"block {index} leaves the ground set [0, {self.v}): {_short(b)}")
+                if b <= prev:
+                    raise PackingError(
+                        f"block {index} does not sort after block {index - 1}: {_short(b)}")
+                prev = b
+            profile = _profile(self.blocks)
+        object.__setattr__(self, "_profile", profile)  # not a field: unseen by ==, hash, repr
 
     @property
     def n_blocks(self) -> int:
@@ -340,7 +349,7 @@ def discrepancy(block, labeling: Labeling) -> int:
     return total
 
 
-def _shared_pair(blocks, low, top, claimed=None):
+def _shared_pair(blocks, low, top, claimed=None, profile=None):
     """Two blocks sharing an m-subset, for the largest such m in [low, top].
 
     ``blocks`` are sorted, duplicate-free tuples.  Levels m = low, ...,
@@ -354,7 +363,9 @@ def _shared_pair(blocks, low, top, claimed=None):
     counts, and an incidence count, once taken, settles the walk.  The
     exact sum_x deg(x)^2 needs a pass over the points, so it is taken
     only when the level's hash costs more than a lower bound on it read
-    from the ends of the blocks (``_incidence_floor``).  The subset hash
+    from the ``profile`` (built here when None): its N = sum |b| points lie
+    in [lo, hi], so by Cauchy-Schwarz sum_x deg(x)^2 >= N^2 / (hi - lo + 1).
+    The subset hash
     is what keeps regular families far below the n^2 pairs; the
     incidence count is what keeps wide blocks, where C(|b|, m) explodes,
     within reach.
@@ -373,8 +384,9 @@ def _shared_pair(blocks, low, top, claimed=None):
     the family's largest intersection exceeds ``top``, the pair shares
     at least ``top`` points.
     """
-    sizes = Counter(map(len, blocks))
-    floor = _incidence_floor(blocks, sum(s * c for s, c in sizes.items()))
+    sizes, lo, hi, _ = profile or _profile(blocks)
+    n = sum(s * c for s, c in sizes.items())
+    floor = n * n // (hi - lo + 1) if isinstance(lo, int) and isinstance(hi, int) else 0
     if claimed is None:
         claimed = top + 1
     incidence_cost = None
@@ -401,20 +413,6 @@ def _shared_pair(blocks, low, top, claimed=None):
     m, j = found
     points = set(blocks[j])
     return next(i for i in range(j) if len(points.intersection(blocks[i])) >= m), j
-
-
-def _incidence_floor(blocks, total):
-    """A lower bound on sum_x deg(x)^2 that needs no pass over the points.
-    The ``total`` = sum |b| points of the sorted ``blocks`` lie in
-    [lo, hi], so at most hi - lo + 1 of them are distinct, and by
-    Cauchy-Schwarz sum_x deg(x)^2 >= total^2 / (hi - lo + 1).  0 (no
-    bound) when the family or a block is empty or the points are not
-    integers."""
-    try:
-        span = max(map(itemgetter(-1), blocks)) - min(map(itemgetter(0), blocks)) + 1
-    except (IndexError, TypeError, ValueError):
-        return 0
-    return total * total // span if type(span) is int else 0
 
 
 def _first_repeat(blocks, m, subsets):
@@ -452,14 +450,17 @@ def _canonical(blocks):
     return [tuple(sorted(set(b))) for b in blocks]
 
 
-def _largest_overlap(blocks, claimed=None):
+def _largest_overlap(blocks, claimed=None, profile=None):
     """``(i, j, shared points)`` for the first pair of blocks by (j, i)
     with the largest intersection, or None when every two blocks are
     disjoint.  ``blocks`` are sorted, duplicate-free tuples; ``claimed``
-    is passed on to ``_shared_pair``."""
+    and ``profile`` are passed on to ``_shared_pair``."""
     if len(blocks) < 2:
         return None
-    pair = _shared_pair(blocks, 1, sorted(map(len, blocks))[-2], claimed)
+    profile = profile or _profile(blocks)
+    sizes = list(profile.sizes.items())
+    top = sizes[-1][0] if sizes[-1][1] >= 2 else sizes[-2][0]  # the second largest size
+    pair = _shared_pair(blocks, 1, top, claimed, profile)
     if pair is None:
         return None
     i, j = pair
@@ -559,19 +560,26 @@ def verify(p: BalancedPacking) -> VerificationReport:
     flags an internal inconsistency to the caller without changing the
     three-boolean verdict.
     """
-    regular = p.k == 0 or set(map(len, p.blocks)) <= {p.k}
-    overlap = _largest_overlap(p.blocks, p.t or None)
+    profile = p._profile  # built by the validation: no recount here
+    regular = p.k == 0 or profile.sizes.keys() <= {p.k}
+    overlap = _largest_overlap(p.blocks, p.t or None, profile)
     maxint = None
     if len(p.blocks) >= 2:
         maxint = 0 if overlap is None else len(overlap[2])
     packing = p.t == 0 or maxint is None or maxint < p.t
     # BalancedPacking holds every point in [0, v): no range check per point
     sign = p.labeling.signs.__getitem__
-    discs = list(map(sum, map(map, repeat(sign), p.blocks)))  # no Python frame per block
+    discs = []  # summed a column at a time: no Python frame and no iterator per block
+    for cols in profile.columns.values():
+        sums = list(map(sign, cols[0]))
+        for col in cols[1:]:
+            sums = list(map(add, sums, map(sign, col)))
+        discs += sums
     ordered = tuple(sorted(discs))
     balanced = not ordered or (ordered[0] >= -1 and ordered[-1] <= 1)
-    unbalanced = None if balanced else next(
-        (i, d) for i, d in enumerate(discs) if not -1 <= d <= 1)
+    unbalanced = None if balanced else next(  # the blocks in order, only on failure
+        (i, d) for i, d in enumerate(map(sum, map(map, repeat(sign), p.blocks)))
+        if not -1 <= d <= 1)
     mixed = bool(ordered) and ordered[0] < 0 < ordered[-1]
 
     p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus

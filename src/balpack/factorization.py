@@ -144,7 +144,8 @@ class PartitionablePacking(Record):
         # whole-class passes decide; only when one fails does the loop below
         # run, to name the first bad block or class
         blocks = tuple(itertools.chain.from_iterable(classes))
-        if (_points_are_canonical(blocks, self.v) and set(map(len, blocks)) <= {self.k}
+        profile = _points_are_canonical(blocks, self.v)
+        if (profile is not None and profile.sizes.keys() <= {self.k}
                 and len(set(blocks)) == len(blocks)):
             if not all(_is_packing(self.t_prime, cls) for cls in classes):
                 raise PreconditionViolated(f"a class is not a {self.t_prime}-packing")

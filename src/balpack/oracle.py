@@ -47,7 +47,6 @@ from .core import (
     Labeling,
     PreconditionViolated,
     Record,
-    _are_ints,
     _check_ints,
     _short,
     interval_labeling,
@@ -395,8 +394,9 @@ def structured_random(
 
 def existence_reference(v: int, k: int, t: int):
     """The (v*t/k^2)^t count the baseline is compared against."""
-    if not (_are_ints((v, k, t)) and k >= 1):
-        raise PreconditionViolated(f"need integers v, k, t and k >= 1, got {_short((v, k, t))}")
+    _check_ints("v, k and t", (v, k, t))
+    if k < 1:
+        raise PreconditionViolated(f"k must be >= 1, got {_short(k)}")
     import fractions
 
     return fractions.Fraction(v * t, k * k) ** t

@@ -20,7 +20,6 @@ from .core import (
     PackingError,
     PreconditionViolated,
     Record,
-    _are_ints,
     _check_ints,
     _short,
     max_pairwise_intersection,
@@ -107,8 +106,9 @@ def missing_pair_predicate(v: int, x: int, y: int) -> bool:
     elements even, or the forced completion collides with x or y
     (y == -2x or x == -2y mod v).
     """
-    if not (_are_ints((v, x, y)) and v >= 1):
-        raise PreconditionViolated(f"need integers v, x, y and v >= 1, got {_short((v, x, y))}")
+    _check_ints("v, x and y", (v, x, y))
+    if v < 1:
+        raise PreconditionViolated(f"v must be >= 1, got {_short(v)}")
     x, y = x % v, y % v
     if x % 2 == 0 and y % 2 == 0:
         return True

@@ -419,6 +419,29 @@ def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("bound", "2", "3", "9"), ("oracle", "2", "3", "8")],
+                         ids=["bound", "oracle"])
+def test_a_closed_stdout_pipe_exits_141_silently(argv, unbuffered):
+    # The reader of stdout has gone before the job writes: not a usage
+    # error, so neither exit 2 with "error: [Errno 32] Broken pipe" nor the
+    # interpreter's "Exception ignored" at its last flush, but 128 + SIGPIPE.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "balpack.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert "error:" not in done.stderr and "Exception ignored" not in done.stderr
+    assert (done.returncode, done.stderr) == (141, "")
+
+
 HELP_ARGVS = [
     ["--help"],
     ["construct", "--help"],

@@ -2,16 +2,19 @@
 verify's overlap witness, checked against the all-pairs scan it replaced."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import GOLDEN
 
 from balpack import core
-from balpack.cli import latin_dispatch
+from balpack.cli import latin_dispatch, main
 from balpack.core import (
     BalancedPacking,
     is_packing,
+    load_packing,
     make_packing,
     max_pairwise_intersection,
     verify,
@@ -222,6 +225,74 @@ def test_the_claimed_level_is_decided_by_one_set(monkeypatch):
     assert levels == [1, 2]
     assert best == report.max_intersection == 2
     assert report.overlap == (i, j, tuple(sorted(set(bad.blocks[i]) & set(bad.blocks[j]))))
+
+
+def test_verify_reads_the_profile_validation_built(monkeypatch):
+    # The validation pass is the one place a family's profile is counted:
+    # a BalancedPacking keeps it and verify reads it, passing or failing,
+    # while max_pairwise_intersection and is_packing count it once for the
+    # blocks they canonicalise.
+    calls = []
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return profile(blocks)
+
+    profile = core._profile
+    monkeypatch.setattr(core, "_profile", counted)
+    good = latin16()
+    for packing in (good, with_a_shared_pair(good)):
+        calls.clear()
+        p = BalancedPacking(packing.v, packing.t, packing.k, packing.labeling, packing.blocks)
+        assert calls == [p.n_blocks]
+        verify(p)
+        assert calls == [p.n_blocks]
+    calls.clear()
+    max_pairwise_intersection(good.blocks)
+    assert calls == [good.n_blocks]
+    calls.clear()
+    is_packing(2, good.blocks)
+    assert calls == [good.n_blocks]
+
+
+def recount(blocks):
+    """A family's profile counted from scratch: blocks per size, the
+    smallest and largest point, and each size's columns in block order."""
+    groups = {}
+    for b in blocks:
+        groups.setdefault(len(b), []).append(b)
+    columns = {size: tuple(zip(*group)) for size, group in groups.items()}
+    return Counter(map(len, blocks)), min(map(min, blocks)), max(map(max, blocks)), columns
+
+
+def check_the_profile_is_a_recount(p):
+    """``p``'s profile equals a recount, and so does the one built by the
+    per-block loop for the same family of tuple and int subclasses, whose
+    report equals ``p``'s."""
+    from test_validation import Point, Row  # it imports this module
+
+    sizes, lo, hi, columns = p._profile
+    assert (sizes, lo, hi, columns) == recount(p.blocks)
+    assert list(sizes) == sorted(sizes) and list(columns) == list(sizes)
+    rows = Row(Row(map(Point, b)) for b in p.blocks)
+    assert core._points_are_canonical(rows, p.v) is None  # the loop's path
+    q = BalancedPacking(p.v, p.t, p.k, p.labeling, rows)
+    assert q._profile == p._profile
+    assert q == p and hash(q) == hash(p) and "profile" not in repr(p)
+    assert verify(q) == verify(p)
+
+
+@given(irregular_families(), st.integers(0, 4))
+def test_the_profile_is_a_recount(blocks, t):
+    v = max(map(max, blocks)) + 1
+    check_the_profile_is_a_recount(make_packing(v, t, 0, [(-1) ** x for x in range(v)], blocks))
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in GOLDEN], ids=[" ".join(a) for a, _ in GOLDEN])
+def test_the_profile_of_each_route_is_a_recount(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(["construct", *argv, "--out", str(out)]) == 0
+    check_the_profile_is_a_recount(load_packing(out))
 
 
 @pytest.mark.parametrize("seed", range(6))

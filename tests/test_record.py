@@ -302,13 +302,13 @@ def test_parameter_errors_are_preconditions():
     (lambda: core.interval_labeling(-6, 3), core.PreconditionViolated,
      "need integers v and k >= 1, got (-6, 3)"),
     (lambda: oracle.existence_reference(100, 0, 2), core.PreconditionViolated,
-     "need integers v, k, t and k >= 1, got (100, 0, 2)"),
+     "k must be >= 1, got 0"),
     (lambda: oracle.existence_reference(100, 5, 2.0), core.PreconditionViolated,
-     "need integers v, k, t and k >= 1, got (100, 5, 2.0)"),
+     "v, k and t must be integers, got (100, 5, 2.0)"),
     (lambda: sumcode.missing_pair_predicate(0, 1, 2), core.PreconditionViolated,
-     "need integers v, x, y and v >= 1, got (0, 1, 2)"),
+     "v must be >= 1, got 0"),
     (lambda: sumcode.missing_pair_predicate(12, 1.0, 2), core.PreconditionViolated,
-     "need integers v, x, y and v >= 1, got (12, 1.0, 2)"),
+     "v, x and y must be integers, got (12, 1.0, 2)"),
     # SumCodeParams checks v and k for construct and failure_rate alike
     (lambda: sumcode.construct(8.0, 3), core.PreconditionViolated,
      "v and k must be integers, got (8.0, 3)"),
