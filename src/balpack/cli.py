@@ -10,8 +10,9 @@ Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
 3 verification failure or a malformed file given to verify or derive,
 4 search budget exhausted, 141 (128 + SIGPIPE, as a shell reports it)
 when the reader of standard output has gone: ``main`` flushes stdout
-itself, and on a broken pipe points it at ``os.devnull`` and prints
-nothing, since a vanished reader is not a usage error.
+itself, and on a broken pipe of stdout points it at ``os.devnull`` and
+prints nothing, since a vanished reader is not a usage error.  A broken
+pipe anywhere else (an ``--out`` or ``--log`` FIFO) is an I/O error.
 
 The package registers the route layers, ``bounds`` and ``oracle`` lazily
 (see ``balpack/__init__.py``) and this module imports them plainly, so a
@@ -434,11 +435,31 @@ def main(argv=None) -> int:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
         return code
-    except BrokenPipeError:  # the reader has gone; what is left goes nowhere, silently
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError as exc:
+        if not _reader_gone(sys.stdout):  # a file named by --out or --log, say
+            return _usage(str(exc))
+        # stdout can deliver nothing more: what is left in its buffer goes
+        # to os.devnull, so the interpreter's last flush succeeds silently
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         return EXIT_PIPE
     except (PackingError, OSError) as exc:  # every parameter and I/O error
         return _usage(str(exc))
+
+
+def _reader_gone(stream) -> bool:
+    """True when ``stream`` writes to a pipe or socket whose reader has
+    gone; False for one without a file descriptor (a StringIO, say)."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+    import select
+
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(event & (select.POLLERR | select.POLLHUP) for _, event in poller.poll(0))
 
 
 if __name__ == "__main__":

@@ -129,13 +129,12 @@ def _check_ints(names: str, values, error=PreconditionViolated) -> None:
         raise error(f"{names} must be integers, got {_short(values)}")
 
 
-def _points_are_canonical(blocks, v):
+def _canonical_profile(blocks, v):
     """The family's profile (see ``_profile``) when ``blocks`` is a tuple
     of nonempty tuples of ints, each strictly increasing within [0, v),
-    else None.  Decided in whole-family passes at C level, through the
-    profile's columns (in each size, each column lies below the next);
-    exact ``tuple`` and ``int`` types only, so bools (and any subclass)
-    fail here.  Regular and irregular families take the same path."""
+    else None; decided at C level through the profile's columns (in each
+    size, each lies below the next), for regular and irregular families
+    alike.  Exact ``tuple`` and ``int`` types only: bools fail here."""
     if not (type(blocks) is tuple
             and set(map(type, blocks)) <= {tuple}
             and all(blocks)
@@ -149,10 +148,11 @@ def _points_are_canonical(blocks, v):
 
 def _profile(blocks) -> _Profile:
     """One count of what the measurements read from sorted ``blocks``, in
-    any order: ``sizes`` maps each size, ascending, to its number of blocks,
-    ``lo`` and ``hi`` are the smallest and largest point (None when there is
-    none or they do not compare), and ``columns`` maps each size to its
-    columns, the i-th holding each block's i-th point, in block order."""
+    any order: ``sizes`` maps each size, ascending, to its number of blocks
+    (a size-0 block has no column to count it by), ``lo`` and ``hi`` are
+    the smallest and largest point (None when there is none or they do not
+    compare), and ``columns`` maps each size to its columns, the i-th
+    holding each block's i-th point, in block order."""
     sizes, columns = {}, {}
     for size, same in groupby(sorted(blocks, key=len), key=len):
         group = tuple(same)
@@ -296,7 +296,7 @@ class BalancedPacking(Record):
         if self.labeling.v != self.v:
             raise LabelConstraint(
                 f"labeling covers {self.labeling.v} points, ground set has {_short(self.v)}")
-        profile = _points_are_canonical(self.blocks, self.v)
+        profile = _canonical_profile(self.blocks, self.v)
         if profile is None or not all(map(lt, self.blocks, self.blocks[1:])):
             # name the first bad block; tuple and int subclasses pass here
             if not isinstance(self.blocks, tuple):
@@ -365,10 +365,9 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
     only when the level's hash costs more than a lower bound on it read
     from the ``profile`` (built here when None): its N = sum |b| points lie
     in [lo, hi], so by Cauchy-Schwarz sum_x deg(x)^2 >= N^2 / (hi - lo + 1).
-    The subset hash
-    is what keeps regular families far below the n^2 pairs; the
-    incidence count is what keeps wide blocks, where C(|b|, m) explodes,
-    within reach.
+    The subset hash is what keeps regular families far below the n^2
+    pairs; the incidence count is what keeps wide blocks, where C(|b|, m)
+    explodes, within reach.
 
     ``claimed`` is the level the caller expects to hold no repeat (a
     family's t; None when nothing is claimed).  That level and each one
@@ -567,19 +566,22 @@ def verify(p: BalancedPacking) -> VerificationReport:
     if len(p.blocks) >= 2:
         maxint = 0 if overlap is None else len(overlap[2])
     packing = p.t == 0 or maxint is None or maxint < p.t
-    # BalancedPacking holds every point in [0, v): no range check per point
+    # No range check: every point lies in [0, v).  Columns pay only for many small
+    # blocks: a column costs twice a block's iterator, a point a third more.
     sign = p.labeling.signs.__getitem__
-    discs = []  # summed a column at a time: no Python frame and no iterator per block
-    for cols in profile.columns.values():
-        sums = list(map(sign, cols[0]))
-        for col in cols[1:]:
-            sums = list(map(add, sums, map(sign, col)))
-        discs += sums
+    if all(s <= 8 and c >= s * s for s, c in profile.sizes.items()):
+        discs, in_order = [], map(discrepancy, p.blocks, repeat(p.labeling))  # read on failure
+        for cols in profile.columns.values():
+            sums = list(map(sign, cols[0]))
+            for col in cols[1:]:
+                sums = list(map(add, sums, map(sign, col)))
+            discs += sums
+    else:
+        discs = in_order = list(map(sum, map(map, repeat(sign), p.blocks)))  # no frame per block
     ordered = tuple(sorted(discs))
     balanced = not ordered or (ordered[0] >= -1 and ordered[-1] <= 1)
-    unbalanced = None if balanced else next(  # the blocks in order, only on failure
-        (i, d) for i, d in enumerate(map(sum, map(map, repeat(sign), p.blocks)))
-        if not -1 <= d <= 1)
+    unbalanced = None if balanced else next(
+        (i, d) for i, d in enumerate(in_order) if not -1 <= d <= 1)
     mixed = bool(ordered) and ordered[0] < 0 < ordered[-1]
 
     p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus

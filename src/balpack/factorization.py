@@ -24,9 +24,9 @@ from .core import (
     PreconditionViolated,
     Record,
     _are_ints,
+    _canonical_profile,
     _check_ints,
     _is_packing,
-    _points_are_canonical,
     _short,
     load_document,
     save_packing,
@@ -144,7 +144,7 @@ class PartitionablePacking(Record):
         # whole-class passes decide; only when one fails does the loop below
         # run, to name the first bad block or class
         blocks = tuple(itertools.chain.from_iterable(classes))
-        profile = _points_are_canonical(blocks, self.v)
+        profile = _canonical_profile(blocks, self.v)
         if (profile is not None and profile.sizes.keys() <= {self.k}
                 and len(set(blocks)) == len(blocks)):
             if not all(_is_packing(self.t_prime, cls) for cls in classes):

@@ -442,6 +442,42 @@ def test_a_closed_stdout_pipe_exits_141_silently(argv, unbuffered):
     assert (done.returncode, done.stderr) == (141, "")
 
 
+def test_an_out_fifo_whose_reader_has_gone_is_an_io_error(tmp_path):
+    # Only stdout's vanished reader exits 141: a broken --out is an I/O
+    # error like any other, and stdout stays a working stream.  The FIFO's
+    # buffer is one page, so the job's 22 KB document blocks in the write
+    # until the reader closes, whatever the timing.
+    fcntl = pytest.importorskip("fcntl")
+    select = pytest.importorskip("select")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    fifo = tmp_path / "out.json"
+    os.mkfifo(fifo)
+    read = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        fcntl.fcntl(read, fcntl.F_SETPIPE_SZ, 4096)
+        job = subprocess.Popen(
+            [sys.executable, "-m", "balpack.cli", "construct", "mds", "--source", "lts:9",
+             "--out", str(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        assert select.select([read], [], [], 60)[0], "the job wrote nothing to the FIFO"
+    finally:
+        os.close(read)
+    out, err = job.communicate(timeout=60)
+    assert (job.returncode, out, err) == (2, "", "error: [Errno 32] Broken pipe\n")
+
+
+def test_a_broken_pipe_off_stdout_is_an_io_error_in_process(tmp_path, capsys, monkeypatch):
+    # Called in process with stdout captured (no file descriptor), a broken
+    # pipe while writing the packing is reported, and stdout left alone.
+    def broken(packing, path):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "save_packing", broken)
+    assert construct(tmp_path, "x.json", "latin", "--v", "8")[0] == 2
+    assert capsys.readouterr() == ("", "error: [Errno 32] Broken pipe\n")
+
+
 HELP_ARGVS = [
     ["--help"],
     ["construct", "--help"],

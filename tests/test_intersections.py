@@ -265,17 +265,23 @@ def recount(blocks):
     return Counter(map(len, blocks)), min(map(min, blocks)), max(map(max, blocks)), columns
 
 
+class Point(int):
+    """An int subclass, which only the per-block loop accepts."""
+
+
+class Row(tuple):
+    """A tuple subclass, likewise."""
+
+
 def check_the_profile_is_a_recount(p):
     """``p``'s profile equals a recount, and so does the one built by the
     per-block loop for the same family of tuple and int subclasses, whose
     report equals ``p``'s."""
-    from test_validation import Point, Row  # it imports this module
-
     sizes, lo, hi, columns = p._profile
     assert (sizes, lo, hi, columns) == recount(p.blocks)
     assert list(sizes) == sorted(sizes) and list(columns) == list(sizes)
     rows = Row(Row(map(Point, b)) for b in p.blocks)
-    assert core._points_are_canonical(rows, p.v) is None  # the loop's path
+    assert core._canonical_profile(rows, p.v) is None  # the loop's path
     q = BalancedPacking(p.v, p.t, p.k, p.labeling, rows)
     assert q._profile == p._profile
     assert q == p and hash(q) == hash(p) and "profile" not in repr(p)
@@ -336,6 +342,23 @@ def test_first_unbalanced_block_is_the_witness():
     assert report.unbalanced == (index, discs[index])
     assert report.overlap is None
     assert f"unbalanced: block {index} has discrepancy {discs[index]}" in report.lines()
+
+
+@pytest.mark.parametrize("wide", [0, 9, 2000], ids=["columns", "a-9-point-block", "wide"])
+def test_discrepancies_summed_by_columns_or_by_blocks_agree(wide):
+    # Many blocks of a few points are summed by columns; a family with a
+    # block of more than 8 points is summed block by block.  Both give the
+    # per-block reference and its first unbalanced block.
+    packing = latin16()
+    v = max(16, wide)
+    signs = list(packing.labeling.signs) + [1] * (v - 16)
+    signs[packing.blocks[5][0]] *= -1
+    blocks = packing.blocks + ((tuple(range(wide)),) if wide else ())
+    p = make_packing(v, 2, 3, signs, blocks)
+    discs = [core.discrepancy(b, p.labeling) for b in p.blocks]
+    report = verify(p)
+    assert report.discrepancies == tuple(sorted(discs))
+    assert report.unbalanced == next((i, d) for i, d in enumerate(discs) if abs(d) > 1)
 
 
 def test_passing_report_prints_no_witness():
