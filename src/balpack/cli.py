@@ -9,10 +9,11 @@ files.
 Exit codes: 0 pass, 2 usage, parameter or I/O error (mapped in ``main``),
 3 verification failure or a malformed file given to verify or derive,
 4 search budget exhausted, 141 (128 + SIGPIPE, as a shell reports it)
-when the reader of standard output has gone: ``main`` flushes stdout
-itself, and on a broken pipe of stdout points it at ``os.devnull`` and
-prints nothing, since a vanished reader is not a usage error.  A broken
-pipe anywhere else (an ``--out`` or ``--log`` FIFO) is an I/O error.
+when the reader of standard output has gone, for a job's output and a
+help text alike: ``main`` flushes stdout itself, and on a broken pipe of
+stdout points it at ``os.devnull`` and prints nothing, since a vanished
+reader is not a usage error.  A broken pipe anywhere else (an ``--out``
+or ``--log`` FIFO) is an I/O error.
 
 The package registers the route layers, ``bounds`` and ``oracle`` lazily
 (see ``balpack/__init__.py``) and this module imports them plainly, so a
@@ -400,6 +401,15 @@ def _add_choices(group, table: dict, argv: list) -> tuple:
     return chosen, argv[at + 1:]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help text, like a job's output, lets a
+    broken stdout pipe raise; argparse's own writer drops the error.  Its
+    subcommands' parsers are of this class too."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser(argv: list) -> argparse.ArgumentParser:
     """The parser for ``argv``.  Every subcommand and route is listed, so
     every help text, choice list and usage line reads the same, but only
@@ -413,7 +423,7 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
     names none, the usage error reads the same whichever parser has
     arguments.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="balpack",
         description="Construct, verify and bound balanced set packings.",
     )
@@ -428,11 +438,12 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        code = args.run(args)
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:  # after a help text on stdout (0) or a usage error
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            code = args.run(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
         return code
     except BrokenPipeError as exc:

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import chain, combinations, groupby, repeat
 from math import comb
-from operator import add, lt
+from operator import add, lt, mul
 
 from . import bounds  # registered lazily: it imports core, and runs when verify calls it
 
@@ -132,18 +133,20 @@ def _check_ints(names: str, values, error=PreconditionViolated) -> None:
 def _canonical_profile(blocks, v):
     """The family's profile (see ``_profile``) when ``blocks`` is a tuple
     of nonempty tuples of ints, each strictly increasing within [0, v),
-    else None; decided at C level through the profile's columns (in each
-    size, each lies below the next), for regular and irregular families
-    alike.  Exact ``tuple`` and ``int`` types only: bools fail here."""
-    if not (type(blocks) is tuple
-            and set(map(type, blocks)) <= {tuple}
-            and all(blocks)
-            and set(map(type, chain.from_iterable(blocks))) <= {int}):
+    else None; decided at C level through the profile's columns (their
+    points are exact ints, and in each size each column lies below the
+    next), for regular and irregular families alike.  Exact ``tuple`` and
+    ``int`` types only: bools fail here."""
+    if not (type(blocks) is tuple and set(map(type, blocks)) <= {tuple}):
         return None
     profile = _profile(blocks)
-    increasing = all([all(map(lt, cols[i], cols[i + 1]))
-                      for cols in profile.columns.values() for i in range(len(cols) - 1)])
-    return profile if increasing and (not blocks or 0 <= profile.lo <= profile.hi < v) else None
+    columns = profile.columns.values()
+    if (0 in profile.sizes  # an empty block
+            or not set(map(type, chain.from_iterable(chain.from_iterable(columns)))) <= {int}
+            or not all([all(map(lt, cols[i], cols[i + 1]))
+                        for cols in columns for i in range(len(cols) - 1)])):
+        return None
+    return profile if not blocks or 0 <= profile.lo <= profile.hi < v else None
 
 
 def _profile(blocks) -> _Profile:
@@ -153,13 +156,16 @@ def _profile(blocks) -> _Profile:
     the smallest and largest point (None when there is none or they do not
     compare), and ``columns`` maps each size to its columns, the i-th
     holding each block's i-th point, in block order."""
-    sizes, columns = {}, {}
+    sizes, columns, firsts, lasts = {}, {}, [], []
     for size, same in groupby(sorted(blocks, key=len), key=len):
         group = tuple(same)
-        sizes[size], columns[size] = len(group), tuple(zip(*group))
+        sizes[size] = len(group)
+        cols = columns[size] = tuple(zip(*group))
+        if cols:
+            firsts.append(cols[0])
+            lasts.append(cols[-1])
     try:
-        lo = min([min(cols[0]) for cols in columns.values() if cols])
-        hi = max([max(cols[-1]) for cols in columns.values() if cols])
+        lo, hi = min(map(min, firsts)), max(map(max, lasts))
     except (TypeError, ValueError):
         lo = hi = None
     return _Profile(sizes, lo, hi, columns)
@@ -172,7 +178,7 @@ class Record:
     A subclass names its fields in ``_fields``, in constructor order, and
     the trailing ones that have a default in ``_defaults``.  Creating the
     subclass compiles its ``__init__(self, <fields>)``, with those
-    defaults: it sets each field in order and then calls
+    defaults: it sets the instance dict to the fields, in order, and then calls
     ``self.__post_init__()``, looked up on the class, which checks the
     values.  A subclass that declares no ``_fields`` inherits its parent's
     ``__init__``.  Assigning or deleting an attribute afterwards raises
@@ -186,8 +192,9 @@ class Record:
     def __init_subclass__(cls):
         if "_fields" in cls.__dict__:
             fields = cls._fields
+            values = ", ".join(f"{name!r}: {name}" for name in fields)
             lines = [f"def __init__(self, {', '.join(fields)}):",
-                     *[f"    _setattr(self, {name!r}, {name})" for name in fields],
+                     f"    _setattr(self, '__dict__', {{{values}}})",
                      "    self.__post_init__()"]
             scope = {"_setattr": object.__setattr__}
             exec("\n".join(lines), scope)
@@ -384,15 +391,16 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
     at least ``top`` points.
     """
     sizes, lo, hi, _ = profile or _profile(blocks)
-    n = sum(s * c for s, c in sizes.items())
+    counts = sizes.values()
+    n = sum(map(mul, sizes, counts))
     floor = n * n // (hi - lo + 1) if isinstance(lo, int) and isinstance(hi, int) else 0
     if claimed is None:
         claimed = top + 1
     incidence_cost = None
     found = None  # (m, j): the first block j with an earlier block sharing m points
     for m in range(low, top + 1):
-        subsets = {s: comb(s, m) for s in sizes}
-        total = sum(c * subsets[s] for s, c in sizes.items())
+        subsets = dict(zip(sizes, map(comb, sizes, repeat(m))))
+        total = sum(map(mul, counts, subsets.values()))
         cost = m * total
         if cost > floor:
             if incidence_cost is None:
@@ -411,7 +419,9 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
         return None
     m, j = found
     points = set(blocks[j])
-    return next(i for i in range(j) if len(points.intersection(blocks[i])) >= m), j
+    for i in range(j):
+        if len(points.intersection(blocks[i])) >= m:
+            return i, j
 
 
 def _first_repeat(blocks, m, subsets):
@@ -457,8 +467,10 @@ def _largest_overlap(blocks, claimed=None, profile=None):
     if len(blocks) < 2:
         return None
     profile = profile or _profile(blocks)
-    sizes = list(profile.sizes.items())
-    top = sizes[-1][0] if sizes[-1][1] >= 2 else sizes[-2][0]  # the second largest size
+    sizes = profile.sizes
+    *smaller, top = sizes
+    if sizes[top] < 2:
+        top = smaller[-1]  # the second largest size
     pair = _shared_pair(blocks, 1, top, claimed, profile)
     if pair is None:
         return None
@@ -567,14 +579,16 @@ def verify(p: BalancedPacking) -> VerificationReport:
         maxint = 0 if overlap is None else len(overlap[2])
     packing = p.t == 0 or maxint is None or maxint < p.t
     # No range check: every point lies in [0, v).  Columns pay only for many small
-    # blocks: a column costs twice a block's iterator, a point a third more.
-    sign = p.labeling.signs.__getitem__
+    # blocks (a size with fewer blocks than points is summed faster block by
+    # block), and s <= 8 bounds the chain of lazy maps.  A list's __getitem__ is
+    # a C method, a tuple's a slot wrapper: half the cost a point.
+    sign = list(p.labeling.signs).__getitem__
     if all(s <= 8 and c >= s * s for s, c in profile.sizes.items()):
         discs, in_order = [], map(discrepancy, p.blocks, repeat(p.labeling))  # read on failure
         for cols in profile.columns.values():
-            sums = list(map(sign, cols[0]))
+            sums = map(sign, cols[0])
             for col in cols[1:]:
-                sums = list(map(add, sums, map(sign, col)))
+                sums = map(add, sums, map(sign, col))
             discs += sums
     else:
         discs = in_order = list(map(sum, map(map, repeat(sign), p.blocks)))  # no frame per block
@@ -584,7 +598,8 @@ def verify(p: BalancedPacking) -> VerificationReport:
         (i, d) for i, d in enumerate(in_order) if not -1 <= d <= 1)
     mixed = bool(ordered) and ordered[0] < 0 < ordered[-1]
 
-    p_plus, p_minus = p.labeling.p_plus, p.labeling.p_minus
+    p_plus = p.labeling.p_plus
+    p_minus = p.v - p_plus
     try:
         bound = bounds.lemma1_bound(
             p.t, p.k, max(p_plus, p_minus), min(p_plus, p_minus))
@@ -644,22 +659,21 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("version", "v", "t", "k", "labels", "blocks")
+_REQUIRED = frozenset(_REQUIRED_KEYS)
+_KEYS = _REQUIRED | {"classes"}
 _SIGNS = {"+": 1, "-": -1}
+_FLIPPED_SIGNS = {"+": -1, "-": 1}
 
 
 def to_json(p: BalancedPacking, classes=None) -> str:
     """Serialize deterministically; one block (or class) per line.  Every
     int, header and rows alike, is written as ``int.__repr__`` writes it."""
-    import json
-
     labels = "".join("+" if s == 1 else "-" for s in p.labeling.signs)
     v, t, k = map(int.__repr__, (p.v, p.t, p.k))
     out = ["{", '  "version": 1,', f'  "v": {v},', f'  "t": {t},', f'  "k": {k},',
            f'  "labels": "{labels}",']
     trailing = "," if classes is not None else ""
-    # json.dumps's encoder without its cycle check: the rows are tuples or
-    # lists of checked ints, which hold no container to revisit
-    encode = json.JSONEncoder(check_circular=False).encode
+    encode = _encoder()
 
     def array_lines(name, rows, tail):
         if not rows:
@@ -676,6 +690,16 @@ def to_json(p: BalancedPacking, classes=None) -> str:
         array_lines("classes", _class_rows(classes), "")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+@cache
+def _encoder():
+    """json.dumps's encoder without its cycle check (the rows are tuples or
+    lists of checked ints, which hold no container to revisit), made once
+    a process; json is imported on first use, not by every CLI job."""
+    import json
+
+    return json.JSONEncoder(check_circular=False).encode
 
 
 def _class_rows(classes) -> list:
@@ -708,21 +732,23 @@ def parse_document(text: str):
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
-    allowed = set(_REQUIRED_KEYS) | {"classes"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise FormatError(f"unknown keys: {_short(sorted(unknown))}")
-    missing = [key for key in _REQUIRED_KEYS if key not in doc]
-    if missing:
-        raise FormatError(f"missing keys: {missing}")
+    if not doc.keys() <= _KEYS:
+        raise FormatError(f"unknown keys: {_short(sorted(doc.keys() - _KEYS))}")
+    if not doc.keys() >= _REQUIRED:
+        raise FormatError(f"missing keys: {[key for key in _REQUIRED_KEYS if key not in doc]}")
     version = doc["version"]
-    if not _are_ints((version,)) or version != 1:
+    if type(version) is not int or version != 1:  # json.loads makes only exact ints
         raise FormatError(f"unsupported version {_short(version)}")
 
     labels = doc["labels"]
-    if not isinstance(labels, str) or set(labels) - {"+", "-"}:
+    if not isinstance(labels, str):
         raise FormatError("labels must be a +/- string")
-    signs = tuple(map(_SIGNS.__getitem__, labels))
+    # read flipped when negatives outnumber positives
+    table = _SIGNS if 2 * labels.count("+") >= len(labels) else _FLIPPED_SIGNS
+    try:
+        signs = tuple(map(table.__getitem__, labels))
+    except KeyError:
+        raise FormatError("labels must be a +/- string") from None
 
     raw_blocks = doc["blocks"]
     if not isinstance(raw_blocks, list):
@@ -738,11 +764,8 @@ def parse_document(text: str):
     if "classes" in doc:
         classes = _parse_classes(doc["classes"], len(blocks))
 
-    labeling = Labeling(signs)
-    if labeling.p_minus > labeling.p_plus:
-        labeling = labeling.flipped()
     try:
-        packing = BalancedPacking(doc["v"], doc["t"], doc["k"], labeling, blocks)
+        packing = BalancedPacking(doc["v"], doc["t"], doc["k"], Labeling(signs), blocks)
     except PackingError as exc:  # v, t, k and the blocks are checked there, and only there
         raise FormatError(str(exc)) from exc
     return packing, classes

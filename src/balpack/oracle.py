@@ -40,6 +40,7 @@ import itertools
 import random
 import time
 from collections import namedtuple
+from math import comb
 
 from .core import (
     BalancedPacking,
@@ -78,6 +79,16 @@ class SearchBudget(Record):
 
 
 OracleResult = namedtuple("OracleResult", "size witness exact nodes")
+
+# The set-up holds every k-subset of [0, v) and a bitset for each subset and
+# each point, so v and C(v, k) above these caps are refused before anything is
+# allocated.  C(24, 6) = 134 596 is within them (such a search needs a time
+# cap anyway, since its graph takes C(v, k)^2 bits).
+POINT_CAP, CANDIDATE_CAP = 2**8, 2**18
+
+
+class TooManyCandidates(PreconditionViolated):
+    """v exceeds ``POINT_CAP`` or C(v, k) exceeds ``CANDIDATE_CAP``."""
 
 
 # A long search writes a heartbeat line to its log every this many nodes.
@@ -217,7 +228,10 @@ def _refine(cells, mask: int) -> list:
 def _sharing_at_least(points, holders, m: int) -> int:
     """The bitset of the sets that hold at least m of ``points``, where
     ``holders[x]`` is the bitset of the sets that hold point x.  For m = 0
-    it is -1, every set."""
+    it is -1, every set, and for m above the number of points 0: no set
+    holds more of them."""
+    if m > len(points):
+        return 0
     at_least = [-1] + [0] * m  # at_least[j]: sets holding >= j of the points so far
     for x in points:
         held = holders[x]
@@ -260,6 +274,12 @@ def _split_kinds(holders, k: int, p_plus: int) -> list:
             for a in sorted({k // 2, (k + 1) // 2})]
 
 
+def _k_subsets(items, k: int):
+    """``itertools.combinations(items, k)``, which allocates k indices
+    before it yields anything: for k above len(items), no subsets at once."""
+    return itertools.combinations(items, k) if k <= len(items) else ()
+
+
 def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
     """Give ``search`` the masks and the conflict graph of every k-subset
     of [0, v), and return the subsets and their point holders.  One graph
@@ -271,13 +291,13 @@ def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
     search.complete = False
     if expired():
         return [], []
-    blocks = list(itertools.combinations(range(v), k))
+    blocks = list(_k_subsets(range(v), k))
     if expired():
         return blocks, []
     holders = _point_holders(blocks, v)
     if expired():
         return blocks, holders
-    search.masks = list(map(sum, itertools.combinations([1 << x for x in range(v)], k)))
+    search.masks = list(map(sum, _k_subsets([1 << x for x in range(v)], k)))
     search.adj = _conflict_graph(blocks, holders, t, expired)
     search.complete = len(search.adj) == len(blocks)
     return blocks, holders
@@ -298,7 +318,8 @@ def max_balanced_packing(
     found as a maximum clique in the complement.  ``exact`` is True
     only when the whole search, and the set-up before it (``_set_up``), ran
     to completion inside the budget; a set-up cut short gives the empty
-    family.
+    family.  v above ``POINT_CAP`` or C(v, k) above ``CANDIDATE_CAP`` is
+    a ``TooManyCandidates``, raised before anything is allocated.
 
     ``log`` gets one JSON line per split and block kind (``event``
     "kind", with the split's admissible ``vertices`` and the ``edges``
@@ -312,6 +333,9 @@ def max_balanced_packing(
     _check_ints("t, k and v", (t, k, v))
     if t < 1 or k < 1 or v < 1:
         raise PreconditionViolated("need t >= 1 and k, v >= 1")
+    if v > POINT_CAP or comb(v, k) > CANDIDATE_CAP:  # v first, so that comb stays quick
+        raise TooManyCandidates(f"need v <= {POINT_CAP} and C(v, k) <= {CANDIDATE_CAP}, "
+                                f"got k={k}, v={v}")
     search = _CliqueSearch(budget or SearchBudget(), log)
     blocks, holders = _set_up(search, t, k, v)
     adj = search.adj
@@ -392,11 +416,19 @@ def structured_random(
     return tuple(kept), labeling
 
 
+# existence_reference is exact: a numerator or denominator longer than this
+# many bits is refused rather than computed
+REFERENCE_BITS = 2**16
+
+
 def existence_reference(v: int, k: int, t: int):
     """The (v*t/k^2)^t count the baseline is compared against."""
     _check_ints("v, k and t", (v, k, t))
     if k < 1:
         raise PreconditionViolated(f"k must be >= 1, got {_short(k)}")
+    if abs(t) * max(abs(v * t), k * k).bit_length() > REFERENCE_BITS:
+        raise PreconditionViolated(
+            f"(v*t/k^2)^t takes over {REFERENCE_BITS} bits, got v={v}, k={k}, t={t}")
     import fractions
 
     return fractions.Fraction(v * t, k * k) ** t

@@ -420,12 +420,15 @@ def test_parameter_and_io_errors_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [("bound", "2", "3", "9"), ("oracle", "2", "3", "8")],
-                         ids=["bound", "oracle"])
+@pytest.mark.parametrize("argv", [
+    ("bound", "2", "3", "9"), ("oracle", "2", "3", "8"),
+    ("--help",), ("construct", "--help"), ("bound", "--help"),
+], ids=["bound", "oracle", "help", "construct-help", "bound-help"])
 def test_a_closed_stdout_pipe_exits_141_silently(argv, unbuffered):
-    # The reader of stdout has gone before the job writes: not a usage
-    # error, so neither exit 2 with "error: [Errno 32] Broken pipe" nor the
-    # interpreter's "Exception ignored" at its last flush, but 128 + SIGPIPE.
+    # The reader of stdout has gone before the job or the help writes: not
+    # a usage error, so neither exit 2 with "error: [Errno 32] Broken pipe"
+    # nor the interpreter's "Exception ignored" at its last flush (exit
+    # 120), nor exit 0 where argparse drops the failed write, but 128 + SIGPIPE.
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     env.pop("PYTHONUNBUFFERED", None)

@@ -344,21 +344,36 @@ def test_first_unbalanced_block_is_the_witness():
     assert f"unbalanced: block {index} has discrepancy {discs[index]}" in report.lines()
 
 
-@pytest.mark.parametrize("wide", [0, 9, 2000], ids=["columns", "a-9-point-block", "wide"])
-def test_discrepancies_summed_by_columns_or_by_blocks_agree(wide):
-    # Many blocks of a few points are summed by columns; a family with a
-    # block of more than 8 points is summed block by block.  Both give the
-    # per-block reference and its first unbalanced block.
+@pytest.mark.parametrize("wide, size, count, by_columns", [
+    (0, 3, 32, True), (9, 3, 32, False), (2000, 3, 32, False),
+    (0, 8, 64, True), (0, 8, 63, False), (0, 9, 81, False),
+], ids=["columns", "a-9-point-block", "wide", "s8-c64-columns", "s8-c63-blocks",
+        "s9-c81-blocks"])
+def test_discrepancies_summed_by_columns_or_by_blocks_agree(
+        monkeypatch, wide, size, count, by_columns):
+    # Many blocks of a few points (every size s at most 8, with at least s^2
+    # blocks) are summed by columns, through a chain of at most 8 lazy maps;
+    # any other family block by block, on both sides of the rule's edge.
+    # Both give the per-block reference and its first unbalanced block, which
+    # only the column form names through discrepancy().
     packing = latin16()
+    if size != 3:  # the first `count` blocks of `size` points over 16
+        packing = make_packing(16, 2, size, packing.labeling.signs,
+                               list(combinations(range(16), size))[:count])
+    assert (packing.n_blocks, packing.k) == (count, size)
     v = max(16, wide)
     signs = list(packing.labeling.signs) + [1] * (v - 16)
     signs[packing.blocks[5][0]] *= -1
     blocks = packing.blocks + ((tuple(range(wide)),) if wide else ())
-    p = make_packing(v, 2, 3, signs, blocks)
+    p = make_packing(v, 2, size, signs, blocks)
     discs = [core.discrepancy(b, p.labeling) for b in p.blocks]
+    named = []
+    monkeypatch.setattr(core, "discrepancy", lambda b, labeling: named.append(b) or discs[
+        p.blocks.index(b)])
     report = verify(p)
     assert report.discrepancies == tuple(sorted(discs))
     assert report.unbalanced == next((i, d) for i, d in enumerate(discs) if abs(d) > 1)
+    assert bool(named) == by_columns
 
 
 def test_passing_report_prints_no_witness():

@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +385,45 @@ def test_structured_random_errors_and_edges():
 
 def test_existence_reference_value():
     assert existence_reference(100, 5, 2) == 64
+
+
+def test_candidate_cap():
+    # v and C(v, k) are capped before anything is allocated; C(24, 6) =
+    # 134 596 is within the cap, and k above v has no k-subsets at all.
+    for k, v in [(3, 10**9), (6, 27), (1, oracle.POINT_CAP + 1), (10**9, 10**9)]:
+        with pytest.raises(oracle.TooManyCandidates):
+            max_balanced_packing(2, k, v)
+    # a budget spent before the set-up: C(24, 6) is let through, not refused
+    assert not max_balanced_packing(2, 6, 24, SearchBudget(time_cap=1e-9)).exact
+    assert max_balanced_packing(2, 10**9, 8) == (0, BalancedPacking(
+        8, 2, 10**9, Labeling((1,) * 4 + (-1,) * 4), ()), True, 0)
+    # no set holds more points than it is given
+    assert oracle._sharing_at_least((0, 1), [1, 1], 10**9) == 0
+    with pytest.raises(PreconditionViolated, match="bits"):
+        existence_reference(100, 5, 10**9)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("1000000000", "3", "8"), 0),
+    (("2", "3", "1000000000"), 2),
+    (("2", "1000000000", "8"), 0),
+    (("1000000000", "5", "100", "--baseline", "--trials", "10", "--seed", "1"), 2),
+    (("2", "6", "24", "--time-cap", "1"), 4),
+], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "c-134596-time-capped"])
+def test_huge_parameters_exit_with_their_code(argv, code):
+    # The first four ran out of memory under a 1.5 GB address limit before
+    # the caps and the early returns; now each exits with its documented
+    # code, no traceback, within the timeout.  The last, C(24, 6) = 134 596
+    # under a time cap, is within the caps and stops at its time cap.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "balpack.cli", "oracle", *argv],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=limit)
+    assert "Traceback" not in done.stderr and "Error" not in done.stderr
+    assert done.returncode == code, done.stderr
