@@ -85,10 +85,11 @@ OracleResult = namedtuple("OracleResult", "size witness exact nodes")
 # allocated.  C(24, 6) = 134 596 is within them (such a search needs a time
 # cap anyway, since its graph takes C(v, k)^2 bits).
 POINT_CAP, CANDIDATE_CAP = 2**8, 2**18
+BASELINE_POINT_CAP = 2**20  # structured_random's v
 
 
 class TooManyCandidates(PreconditionViolated):
-    """v exceeds ``POINT_CAP`` or C(v, k) exceeds ``CANDIDATE_CAP``."""
+    """A parameter exceeds one of the caps above."""
 
 
 # A long search writes a heartbeat line to its log every this many nodes.
@@ -395,6 +396,8 @@ def structured_random(
     _check_ints("v, k, t and trials", (v, k, t, trials))
     if k < 1 or v < 1 or t < 0 or trials < 0:
         raise PreconditionViolated("need k, v >= 1 and t, trials >= 0")
+    if v > BASELINE_POINT_CAP:  # a sign and a holder bitset for each point
+        raise TooManyCandidates(f"need v <= {BASELINE_POINT_CAP} for the baseline, got {v}")
     labeling = interval_labeling(v, k)
     width = v // k
     try:

@@ -401,6 +401,8 @@ def test_candidate_cap():
     assert oracle._sharing_at_least((0, 1), [1, 1], 10**9) == 0
     with pytest.raises(PreconditionViolated, match="bits"):
         existence_reference(100, 5, 10**9)
+    with pytest.raises(oracle.TooManyCandidates):
+        structured_random(oracle.BASELINE_POINT_CAP + 1, 1, 1, 1, rng_seed=0)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -408,10 +410,12 @@ def test_candidate_cap():
     (("2", "3", "1000000000"), 2),
     (("2", "1000000000", "8"), 0),
     (("1000000000", "5", "100", "--baseline", "--trials", "10", "--seed", "1"), 2),
+    (("2", "5", "1000000000", "--baseline", "--trials", "10", "--seed", "1"), 2),
     (("2", "6", "24", "--time-cap", "1"), 4),
-], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "c-134596-time-capped"])
+], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "baseline-v-huge",
+        "c-134596-time-capped"])
 def test_huge_parameters_exit_with_their_code(argv, code):
-    # The first four ran out of memory under a 1.5 GB address limit before
+    # The first five ran out of memory under a 1.5 GB address limit before
     # the caps and the early returns; now each exits with its documented
     # code, no traceback, within the timeout.  The last, C(24, 6) = 134 596
     # under a time cap, is within the caps and stops at its time cap.
