@@ -55,7 +55,4 @@ def construct(q: int, k: int, t: int) -> BalancedPacking:
         tuple(row[b] for row, b in zip(code, values))
         for values in gf._poly_values(field, t, evaluation_set(field, k))
     ]
-    # distinct polynomials give distinct blocks: the row encodes the
-    # evaluation point, so equal blocks would agree at k >= t points
-    assert len(set(blocks)) == q**t
     return BalancedPacking(k * q, t, k, label_points(q, k), tuple(sorted(blocks)))

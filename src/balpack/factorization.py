@@ -251,34 +251,27 @@ def _sts_completions(chosen, covered, pool):
         covered.difference_update((target, pa, pb))
 
 
-def _partition_into_sts(remaining, acc):
-    if not remaining:
-        return True
-    seed = min(remaining)
-    chosen = [seed]
-    covered = {tuple(sorted(p)) for p in itertools.combinations(seed, 2)}
-    for sts in _sts_completions(chosen, covered, remaining):
-        acc.append(sts)
-        if _partition_into_sts(remaining - set(sts), acc):
-            return True
-        acc.pop()
-    return False
-
-
 def large_set_sts(v: int = 9) -> PartitionablePacking:
     """Partition all C(9,3) triples into 7 pairwise disjoint STS(9).
 
-    Lexicographic backtracking with a fixed point order, so the result
-    is reproducible run to run.  Only v=9 is built in; larger sets can
-    be imported from files via load_large_set.
+    Each class is the first completion, in ``_sts_completions`` order, of
+    the smallest triple left, so the result is reproducible; for v = 9
+    that completion always extends to the next class, so nothing
+    backtracks.  Only v=9 is built in; larger sets can be imported from
+    files via load_large_set.
     """
     if v != 9:
         raise NotSupported(f"no built-in large set for v={v}; import from a file")
-    remaining = frozenset(itertools.combinations(range(9), 3))
-    classes: list = []
-    found = _partition_into_sts(remaining, classes)
-    assert found  # classical existence; the search space is tiny
-    return PartitionablePacking(2, 3, 9, tuple(tuple(sorted(c)) for c in classes))
+    remaining = set(itertools.combinations(range(9), 3))
+    classes = []
+    while remaining:
+        seed = min(remaining)
+        covered = set(itertools.combinations(seed, 2))
+        sts = next(_sts_completions([seed], covered, remaining), None)
+        assert sts is not None, "the first completions of STS(9) always extend"
+        classes.append(tuple(sorted(sts)))
+        remaining.difference_update(sts)
+    return PartitionablePacking(2, 3, 9, tuple(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -138,49 +138,29 @@ def _invariant_failures(r: LatinRectangle) -> list:
     return problems
 
 
-def check_symmetry(r: LatinRectangle) -> bool:
-    """Plain entries pair up within a column (value <-> row); boxed
-    entries pair up within a row (value <-> column).
-    """
-    for i, row in enumerate(r.cells):
-        for j, (val, boxed) in enumerate(row):
-            if boxed:
-                if r.cells[i][val] != (j, True):
-                    return False
-            elif r.cells[val][j] != (i, False):
-                return False
-    return True
-
-
 def fill(seeds: SeedSets) -> LatinRectangle:
-    """Grow the full square from the seeds and re-verify every
-    invariant rather than trusting the construction.
+    """Grow the full square from the seeds.
+
+    A pair {x, y} fills the diagonals row + col = x and = y (mod p), and
+    the seeds name each residue once, so every cell is written once; the
+    two diagonals mirror each other and x != y, so the square is symmetric
+    with no fixed point.  Irregular seeds repeat a symbol in a row or a
+    column, which is checked here and raises ``SeedInvalid`` naming it.
     """
     p = seeds.p_plus
     grid = [[None] * p for _ in range(p)]
-
-    def put(row, col, val, boxed):
-        if grid[row][col] is not None:
-            raise SeedInvalid(f"cell ({row}, {col}) written twice")
-        grid[row][col] = (val, boxed)
-
     for x, y in seeds.positive_pairs:
         for row0, val0 in ((x, y), (y, x)):
             for c in range(p):
-                put((row0 - c) % p, c, (val0 - c) % p, False)
+                grid[(row0 - c) % p][c] = ((val0 - c) % p, False)
     for x, y in seeds.negative_pairs:
         for col0, val0 in ((x, y), (y, x)):
             for s in range(p):
-                put(s, (col0 - s) % p, (val0 - s) % p, True)
-
-    if any(cell is None for row in grid for cell in row):
-        raise SeedInvalid("sweep left unfilled cells")
+                grid[s][(col0 - s) % p] = ((val0 - s) % p, True)
     rect = LatinRectangle(p, p, tuple(tuple(row) for row in grid))
     problems = _invariant_failures(rect)
     if problems:
         raise SeedInvalid("; ".join(problems))
-    if not check_symmetry(rect):
-        raise SeedInvalid("symmetry convention broken")
     return rect
 
 

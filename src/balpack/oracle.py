@@ -172,7 +172,15 @@ class _CliqueSearch:
         if len(fixed) > self.best_size:
             self._improve()
         if cand:
-            self._expand(len(fixed), cand, cells)
+            # One generator per open node, resumed from this loop: the
+            # clique's depth is not bounded by Python's recursion limit.
+            frames = [self._expand(len(fixed), cand, cells)]
+            while frames:
+                child = next(frames[-1], None)
+                if child is None:
+                    frames.pop()
+                else:
+                    frames.append(self._expand(*child))
 
     def _improve(self):
         self.best_size = len(self.stack)
@@ -180,6 +188,8 @@ class _CliqueSearch:
         self.emit("incumbent")
 
     def _expand(self, depth: int, cand: int, cells):
+        """Search one node; each child node to search is yielded as its
+        (depth, cand, cells), and this resumes once that child is done."""
         if self._out_of_budget():
             self.complete = False
             return
@@ -211,7 +221,7 @@ class _CliqueSearch:
             self.stack.append(u)
             rest = cand & self.adj[u]
             if rest:
-                self._expand(depth + 1, rest, cells and _refine(cells, self.masks[u]))
+                yield depth + 1, rest, cells and _refine(cells, self.masks[u])
             elif depth + 1 > self.best_size:
                 self._improve()
             self.stack.pop()

@@ -7,7 +7,6 @@ from balpack.latin import (
     SeedInvalid,
     SeedSets,
     augment_column,
-    check_symmetry,
     extract_triples,
     fill,
     seed_sets,
@@ -125,6 +124,21 @@ def check_regularity(seeds):
     return True
 
 
+def check_symmetry(r):
+    """Reference check of the symmetry ``fill`` builds in: plain entries
+    pair up within a column (value <-> row); boxed entries pair up within
+    a row (value <-> column).
+    """
+    for i, row in enumerate(r.cells):
+        for j, (val, boxed) in enumerate(row):
+            if boxed:
+                if r.cells[i][val] != (j, True):
+                    return False
+            elif r.cells[val][j] != (i, False):
+                return False
+    return True
+
+
 @pytest.mark.parametrize("p", [4, 6, 8, 10, 12, 14, 16])
 def test_built_in_seeds_are_regular(p):
     assert check_regularity(seed_sets(p))
@@ -160,7 +174,7 @@ def test_fill_detects_irregular_seeds():
     # same circular difference, which makes a row repeat a symbol
     bad = SeedSets(8, ((0, 6), (1, 7)), ((2, 5), (3, 4)))
     assert not check_regularity(bad)
-    with pytest.raises(SeedInvalid):
+    with pytest.raises(SeedInvalid, match="^row 0 repeats a symbol; "):
         fill(bad)
 
 

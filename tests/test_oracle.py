@@ -320,6 +320,18 @@ def test_frozen_node_counts(t, k, v, size, nodes):
     assert (r.size, r.nodes, r.exact) == (size, nodes, True)
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # t > k, so no two blocks conflict: the answer is every block of the
+    # balanced split, 20 * 20 = 400, a clique 400 vertices deep.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        r = max_balanced_packing(3, 2, 40)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.size, r.nodes, r.exact) == (400, 418, True)
+
+
 def test_determinism():
     a = max_balanced_packing(2, 3, 8)
     b = max_balanced_packing(2, 3, 8)

@@ -347,6 +347,30 @@ def test_parameter_errors_are_preconditions():
      "t, k and v must be integers, got (True, 3, 8)"),
     (lambda: oracle.SearchBudget("5"), core.PreconditionViolated,
      "max_nodes must be an integer, got '5'"),
+    (lambda: core.is_packing(-1, ((0, 1),)), core.PreconditionViolated, "t must be >= 0"),
+    (lambda: latin.SeedSets(4, ((0, 3),), ((2, 1),)), core.PreconditionViolated,
+     "bad pair (2, 1)"),
+    (lambda: latin.SeedSets(4, ((0, 4),), ((1, 2),)), core.PreconditionViolated,
+     "bad pair (0, 4)"),
+    (lambda: latin.LatinRectangle(4, 4, (((3, False),) * 4,) * 3), core.PreconditionViolated,
+     "cell array has the wrong shape"),
+    (lambda: latin.LatinRectangle(4, 4, (((3, False),) * 5,) * 4), core.PreconditionViolated,
+     "cell array has the wrong shape"),
+    (lambda: latin.LatinRectangle(4, 4, (((3, 1),) * 4,) * 4), core.PreconditionViolated,
+     "bad cell (3, 1)"),
+    (lambda: latin.LatinRectangle(4, 4, (((4, False),) * 4,) * 4), core.PreconditionViolated,
+     "bad cell (4, False)"),
+    (lambda: transversal.TransversalDesign(1, 2, 0, ()), core.PreconditionViolated,
+     "group size must be positive, got 0"),
+    (lambda: transversal.TransversalDesign(1, 2, 2, ((1, 3), (0, 2))),
+     core.PreconditionViolated, "blocks must be sorted and duplicate-free"),
+    (lambda: transversal.TransversalDesign(1, 2, 2, ((0, 2), (0, 2))),
+     core.PreconditionViolated, "blocks must be sorted and duplicate-free"),
+    (lambda: factorization.mds_product(factorization.PartitionablePacking(
+        2, 3, 8, (((0, 1, 2),),))), factorization.ClassesNotSteiner,
+     "no (2,3,8) Steiner system can exist"),
+    (lambda: factorization.mds_45_product(factorization.PartitionablePacking(
+        2, 3, 9, (((0, 1, 2),),)), 8), core.PreconditionViolated, "need 7 classes, got 1"),
 ], ids=["make_field-bool-after-int", "make_field-float-after-int", "make_field-float",
         "make_field-str", "make_field-unhashable-p", "make_field-unhashable-m",
         "LatinRectangle-float-cols", "LatinRectangle-str-cols",
@@ -359,7 +383,11 @@ def test_parameter_errors_are_preconditions():
         "latin_dispatch-float", "latin_dispatch-v7", "label_points-float-q", "label_points-bool-q",
         "evaluation_set-float-k", "label_points-zero-k", "label_points-zero-q",
         "label_points-negative-q", "structured_random-tuple-seed", "lemma1_bound-float-t",
-        "theorem1_gap-unhashable-t", "max_balanced_packing-bool-t", "SearchBudget-str-max_nodes"])
+        "theorem1_gap-unhashable-t", "max_balanced_packing-bool-t", "SearchBudget-str-max_nodes",
+        "is_packing-negative-t", "SeedSets-descending-pair", "SeedSets-pair-above-p",
+        "LatinRectangle-short", "LatinRectangle-long-rows", "LatinRectangle-int-flag",
+        "LatinRectangle-value-p", "TransversalDesign-zero-q", "TransversalDesign-unsorted",
+        "TransversalDesign-repeat", "mds_product-no-steiner", "mds_45_product-class-count"])
 def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
     with pytest.raises(error) as caught:
         call()

@@ -63,6 +63,13 @@ def test_construct_4_3_single_block():
     assert p.blocks == ((0, 1, 3),)
 
 
+@pytest.mark.parametrize("v,k,blocks", [(6, 5, ((0, 1, 2, 4, 5),)), (4, 4, ())])
+def test_fewer_than_two_blocks_claim_t_of_k_minus_one(v, k, blocks):
+    # fewer than two blocks leave no intersection to measure: t is k - 1
+    p = construct(v, k)
+    assert (p.blocks, p.t) == (blocks, k - 1)
+
+
 def test_parity_labeling():
     p = construct(12, 3)
     assert all(p.labeling.signs[x] == (1 if x % 2 == 0 else -1) for x in range(12))
