@@ -35,7 +35,7 @@ from __future__ import annotations
 import reprlib
 from collections import Counter, namedtuple
 from functools import cache
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, groupby, repeat, starmap
 from math import comb
 from operator import add, lt, mul
 
@@ -169,6 +169,17 @@ def _profile(blocks) -> _Profile:
     except (TypeError, ValueError):
         lo = hi = None
     return _Profile(sizes, lo, hi, columns)
+
+
+def _by_columns(sizes) -> bool:
+    """The column rule: True when every block size s, a key of ``sizes``
+    (a profile's), has at most 8 points and at least s^2 blocks.  Such a
+    family is measured through its profile's columns, one C-level pass per
+    column, by ``verify``'s discrepancy sums and ``_shared_pair``'s
+    claimed-level set; any other family block by block, since a column
+    costs more than a block's iterator for few blocks or wide ones, and
+    s <= 8 bounds the chain of lazy maps the sums build."""
+    return all(s <= 8 and c >= s * s for s, c in sizes.items())
 
 
 class Record:
@@ -380,8 +391,10 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
     family's t; None when nothing is claimed).  That level and each one
     above it is decided first by one set of every block's m-subsets,
     built at C level, and ``_first_repeat`` runs only when the set shows
-    a repeat, to name the block.  The levels below it, which usually
-    repeat within a few blocks, are walked block by block.
+    a repeat, to name the block.  Under the column rule (``_by_columns``)
+    the set zips each m-subset of a size's columns, which yields the same
+    tuples as each block's ``combinations``.  The levels below it, which
+    usually repeat within a few blocks, are walked block by block.
 
     Returns ``(i, j)``, ``i < j``, or None when level ``low`` has no
     repeat.  With ``top`` = the second largest block size, the pair
@@ -390,7 +403,7 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
     the family's largest intersection exceeds ``top``, the pair shares
     at least ``top`` points.
     """
-    sizes, lo, hi, _ = profile or _profile(blocks)
+    sizes, lo, hi, columns = profile or _profile(blocks)
     counts = sizes.values()
     n = sum(map(mul, sizes, counts))
     floor = n * n // (hi - lo + 1) if isinstance(lo, int) and isinstance(hi, int) else 0
@@ -408,9 +421,14 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
             if cost > incidence_cost:
                 shared, pair = _incidence_pair(blocks)
                 return pair if shared >= low else None
-        if m >= claimed and len(set(chain.from_iterable(
-                map(combinations, blocks, repeat(m))))) == total:
-            break
+        if m >= claimed:
+            if _by_columns(sizes):
+                rows = starmap(zip, chain.from_iterable(
+                    map(combinations, columns.values(), repeat(m))))
+            else:
+                rows = map(combinations, blocks, repeat(m))
+            if len(set(chain.from_iterable(rows))) == total:
+                break
         j = _first_repeat(blocks, m, subsets)
         if j is None:
             break
@@ -578,12 +596,11 @@ def verify(p: BalancedPacking) -> VerificationReport:
     if len(p.blocks) >= 2:
         maxint = 0 if overlap is None else len(overlap[2])
     packing = p.t == 0 or maxint is None or maxint < p.t
-    # No range check: every point lies in [0, v).  Columns pay only for many small
-    # blocks (a size with fewer blocks than points is summed faster block by
-    # block), and s <= 8 bounds the chain of lazy maps.  A list's __getitem__ is
-    # a C method, a tuple's a slot wrapper: half the cost a point.
+    # No range check: every point lies in [0, v).  Summed by columns under the
+    # column rule, else block by block.  A list's __getitem__ is a C method, a
+    # tuple's a slot wrapper: half the cost a point.
     sign = list(p.labeling.signs).__getitem__
-    if all(s <= 8 and c >= s * s for s, c in profile.sizes.items()):
+    if _by_columns(profile.sizes):
         discs, in_order = [], map(discrepancy, p.blocks, repeat(p.labeling))  # read on failure
         for cols in profile.columns.values():
             sums = map(sign, cols[0])

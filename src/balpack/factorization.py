@@ -260,6 +260,7 @@ def large_set_sts(v: int = 9) -> PartitionablePacking:
     backtracks.  Only v=9 is built in; larger sets can be imported from
     files via load_large_set.
     """
+    _check_ints("v", (v,))
     if v != 9:
         raise NotSupported(f"no built-in large set for v={v}; import from a file")
     remaining = set(itertools.combinations(range(9), 3))

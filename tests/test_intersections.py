@@ -89,12 +89,27 @@ def test_is_packing_is_max_intersection_below_t(blocks, t):
     assert is_packing(t, blocks) == (scan(blocks)[0] < t)
 
 
-@given(irregular_families())
-def test_every_level_range_matches_the_scan(blocks):
-    # verify walks levels 1..second largest size and is_packing walks t..t;
-    # every other range checks where the walk stops, one level at a time,
-    # and every claimed level (decided by one set from there up) finds
-    # what the block-by-block walk finds.
+@st.composite
+def dense_families(draw):
+    """Regular families under the column rule, as sorted tuples in any
+    order: at least s^2 distinct blocks of s <= 4 points, and for s >= 2
+    maybe one more block that shares t < s points with one of them."""
+    s = draw(st.integers(1, 4))
+    v = draw(st.integers({1: 2, 2: 4, 3: 5, 4: 7}[s], 10))  # C(v, s) >= s^2
+    subsets = list(combinations(range(v), s))
+    blocks = draw(st.lists(st.sampled_from(subsets), min_size=s * s,
+                           max_size=min(len(subsets), 40), unique=True))
+    if s >= 2 and draw(st.booleans()):
+        host = draw(st.sampled_from(blocks))
+        kept = draw(st.permutations(host))[:draw(st.integers(1, s - 1))]
+        outside = [x for x in range(v) if x not in host]
+        blocks.append(tuple(sorted(kept + draw(st.permutations(outside))[:s - len(kept)])))
+    return draw(st.permutations(blocks))
+
+
+def check_every_level_range(blocks):
+    """``_shared_pair`` on the sorted ``blocks`` at every (low, top) and
+    every claimed level against the scan."""
     best, pair = scan(blocks)
     canonical = [tuple(sorted(b)) for b in blocks]
     for top in range(1, max(map(len, canonical)) + 1):
@@ -110,6 +125,24 @@ def test_every_level_range_matches_the_scan(blocks):
             for claimed in range(low, top + 2):
                 assert core._shared_pair(canonical, low, top, claimed) == found, (
                     low, top, claimed)
+
+
+@given(irregular_families())
+def test_every_level_range_matches_the_scan(blocks):
+    # verify walks levels 1..second largest size and is_packing walks t..t;
+    # every other range checks where the walk stops, one level at a time,
+    # and every claimed level (decided by one set from there up) finds
+    # what the block-by-block walk finds.
+    check_every_level_range(blocks)
+
+
+@given(dense_families())
+def test_every_level_range_of_a_dense_family_matches_the_scan(blocks):
+    # The same checks on the other side of the column rule, which
+    # irregular_families almost never meets: the claimed-level set is
+    # built from the profile's columns.
+    assert core._by_columns(core._profile(blocks).sizes)
+    check_every_level_range(blocks)
 
 
 @given(irregular_families())
@@ -374,6 +407,69 @@ def test_discrepancies_summed_by_columns_or_by_blocks_agree(
     assert report.discrepancies == tuple(sorted(discs))
     assert report.unbalanced == next((i, d) for i, d in enumerate(discs) if abs(d) > 1)
     assert bool(named) == by_columns
+
+
+@pytest.mark.parametrize("wide, size, count, by_columns", [
+    (0, 3, 32, True), (9, 3, 32, False),
+    (0, 8, 64, True), (0, 8, 63, False), (0, 9, 81, False),
+], ids=["columns", "a-9-point-block", "s8-c64-columns", "s8-c63-blocks", "s9-c81-blocks"])
+def test_claimed_level_set_by_columns_or_by_blocks_agree(
+        monkeypatch, wide, size, count, by_columns):
+    # The kernel builds the claimed-level set from the profile's columns
+    # under the rule the sums above follow, on both sides of its edge:
+    # combinations() is handed a size's columns there, and blocks
+    # otherwise.  Either way a free level ends the walk, and a repeat is
+    # named as the scan names it.
+    blocks = latin16().blocks if size == 3 else list(combinations(range(16), size))[:count]
+    blocks = list(blocks) + ([tuple(range(wide))] if wide else [])
+    assert core._by_columns(core._profile(blocks).sizes) == by_columns
+    best, pair = scan(blocks)
+    read = []
+
+    def recorded(items, m):
+        read.append(type(items[0]) is tuple)  # a column, not a point
+        return combinations(items, m)
+
+    monkeypatch.setattr(core, "combinations", recorded)
+    assert is_packing(best + 1, blocks)
+    assert set(read) == {by_columns}
+    read.clear()
+    assert core._shared_pair(blocks, best, best, best) == pair
+    assert read[0] == by_columns  # the set; the walk then reads blocks
+    assert not is_packing(best, blocks)
+
+
+def with_t_shared(p):
+    """``p`` plus one block that keeps the last t points of the last block
+    and fills up with the smallest points outside it, so that it sorts far
+    from that block; None when the ground set has too few such points."""
+    host = p.blocks[-1]
+    outside = [x for x in range(p.v) if x not in host][:p.k - p.t]
+    if p.k <= p.t or len(outside) < p.k - p.t:
+        return None
+    extra = tuple(sorted(tuple(outside) + host[-p.t:]))
+    return make_packing(p.v, p.t, p.k, p.labeling.signs, p.blocks + (extra,))
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in GOLDEN], ids=[" ".join(a) for a, _ in GOLDEN])
+def test_both_sides_of_the_column_rule_give_the_same_reports(
+        tmp_path, capsys, monkeypatch, argv):
+    # One predicate picks the column form for the sums and for the
+    # claimed-level set: forced either way, every route's family and its
+    # variant with a pair of blocks sharing t points get the same report.
+    out = tmp_path / "out.json"
+    assert main(["construct", *argv, "--out", str(out)]) == 0
+    p = load_packing(out)
+    variant = with_t_shared(p)
+    packings = [p] if variant is None else [p, variant]
+    reports = []
+    for side in (True, False):
+        monkeypatch.setattr(core, "_by_columns", lambda sizes, side=side: side)
+        reports.append([verify(q) for q in packings])
+    assert reports[0] == reports[1]
+    assert reports[0][0].passed
+    if variant is not None:
+        assert not reports[0][1].packing and reports[0][1].overlap is not None
 
 
 def test_passing_report_prints_no_witness():

@@ -394,10 +394,11 @@ def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
     assert type(caught.value) is error and str(caught.value) == message
 
 
-# The bounds and oracle entries, and the one route parameter that named
-# the wrong parameter, under the integer rule: each entry with one valid
-# call, and every int parameter in turn replaced by each hostile value.
-# A float, a str, None, a list or a bool is refused, never read as an int.
+# Every public entry that takes an int parameter, under the integer rule:
+# each entry with one valid call, and every int parameter in turn replaced
+# by each hostile value.  A float, a str, None, a list or a bool is refused,
+# never read as an int.  derive_subdesign is the documented exception: a
+# point that is not an int lies outside the ground set (OutOfRange).
 HOSTILE = {"float": 2.0, "str": "3", "none": None, "list": [2], "bool": True}
 INT_ENTRIES = [
     ("lemma1_bound", bounds.lemma1_bound, {"t": 2, "k": 3, "p_plus": 4, "p_minus": 3}),
@@ -411,6 +412,18 @@ INT_ENTRIES = [
     ("SearchBudget", oracle.SearchBudget, {"max_nodes": 50}),
     ("triples_from_factorization", factorization.triples_from_factorization,
      {"p_plus": 6, "p_minus": 2}),
+    ("one_factorization", factorization.one_factorization, {"n": 4}),
+    ("singleton_classes", factorization.singleton_classes, {"n": 4}),
+    ("large_set_sts", factorization.large_set_sts, {"v": 9}),
+    ("augment_34", transversal.augment_34, {"m": 4}),
+    ("augment_34_char2", transversal.augment_34_char2, {"m": 4}),
+    ("construct_td", transversal.construct_td, {"t": 2, "k": 3, "q": 3}),
+    ("construct_td_sum", transversal.construct_td_sum, {"t": 2, "m": 3}),
+    ("babai_frankl.construct", babai_frankl.construct, {"q": 5, "k": 3, "t": 2}),
+    ("sumcode.construct", sumcode.construct, {"v": 10, "k": 3}),
+    ("seed_sets", latin.seed_sets, {"p_plus": 4}),
+    ("latin_dispatch", latin_dispatch, {"v": 8}),
+    ("make_field", gf.make_field, {"p": 3, "m": 2}),
 ]
 INT_PARAMETERS = [pytest.param(call, kwargs, name, id=f"{entry}-{name}")
                   for entry, call, kwargs in INT_ENTRIES for name in kwargs]
