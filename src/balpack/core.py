@@ -175,7 +175,7 @@ def _by_columns(sizes) -> bool:
     """The column rule: True when every block size s, a key of ``sizes``
     (a profile's), has at most 8 points and at least s^2 blocks.  Such a
     family is measured through its profile's columns, one C-level pass per
-    column, by ``verify``'s discrepancy sums and ``_shared_pair``'s
+    column, by ``verify``'s discrepancy sums and ``_shared_level``'s
     claimed-level set; any other family block by block, since a column
     costs more than a block's iterator for few blocks or wide ones, and
     s <= 8 bounds the chain of lazy maps the sums build."""
@@ -367,25 +367,28 @@ def discrepancy(block, labeling: Labeling) -> int:
     return total
 
 
-def _shared_pair(blocks, low, top, claimed=None, profile=None):
-    """Two blocks sharing an m-subset, for the largest such m in [low, top].
+def _shared_level(blocks, claimed=None, profile=None):
+    """``(m, j)``: the most points m that two of ``blocks`` share, and the
+    first block j that shares m points with an earlier block; None when
+    every two blocks are disjoint.  ``_overlap`` names the earlier block.
 
-    ``blocks`` are sorted, duplicate-free tuples.  Levels m = low, ...,
-    top are searched from the bottom up: two blocks that share m + 1
+    ``blocks`` are tuples of increasing points, in any order.  Levels
+    m = 1, ..., top (the second largest block size: no two blocks share
+    more) are searched from the bottom up: two blocks that share m + 1
     points also share m, so the first level with no repeated m-subset
-    ends the walk, and the answer is the pair found on the level below
-    it.  Hashing the m-subsets of every block touches m * sum C(|b|, m)
-    points; counting the points each pair of blocks shares through the
-    point-to-block incidence touches about sum_x deg(x)^2, whatever m
-    is.  Before each level the cheaper of the two is taken from these
-    counts, and an incidence count, once taken, settles the walk.  The
-    exact sum_x deg(x)^2 needs a pass over the points, so it is taken
-    only when the level's hash costs more than a lower bound on it read
-    from the ``profile`` (built here when None): its N = sum |b| points lie
-    in [lo, hi], so by Cauchy-Schwarz sum_x deg(x)^2 >= N^2 / (hi - lo + 1).
+    ends the walk, and the answer is the level below it.  Hashing the
+    m-subsets of every block touches m * sum C(|b|, m) points; counting
+    the points each pair of blocks shares through the point-to-block
+    incidence touches about sum_x deg(x)^2, whatever m is.  Before each
+    level the cheaper of the two is taken from these counts, and an
+    incidence count, once taken, settles the walk.  The exact
+    sum_x deg(x)^2 needs a pass over the points, so it is taken only
+    when the level's hash costs more than a lower bound on it read from
+    the ``profile`` (built here when None): its N = sum |b| points lie in
+    [lo, hi], so by Cauchy-Schwarz sum_x deg(x)^2 >= N^2 / (hi - lo + 1).
     The subset hash is what keeps regular families far below the n^2
     pairs; the incidence count is what keeps wide blocks, where C(|b|, m)
-    explodes, within reach.
+    explodes, within reach.  Both ways find the same j.
 
     ``claimed`` is the level the caller expects to hold no repeat (a
     family's t; None when nothing is claimed).  That level and each one
@@ -395,23 +398,21 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
     the set zips each m-subset of a size's columns, which yields the same
     tuples as each block's ``combinations``.  The levels below it, which
     usually repeat within a few blocks, are walked block by block.
-
-    Returns ``(i, j)``, ``i < j``, or None when level ``low`` has no
-    repeat.  With ``top`` = the second largest block size, the pair
-    shares the largest intersection of the family, and it is the first
-    such pair by (j, i): both ways of counting find the same one.  When
-    the family's largest intersection exceeds ``top``, the pair shares
-    at least ``top`` points.
     """
+    if len(blocks) < 2:
+        return None
     sizes, lo, hi, columns = profile or _profile(blocks)
+    *smaller, top = sizes
+    if sizes[top] < 2:
+        top = smaller[-1]
     counts = sizes.values()
     n = sum(map(mul, sizes, counts))
     floor = n * n // (hi - lo + 1) if isinstance(lo, int) and isinstance(hi, int) else 0
     if claimed is None:
         claimed = top + 1
     incidence_cost = None
-    found = None  # (m, j): the first block j with an earlier block sharing m points
-    for m in range(low, top + 1):
+    found = None
+    for m in range(1, top + 1):
         subsets = dict(zip(sizes, map(comb, sizes, repeat(m))))
         total = sum(map(mul, counts, subsets.values()))
         cost = m * total
@@ -419,8 +420,7 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
             if incidence_cost is None:
                 incidence_cost = sum(d * d for d in Counter(chain.from_iterable(blocks)).values())
             if cost > incidence_cost:
-                shared, pair = _incidence_pair(blocks)
-                return pair if shared >= low else None
+                return _incidence_pair(blocks)
         if m >= claimed:
             if _by_columns(sizes):
                 rows = starmap(zip, chain.from_iterable(
@@ -433,13 +433,7 @@ def _shared_pair(blocks, low, top, claimed=None, profile=None):
         if j is None:
             break
         found = m, j
-    if found is None:
-        return None
-    m, j = found
-    points = set(blocks[j])
-    for i in range(j):
-        if len(points.intersection(blocks[i])) >= m:
-            return i, j
+    return found
 
 
 def _first_repeat(blocks, m, subsets):
@@ -455,53 +449,42 @@ def _first_repeat(blocks, m, subsets):
 
 
 def _incidence_pair(blocks):
-    """``(shared, pair)``: the largest number of points two blocks share
-    and the first pair ``(i, j)`` by (j, i) that shares it (None when
-    every two blocks are disjoint), counted through the blocks each point
-    lies in."""
+    """``_shared_level``'s ``(m, j)`` counted through the blocks each
+    point lies in: j is the first block that shares the most points m
+    with an earlier one (None when every two blocks are disjoint)."""
     earlier = {}  # point -> indices of the blocks already passed that hold it
-    best, pair = 0, None
+    found = None
     for j, b in enumerate(blocks):
         counts = Counter(chain.from_iterable([earlier.get(x, ()) for x in b]))
         if counts:
             most = max(counts.values())
-            if most > best:
-                best = most
-                pair = (min(i for i, c in counts.items() if c == most), j)
+            if found is None or most > found[0]:
+                found = most, j
         for x in b:
             earlier.setdefault(x, []).append(j)
-    return best, pair
+    return found
 
 
 def _canonical(blocks):
     return [tuple(sorted(set(b))) for b in blocks]
 
 
-def _largest_overlap(blocks, claimed=None, profile=None):
-    """``(i, j, shared points)`` for the first pair of blocks by (j, i)
-    with the largest intersection, or None when every two blocks are
-    disjoint.  ``blocks`` are sorted, duplicate-free tuples; ``claimed``
-    and ``profile`` are passed on to ``_shared_pair``."""
-    if len(blocks) < 2:
-        return None
-    profile = profile or _profile(blocks)
-    sizes = profile.sizes
-    *smaller, top = sizes
-    if sizes[top] < 2:
-        top = smaller[-1]  # the second largest size
-    pair = _shared_pair(blocks, 1, top, claimed, profile)
-    if pair is None:
-        return None
-    i, j = pair
-    return i, j, tuple(sorted(set(blocks[i]).intersection(blocks[j])))
+def _overlap(blocks, m, j):
+    """``(i, j, shared points)`` for the first block i < j that shares m
+    points with block j, as ``_shared_level`` names j and m."""
+    points = set(blocks[j])
+    for i in range(j):
+        shared = points.intersection(blocks[i])
+        if len(shared) >= m:
+            return i, j, tuple(sorted(shared))
 
 
 def max_pairwise_intersection(blocks) -> int:
     """Largest |A ∩ B| over distinct blocks; needs at least two blocks."""
     if len(blocks) < 2:
         raise TooFewBlocks("need at least two blocks to compare")
-    overlap = _largest_overlap(_canonical(blocks))
-    return 0 if overlap is None else len(overlap[2])
+    found = _shared_level(_canonical(blocks))
+    return 0 if found is None else found[0]
 
 
 def is_packing(t: int, blocks) -> bool:
@@ -517,12 +500,13 @@ def is_packing(t: int, blocks) -> bool:
 
 def _is_packing(t: int, blocks) -> bool:
     """``is_packing`` for blocks that are already sorted, duplicate-free
-    tuples, in any order; level t is decided by one set of t-subsets."""
+    tuples, in any order: ``_shared_level`` with t as the claimed level."""
     if t < 0:
         raise PreconditionViolated("t must be >= 0")
     if t == 0:
         return len(blocks) <= 1
-    return _shared_pair(blocks, t, t, t) is None
+    found = _shared_level(blocks, t)
+    return found is None or found[0] < t
 
 
 class VerificationReport(Record):
@@ -591,24 +575,23 @@ def verify(p: BalancedPacking) -> VerificationReport:
     """
     profile = p._profile  # built by the validation: no recount here
     regular = p.k == 0 or profile.sizes.keys() <= {p.k}
-    overlap = _largest_overlap(p.blocks, p.t or None, profile)
-    maxint = None
-    if len(p.blocks) >= 2:
-        maxint = 0 if overlap is None else len(overlap[2])
+    found = _shared_level(p.blocks, p.t or None, profile)
+    maxint = found[0] if found else 0 if p.n_blocks >= 2 else None
     packing = p.t == 0 or maxint is None or maxint < p.t
     # No range check: every point lies in [0, v).  Summed by columns under the
     # column rule, else block by block.  A list's __getitem__ is a C method, a
     # tuple's a slot wrapper: half the cost a point.
     sign = list(p.labeling.signs).__getitem__
+    in_order = map(sum, map(map, repeat(sign), p.blocks))  # lazy: no frame per block
     if _by_columns(profile.sizes):
-        discs, in_order = [], map(discrepancy, p.blocks, repeat(p.labeling))  # read on failure
+        discs = []  # in_order is read only to name an unbalanced block
         for cols in profile.columns.values():
             sums = map(sign, cols[0])
             for col in cols[1:]:
                 sums = map(add, sums, map(sign, col))
             discs += sums
     else:
-        discs = in_order = list(map(sum, map(map, repeat(sign), p.blocks)))  # no frame per block
+        discs = in_order = list(in_order)
     ordered = tuple(sorted(discs))
     balanced = not ordered or (ordered[0] >= -1 and ordered[-1] <= 1)
     unbalanced = None if balanced else next(
@@ -637,7 +620,7 @@ def verify(p: BalancedPacking) -> VerificationReport:
         mixed_signs=mixed,
         bound=bound,
         bound_ok=bound_ok,
-        overlap=None if packing else overlap,
+        overlap=None if packing else _overlap(p.blocks, *found),
         unbalanced=unbalanced,
     )
 

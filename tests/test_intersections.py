@@ -1,5 +1,7 @@
 """The t-subset kernel behind max_pairwise_intersection, is_packing and
-verify's overlap witness, checked against the all-pairs scan it replaced."""
+verify's overlap witness, checked against the all-pairs scan it replaced:
+``core._shared_level`` finds the largest shared level m and the later
+block j of the scan's first pair, ``core._overlap`` the earlier one."""
 
 import random
 from collections import Counter
@@ -74,14 +76,16 @@ def test_kernel_matches_the_scan(blocks):
     best, pair = scan(blocks)
     assert max_pairwise_intersection(blocks) == best
     canonical = [tuple(sorted(b)) for b in blocks]
-    overlap = core._largest_overlap(canonical)
+    found = core._shared_level(canonical)
     if pair is None:
-        assert overlap is None
+        assert found is None
     else:
         i, j = pair
-        assert overlap == (i, j, tuple(sorted(set(blocks[i]) & set(blocks[j]))))
+        assert found == (best, j)
+        assert core._overlap(canonical, best, j) == (
+            i, j, tuple(sorted(set(blocks[i]) & set(blocks[j]))))
     # the incidence count alone, whichever way the kernel chose
-    assert core._incidence_pair(canonical) == (best, pair)
+    assert core._incidence_pair(canonical) == found
 
 
 @given(irregular_families(), st.integers(1, 13))
@@ -107,42 +111,38 @@ def dense_families(draw):
     return draw(st.permutations(blocks))
 
 
-def check_every_level_range(blocks):
-    """``_shared_pair`` on the sorted ``blocks`` at every (low, top) and
-    every claimed level against the scan."""
+def check_every_claimed_level(blocks):
+    """``_shared_level`` on the sorted ``blocks`` with no claimed level
+    and with each from 1 to top + 1 (top, the second largest block size,
+    is the highest level two blocks can share), and ``_overlap`` on what
+    it finds, against the scan."""
     best, pair = scan(blocks)
     canonical = [tuple(sorted(b)) for b in blocks]
-    for top in range(1, max(map(len, canonical)) + 1):
-        for low in range(1, top + 1):
-            found = core._shared_pair(canonical, low, top)
-            if best < low:
-                assert found is None, (low, top)
-            elif best <= top:
-                assert found == pair, (low, top)
-            else:  # the range ends below the largest intersection
-                i, j = found
-                assert i < j and len(set(canonical[i]) & set(canonical[j])) >= top
-            for claimed in range(low, top + 2):
-                assert core._shared_pair(canonical, low, top, claimed) == found, (
-                    low, top, claimed)
+    top = sorted(map(len, canonical))[-2] if len(canonical) >= 2 else 0
+    expected = None if pair is None else (best, pair[1])
+    for claimed in (None, *range(1, top + 2)):
+        assert core._shared_level(canonical, claimed) == expected, claimed
+    if pair is not None:
+        i, j = pair
+        shared = tuple(sorted(set(canonical[i]) & set(canonical[j])))
+        assert core._overlap(canonical, best, j) == (i, j, shared)
 
 
 @given(irregular_families())
-def test_every_level_range_matches_the_scan(blocks):
-    # verify walks levels 1..second largest size and is_packing walks t..t;
-    # every other range checks where the walk stops, one level at a time,
-    # and every claimed level (decided by one set from there up) finds
-    # what the block-by-block walk finds.
-    check_every_level_range(blocks)
+def test_every_claimed_level_matches_the_scan(blocks):
+    # verify claims the family's t and is_packing claims its t: every
+    # claimed level (decided by one set from there up) finds what the
+    # block-by-block walk finds, wherever the walk stops.
+    check_every_claimed_level(blocks)
 
 
 @given(dense_families())
-def test_every_level_range_of_a_dense_family_matches_the_scan(blocks):
+def test_every_claimed_level_of_a_dense_family_matches_the_scan(blocks):
     # The same checks on the other side of the column rule, which
     # irregular_families almost never meets: the claimed-level set is
     # built from the profile's columns.
     assert core._by_columns(core._profile(blocks).sizes)
-    check_every_level_range(blocks)
+    check_every_claimed_level(blocks)
 
 
 @given(irregular_families())
@@ -387,8 +387,8 @@ def test_discrepancies_summed_by_columns_or_by_blocks_agree(
     # Many blocks of a few points (every size s at most 8, with at least s^2
     # blocks) are summed by columns, through a chain of at most 8 lazy maps;
     # any other family block by block, on both sides of the rule's edge.
-    # Both give the per-block reference and its first unbalanced block, which
-    # only the column form names through discrepancy().
+    # Both give the per-block reference and its first unbalanced block,
+    # named without a call to discrepancy().
     packing = latin16()
     if size != 3:  # the first `count` blocks of `size` points over 16
         packing = make_packing(16, 2, size, packing.labeling.signs,
@@ -406,7 +406,8 @@ def test_discrepancies_summed_by_columns_or_by_blocks_agree(
     report = verify(p)
     assert report.discrepancies == tuple(sorted(discs))
     assert report.unbalanced == next((i, d) for i, d in enumerate(discs) if abs(d) > 1)
-    assert bool(named) == by_columns
+    assert core._by_columns(p._profile.sizes) == by_columns
+    assert named == []
 
 
 @pytest.mark.parametrize("wide, size, count, by_columns", [
@@ -418,24 +419,36 @@ def test_claimed_level_set_by_columns_or_by_blocks_agree(
     # The kernel builds the claimed-level set from the profile's columns
     # under the rule the sums above follow, on both sides of its edge:
     # combinations() is handed a size's columns there, and blocks
-    # otherwise.  Either way a free level ends the walk, and a repeat is
-    # named as the scan names it.
+    # otherwise.  At each level from the claimed one up the set is read
+    # first; the walk, here and below the claimed level, reads blocks.
+    # Level 1 is always hashed, so a claim of 1 always builds a set.
+    # Either way a free level ends the walk, and a repeat is named as the
+    # scan names it.
     blocks = latin16().blocks if size == 3 else list(combinations(range(16), size))[:count]
     blocks = list(blocks) + ([tuple(range(wide))] if wide else [])
     assert core._by_columns(core._profile(blocks).sizes) == by_columns
-    best, pair = scan(blocks)
+    best, (i, j) = scan(blocks)
     read = []
 
     def recorded(items, m):
-        read.append(type(items[0]) is tuple)  # a column, not a point
+        read.append((m, type(items[0]) is tuple))  # a column, not a point
         return combinations(items, m)
 
     monkeypatch.setattr(core, "combinations", recorded)
-    assert is_packing(best + 1, blocks)
-    assert set(read) == {by_columns}
+    for claimed in range(1, best + 2):
+        read.clear()
+        assert core._shared_level(blocks, claimed) == (best, j), claimed
+        first = {}
+        for m, columns in read:
+            first.setdefault(m, columns)
+        assert list(first) == sorted(first)
+        assert {columns for m, columns in read if m < claimed} <= {False}
+        assert {columns for m, columns in first.items() if m >= claimed} <= {by_columns}
+    assert core._overlap(blocks, best, j)[:2] == (i, j)
     read.clear()
-    assert core._shared_pair(blocks, best, best, best) == pair
-    assert read[0] == by_columns  # the set; the walk then reads blocks
+    assert core._shared_level(blocks, 1) == (best, j)
+    assert read[0] == (1, by_columns)
+    assert is_packing(best + 1, blocks)
     assert not is_packing(best, blocks)
 
 

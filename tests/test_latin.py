@@ -246,3 +246,38 @@ def test_augment_rejects_double_append():
     with pytest.raises(PreconditionViolated):
         augment_column(aug)
 
+
+# --- hand-built rectangles -----------------------------------------------------
+
+
+def replaced(r, cells):
+    """``r`` with the cells at the given (row, column) positions replaced.
+    ``LatinRectangle`` checks only each cell's range and type, so the
+    result may break the invariants that ``fill`` guarantees."""
+    rows = [list(row) for row in r.cells]
+    for (i, j), cell in cells.items():
+        rows[i][j] = cell
+    return LatinRectangle(r.p_plus, r.cols, tuple(map(tuple, rows)))
+
+
+# fill(seed_sets(4)): row 0 is 3 [2] [1] 1, column 1 is [2] [0] 3 2; the
+# column appended to row 0 is a plain 2
+@pytest.mark.parametrize("cells, message", [
+    ({(0, 1): (0, True)}, "column 1 repeats a symbol"),  # [0] is in row 1 too
+    ({(0, 1): (0, False)}, "plain fixed point at (0, 1)"),
+    ({(0, 0): (0, True)}, "boxed fixed point at (0, 0)"),
+], ids=["column-repeat", "plain-fixed-point", "boxed-fixed-point"])
+def test_augment_names_each_broken_invariant(cells, message):
+    broken = replaced(fill(seed_sets(4)), cells)
+    with pytest.raises(InvariantViolation) as info:
+        augment_column(broken)
+    assert str(info.value) == message
+
+
+def test_extract_triples_refuses_cells_that_do_not_pair_up():
+    # The replaced cell's triple {0, 4 + 1, 4 + 0} has no mirror cell, and
+    # the mirror of the one it replaced, {0, 4 + 1, 4 + 2}, is left alone.
+    broken = replaced(fill(seed_sets(4)), {(0, 1): (0, True)})
+    with pytest.raises(InvariantViolation) as info:
+        extract_triples(broken)
+    assert str(info.value) == "9 triples from 4x4 cells; cells did not pair up two-to-one"

@@ -239,6 +239,25 @@ def test_time_cap_covers_the_set_up(monkeypatch):
     assert (r.exact, r.nodes, r.size, r.witness.blocks) == (False, 0, 0, ())
 
 
+def test_time_cap_spent_on_the_block_list_stops_the_set_up(monkeypatch):
+    # The clock moves only while the k-subsets are listed, by 1 s: the
+    # 0.5 s cap is spent between the set-up's first two checks, so the
+    # point holders are never built.
+    clock = [0.0]
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: clock[0])
+    k_subsets = oracle._k_subsets
+
+    def slow(items, k):
+        clock[0] += 1.0
+        return k_subsets(items, k)
+
+    monkeypatch.setattr(oracle, "_k_subsets", slow)
+    monkeypatch.setattr(oracle, "_point_holders",
+                        lambda *args: pytest.fail("the holders started after the cap"))
+    r = max_balanced_packing(2, 3, 9, SearchBudget(time_cap=0.5))
+    assert (r.exact, r.nodes, r.size, r.witness.blocks) == (False, 0, 0, ())
+
+
 def test_time_cap_stops_the_graph_at_its_next_check(monkeypatch):
     # The clock moves by 1 s at the graph's first row: the 0.5 s cap is
     # spent there, and the rows stop at the next check, 64 rows on.
