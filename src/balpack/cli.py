@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
         return EXIT_VERIFY
     if part is not None:
         print(f"classes: {part.n_classes}")
-        print(f"blocks: {len(part.all_blocks)}")
+        print(f"blocks: {len(packing.blocks)}")
         print(f"per-class strength: {part.t_prime}")
         print("result: PASS")
         return EXIT_OK

@@ -324,7 +324,7 @@ class BalancedPacking(Record):
                 if not (isinstance(b, tuple) and b and _are_ints(b)):
                     raise PackingError(
                         f"block {index} must be a nonempty tuple of integers, got {_short(b)}")
-                if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+                if not all(map(lt, b, b[1:])):
                     raise PackingError(f"block {index} is not strictly increasing: {_short(b)}")
                 if b[0] < 0 or b[-1] >= self.v:
                     raise OutOfRange(
@@ -367,7 +367,7 @@ def discrepancy(block, labeling: Labeling) -> int:
     return total
 
 
-def _shared_level(blocks, claimed=None, profile=None):
+def _shared_level(blocks, claimed=None, profile=None, ceiling=None):
     """``(m, j)``: the most points m that two of ``blocks`` share, and the
     first block j that shares m points with an earlier block; None when
     every two blocks are disjoint.  ``_overlap`` names the earlier block.
@@ -398,6 +398,10 @@ def _shared_level(blocks, claimed=None, profile=None):
     the set zips each m-subset of a size's columns, which yields the same
     tuples as each block's ``combinations``.  The levels below it, which
     usually repeat within a few blocks, are walked block by block.
+
+    ``ceiling`` (None: no cap) is the highest level walked, for a caller
+    that reads only whether that level repeats: a repeat there ends the
+    walk, and m may then fall short of the most points two blocks share.
     """
     if len(blocks) < 2:
         return None
@@ -410,6 +414,8 @@ def _shared_level(blocks, claimed=None, profile=None):
     floor = n * n // (hi - lo + 1) if isinstance(lo, int) and isinstance(hi, int) else 0
     if claimed is None:
         claimed = top + 1
+    if ceiling is not None:
+        top = min(top, ceiling)
     incidence_cost = None
     found = None
     for m in range(1, top + 1):
@@ -500,12 +506,13 @@ def is_packing(t: int, blocks) -> bool:
 
 def _is_packing(t: int, blocks) -> bool:
     """``is_packing`` for blocks that are already sorted, duplicate-free
-    tuples, in any order: ``_shared_level`` with t as the claimed level."""
+    tuples, in any order: ``_shared_level`` with t as the claimed level
+    and the ceiling."""
     if t < 0:
         raise PreconditionViolated("t must be >= 0")
     if t == 0:
         return len(blocks) <= 1
-    found = _shared_level(blocks, t)
+    found = _shared_level(blocks, t, ceiling=t)
     return found is None or found[0] < t
 
 
@@ -779,7 +786,7 @@ def _parse_classes(raw, n_blocks: int):
     for row in raw:
         if not isinstance(row, list) or not _are_ints(row):
             raise FormatError("each class must be a list of integers")
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        if not all(map(lt, row, row[1:])):
             raise FormatError("class indices must be strictly increasing")
         for x in row:
             if not 0 <= x < n_blocks:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import lt
 
 from .core import (
     BalancedPacking,
@@ -96,7 +97,7 @@ def one_factorization(n: int) -> OneFactorization:
     m = n - 1
     classes = []
     for r in range(m):
-        edges = [tuple(sorted((m, r)))]
+        edges = [(r, m)]
         for i in range(1, n // 2):
             edges.append(tuple(sorted(((r + i) % m, (r - i) % m))))
         classes.append(tuple(sorted(edges)))
@@ -155,7 +156,7 @@ class PartitionablePacking(Record):
             for i, b in enumerate(cls):
                 where = f"class {c} block {i}"
                 if not (isinstance(b, tuple) and _are_ints(b) and len(b) == self.k
-                        and tuple(sorted(set(b))) == b):
+                        and all(map(lt, b, b[1:]))):
                     raise PreconditionViolated(f"{where} is malformed: {_short(b)}")
                 if not all(0 <= x < self.v for x in b):
                     raise PreconditionViolated(

@@ -83,12 +83,8 @@ def seed_sets(p_plus: int) -> SeedSets:
         positive = [(i, (-i - 1) % p) for i in range(quarter)]
         positive += [(i, (-i - 2) % p) for i in range(quarter, p // 2 - 1)]
         negative = [(p // 2 - 1, (-quarter - 1) % p)]
-    canon = lambda pair: tuple(sorted(pair))  # noqa: E731
-    return SeedSets(
-        p,
-        tuple(sorted(canon(x) for x in positive)),
-        tuple(sorted(canon(x) for x in negative)),
-    )
+    # a < p/2 <= b in each pair (a, b), and a rises: canonical and sorted
+    return SeedSets(p, tuple(positive), tuple(negative))
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,12 @@ OracleResult = namedtuple("OracleResult", "size witness exact nodes")
 
 # The set-up holds every k-subset of [0, v) and a bitset for each subset and
 # each point, so v and C(v, k) above these caps are refused before anything is
-# allocated.  C(24, 6) = 134 596 is within them (such a search needs a time
-# cap anyway, since its graph takes C(v, k)^2 bits).
+# allocated.  C(24, 6) = 134 596 is within them.
 POINT_CAP, CANDIDATE_CAP = 2**8, 2**18
+# The conflict graph takes C(v, k)^2 bits.  Its rows stop before they pass
+# this budget (256 MiB), which leaves the set-up incomplete, as a spent clock
+# does: C(v, k) <= 46 340 never reaches it.
+GRAPH_BITS = 2**31
 BASELINE_POINT_CAP = 2**20  # structured_random's v
 
 
@@ -264,11 +267,13 @@ def _point_holders(blocks, v: int) -> list:
 
 def _conflict_graph(blocks, holders, t: int, expired=lambda: False) -> list:
     """Adjacency bitsets: two blocks are adjacent when they share < t points.
-    The rows stop where ``expired()``, asked every 64 rows, first returns true."""
-    everyone = (1 << len(blocks)) - 1
+    The rows stop where ``expired()``, asked every 64 rows, first returns
+    true, or where one more row would take them past ``GRAPH_BITS`` bits."""
+    n = len(blocks)
+    everyone = (1 << n) - 1
     adj = []
     for i, b in enumerate(blocks):
-        if i % 64 == 0 and expired():
+        if i % 64 == 0 and expired() or (i + 1) * n > GRAPH_BITS:
             break
         adj.append(everyone & ~_sharing_at_least(b, holders, t) & ~(1 << i))
     return adj
@@ -296,8 +301,9 @@ def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
     of [0, v), and return the subsets and their point holders.  One graph
     serves every split; the admissible blocks keep their combinations
     order, and so the search its vertex order.  No step starts once the
-    budget is spent (the graph asks at its first row), and a skipped step
-    leaves ``search.complete`` False."""
+    budget is spent (the graph asks at its first row), and a skipped step,
+    or a graph cut short by the clock or by ``GRAPH_BITS``, leaves
+    ``search.complete`` False."""
     expired = search._out_of_budget
     search.complete = False
     if expired():
@@ -330,7 +336,8 @@ def max_balanced_packing(
     only when the whole search, and the set-up before it (``_set_up``), ran
     to completion inside the budget; a set-up cut short gives the empty
     family.  v above ``POINT_CAP`` or C(v, k) above ``CANDIDATE_CAP`` is
-    a ``TooManyCandidates``, raised before anything is allocated.
+    a ``TooManyCandidates``, raised before anything is allocated; a
+    C(v, k)^2 above ``GRAPH_BITS`` cuts the set-up short.
 
     ``log`` gets one JSON line per split and block kind (``event``
     "kind", with the split's admissible ``vertices`` and the ``edges``
@@ -339,7 +346,8 @@ def max_balanced_packing(
     ``best``), one per new incumbent and a heartbeat every
     ``HEARTBEAT_NODES`` nodes.  Every line carries ``labeling`` (p+),
     ``kind``, ``elapsed``, ``nodes``, ``incumbent`` and ``bound``, the
-    coloring bound at the kind's first block.
+    coloring bound at the kind's first block.  These counts and the bound
+    are taken only when there is a ``log``.
     """
     _check_ints("t, k and v", (t, k, v))
     if t < 1 or k < 1 or v < 1:
@@ -355,9 +363,10 @@ def max_balanced_packing(
     for p_plus in range((v + 1) // 2, v + 1) if search.complete else ():
         kinds = _split_kinds(holders, k, p_plus)
         allowed = admissible = kinds[0][1] | kinds[-1][1]
-        n = admissible.bit_count()
-        edges = sum((a & admissible).bit_count()
-                    for i, a in enumerate(adj) if admissible >> i & 1) // 2
+        if log is not None:
+            n = admissible.bit_count()
+            edges = sum((a & admissible).bit_count()
+                        for i, a in enumerate(adj) if admissible >> i & 1) // 2
         search.labeling = p_plus
         positive = (1 << p_plus) - 1
         for a, kind in kinds:
@@ -368,17 +377,19 @@ def max_balanced_packing(
             if kind:
                 rep = (kind & -kind).bit_length() - 1
                 cand = allowed & adj[rep]
-                search.bound = 1 + search.color_bound(cand)
+                if log is not None:
+                    search.bound = 1 + search.color_bound(cand)
                 cells = _refine([positive, (1 << v) - 1 - positive], search.masks[rep])
                 search.run([rep], cand, cells)
                 allowed &= ~kind
             if search.best_size > before:
                 best_blocks = tuple(sorted(blocks[i] for i in search.best))
                 best_p_plus = p_plus
-            search.emit(
-                "kind", vertices=n, edges=edges, orbits=search.orbits,
-                complete=search.complete, best=best_blocks, best_labeling=best_p_plus,
-            )
+            if log is not None:
+                search.emit(
+                    "kind", vertices=n, edges=edges, orbits=search.orbits,
+                    complete=search.complete, best=best_blocks, best_labeling=best_p_plus,
+                )
             if not search.complete:
                 break
         if not search.complete:

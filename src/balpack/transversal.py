@@ -13,6 +13,7 @@ routes pair their classes through ``factorization.product``.
 from __future__ import annotations
 
 import itertools
+from operator import lt
 
 from . import factorization, gf
 from .core import (BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints,
@@ -40,7 +41,7 @@ class TransversalDesign(Record):
             if not (isinstance(b, tuple) and _are_ints(b)) or [x // self.q for x in b] != groups:
                 raise PreconditionViolated(
                     f"block {index} is not transverse to the groups, one int in each: {_short(b)}")
-        if list(self.blocks) != sorted(set(self.blocks)):
+        if not all(map(lt, self.blocks, self.blocks[1:])):
             raise PreconditionViolated("blocks must be sorted and duplicate-free")
 
     @property
@@ -72,7 +73,7 @@ def construct_td_sum(t: int, m: int) -> TransversalDesign:
     for xs in itertools.product(range(m), repeat=t):
         coords = xs + (sum(xs) % m,)
         blocks.append(tuple(g * m + x for g, x in enumerate(coords)))
-    return TransversalDesign(t, t + 1, m, tuple(sorted(blocks)))
+    return TransversalDesign(t, t + 1, m, tuple(blocks))
 
 
 def label_groups(td: TransversalDesign) -> Labeling:

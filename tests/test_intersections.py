@@ -230,6 +230,25 @@ def test_the_walk_stops_at_the_first_level_with_no_repeat(monkeypatch):
     assert report.overlap == (i, j, tuple(sorted(set(bad.blocks[i]) & set(bad.blocks[j]))))
 
 
+def test_is_packing_walks_no_level_above_t(monkeypatch):
+    # is_packing reads only whether level t repeats: on the family that
+    # shares a pair, verify's walk goes on to level 3, is_packing(2)'s and
+    # is_packing(3)'s stop at their t.
+    levels = []
+
+    def recorded(b, m):
+        levels.append(m)
+        return combinations(b, m)
+
+    monkeypatch.setattr(core, "combinations", recorded)
+    bad = with_a_shared_pair(latin16())
+    assert is_packing(2, bad.blocks) is False
+    assert set(levels) == {1, 2} and levels == sorted(levels)
+    levels.clear()
+    assert is_packing(3, bad.blocks) is True
+    assert set(levels) == {1, 2, 3} and levels == sorted(levels)
+
+
 def test_the_claimed_level_is_decided_by_one_set(monkeypatch):
     # verify hashes the levels below the family's claimed t block by block
     # and decides level t, and each level above it, by one set of every

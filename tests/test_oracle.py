@@ -277,6 +277,39 @@ def test_time_cap_stops_the_graph_at_its_next_check(monkeypatch):
     assert len(rows) == 64 < len(list(combinations(range(9), 3)))
 
 
+def test_graph_budget_stops_the_rows(monkeypatch):
+    # The conflict graph's rows stop before they pass GRAPH_BITS bits, as
+    # they stop at the clock: the set-up is incomplete and nothing is
+    # searched.  A budget that holds the whole graph changes nothing.
+    blocks = list(combinations(range(8), 3))
+    n = len(blocks)  # 56 blocks, 56 bits a row
+    holders = oracle._point_holders(blocks, 8)
+    monkeypatch.setattr(oracle, "GRAPH_BITS", 11 * n - 1)
+    assert len(oracle._conflict_graph(blocks, holders, 2)) == 10
+    monkeypatch.setattr(oracle, "GRAPH_BITS", n * n - 1)
+    r = max_balanced_packing(2, 3, 8)
+    assert (r.exact, r.nodes, r.size, r.witness.blocks) == (False, 0, 0, ())
+    monkeypatch.setattr(oracle, "GRAPH_BITS", n * n)
+    r = max_balanced_packing(2, 3, 8)
+    assert (r.size, r.exact) == (8, True)
+
+
+def test_no_log_takes_no_root_bound(monkeypatch):
+    # The root colouring bound and the split's vertex and edge counts are
+    # read only by the log: a search without one never takes the bound.
+    colored = []
+    color_bound = oracle._CliqueSearch.color_bound
+
+    def recorded(self, cand):
+        colored.append(cand)
+        return color_bound(self, cand)
+
+    monkeypatch.setattr(oracle._CliqueSearch, "color_bound", recorded)
+    r = max_balanced_packing(2, 3, 8)
+    assert (r.size, r.exact) == (8, True) and colored == []
+    assert max_balanced_packing(2, 3, 8, log=io.StringIO()) == r and colored
+
+
 def test_time_cap_is_a_number_of_seconds():
     assert SearchBudget(time_cap=3).time_cap == 3
     for cap in ("5", True, None, [1.0]):
@@ -443,13 +476,16 @@ def test_candidate_cap():
     (("1000000000", "5", "100", "--baseline", "--trials", "10", "--seed", "1"), 2),
     (("2", "5", "1000000000", "--baseline", "--trials", "10", "--seed", "1"), 2),
     (("2", "6", "24", "--time-cap", "1"), 4),
+    (("2", "6", "24"), 4),
 ], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "baseline-v-huge",
-        "c-134596-time-capped"])
+        "c-134596-time-capped", "c-134596-graph-budget"])
 def test_huge_parameters_exit_with_their_code(argv, code):
     # The first five ran out of memory under a 1.5 GB address limit before
     # the caps and the early returns; now each exits with its documented
-    # code, no traceback, within the timeout.  The last, C(24, 6) = 134 596
-    # under a time cap, is within the caps and stops at its time cap.
+    # code, no traceback, within the timeout.  The last two, C(24, 6) =
+    # 134 596, are within the caps: the first stops at its time cap, and
+    # the second, which ran out of memory in its conflict graph, stops at
+    # the graph's bit budget.
     resource = pytest.importorskip("resource")
 
     def limit():
