@@ -1,4 +1,4 @@
-"""Byte-for-byte pins on every ``balpack construct`` route.
+"""Byte-for-byte pins on every ``balpack construct`` route and on ``derive``.
 
 Each case writes a packing through the CLI and compares the sha256 of the
 file (exactly ``core.to_json`` of the packing) with a digest frozen from
@@ -77,4 +77,23 @@ GOLDEN = [
 def test_construct_output_is_byte_identical(tmp_path, capsys, argv, digest):
     out = tmp_path / "out.json"
     assert main(["construct", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# derive on a constructed family: (construct argv, e1, e2, digest of the
+# derived file)
+DERIVED = [
+    (("td-augment34", "--v", "16"), "0", "15",  # seven 2-blocks
+     "8646d33029c90c90a50ef82a45b29d67b6c4c454d74d9941b4fa0dd8342308cb"),
+    (("latin", "--v", "16"), "0", "15",  # the one triple through the pair
+     "ed1659213249c9d6d3dc22f92ccb5ebe09b310b5e398a6a31c35800cea443384"),
+]
+
+
+@pytest.mark.parametrize("argv,e1,e2,digest", DERIVED,
+                         ids=[f"{' '.join(a)} {e1} {e2}" for a, e1, e2, _ in DERIVED])
+def test_derive_output_is_byte_identical(tmp_path, capsys, argv, e1, e2, digest):
+    src, out = tmp_path / "src.json", tmp_path / "derived.json"
+    assert main(["construct", *argv, "--out", str(src)]) == 0
+    assert main(["derive", str(src), e1, e2, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
