@@ -3,7 +3,8 @@
 Everything here is big-int / Fraction arithmetic; no floats anywhere.
 Every parameter takes the package's integer rule first: a float, a str,
 None or a bool is a ``PreconditionViolated``, so ``True`` is never read
-as 1.
+as 1.  A bound or a count that could pass ``core.VALUE_BITS`` is refused,
+as a ``PreconditionViolated``, before it is computed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .core import PreconditionViolated, _check_ints
+from .core import PreconditionViolated, _check_bits, _check_ints
 
 __all__ = [
     "lemma1_bound",
@@ -23,6 +24,12 @@ __all__ = [
     "GapResult",
     "theorem1_gap",
 ]
+
+
+def _comb_bits(n: int, r: int) -> int:
+    """An upper bound on the bit length of C(n, r) for n >= 0 and r >= 0,
+    from n's bit length alone: C(n, r) <= n^min(r, n - r), and 0 above n."""
+    return min(r, n - r) * n.bit_length() if r <= n else 0
 
 
 def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
@@ -42,6 +49,7 @@ def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
             f"need p_plus >= {2 * ((t + 2) // 2)} for t={t}, got {p_plus}"
         )
     t_lo, t_hi = t // 2, (t + 1) // 2
+    _check_bits("the counting bound", _comb_bits(p_plus, t_lo) + _comb_bits(p_minus, t_hi))
     num = comb(p_plus, t_lo) * comb(p_minus, t_hi)
     den = comb((k + 1) // 2, t_lo) * comb(k // 2, t_hi)
     return num // den
@@ -97,6 +105,9 @@ def type_lp_bound(t: int, k: int, v: int) -> int:
     _check_ints("t, k and v", (t, k, v))
     if not 1 <= t < k <= v:
         raise PreconditionViolated(f"need 1 <= t < k <= v, got ({t},{k},{v})")
+    # the bound is at most the first split's cap below
+    _check_bits("the LP bound",
+                _comb_bits((v + 1) // 2, t // 2) + _comb_bits(v // 2, t - t // 2))
     hi, lo = (k + 1) // 2, k // 2
     kinds = [
         (comb(hi, j) * comb(lo, t - j), comb(lo, j) * comb(hi, t - j))
@@ -130,6 +141,7 @@ def steiner_size(t: int, k: int, v: int) -> SteinerSize:
     _check_ints("t, k and v", (t, k, v))
     if not 1 <= t <= k <= v:
         raise PreconditionViolated(f"need 1 <= t <= k <= v, got ({t},{k},{v})")
+    _check_bits("C(v, t)", _comb_bits(v, t))
     import fractions
 
     size = fractions.Fraction(comb(v, t), comb(k, t))

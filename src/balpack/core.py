@@ -130,6 +130,19 @@ def _check_ints(names: str, values, error=PreconditionViolated) -> None:
         raise error(f"{names} must be integers, got {_short(values)}")
 
 
+# The package's one bit budget for an exact value it computes: 2^13 bits,
+# at most 2 467 digits, under Python's 4 300-digit limit on printing an int.
+VALUE_BITS = 2**13
+
+
+def _check_bits(what: str, bits: int) -> None:
+    """Refuse, as a ``PreconditionViolated``, a value that could pass
+    ``VALUE_BITS``: ``bits`` bounds its bit length from above, found from
+    the parameters' bit lengths before the value is computed."""
+    if bits > VALUE_BITS:
+        raise PreconditionViolated(f"{what} could take over {VALUE_BITS} bits")
+
+
 def _canonical_profile(blocks, v):
     """The family's profile (see ``_profile``) when ``blocks`` is a tuple
     of nonempty tuples of ints, each strictly increasing within [0, v),
@@ -575,10 +588,10 @@ def verify(p: BalancedPacking) -> VerificationReport:
     discrepancy lies in {-1, 0, +1}.  The largest intersection is measured
     once and decides the packing condition: a t-subset lies in two blocks
     exactly when two blocks share t points.  The counting bound is
-    cross-checked on every call whenever its preconditions apply; a
-    genuine balanced packing can never exceed it, so a False ``bound_ok``
-    flags an internal inconsistency to the caller without changing the
-    three-boolean verdict.
+    cross-checked on every call whenever its preconditions apply,
+    ``VALUE_BITS`` among them; a genuine balanced packing can never exceed
+    it, so a False ``bound_ok`` flags an internal inconsistency to the
+    caller without changing the three-boolean verdict.
     """
     profile = p._profile  # built by the validation: no recount here
     regular = p.k == 0 or profile.sizes.keys() <= {p.k}
@@ -636,8 +649,11 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
     """Restrict to the blocks through a positive point e1 and negative e2.
 
     Returns the family {B - {e1, e2} : e1, e2 in B} on the ground set
-    relabeled to [0, v-2), with parameters (t-2, k-2).  Blocks that collapse
-    to the same set are merged.
+    relabeled to [0, v-2), with parameters (t-2, k-2); a block that is
+    exactly {e1, e2} is dropped.  The renumbering is monotone and
+    injective, so the derived blocks come out strictly increasing and
+    distinct.  Only blocks of one size surely keep the source's order:
+    (0, 1, 2, 4) < (0, 1, 4), but through 0 and 4 they become (0, 1) > (0,).
     """
     for e in (e1, e2):
         if not (_are_ints((e,)) and 0 <= e < p.v):
@@ -658,7 +674,7 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
     new_t = max(p.t - 2, 0)
     new_k = max(p.k - 2, 0) if p.k else 0
     signs = tuple(p.labeling.signs[x] for x in remaining)
-    return make_packing(p.v - 2, new_t, new_k, signs, derived)
+    return BalancedPacking(p.v - 2, new_t, new_k, Labeling(signs), tuple(sorted(derived)))
 
 
 # ---------------------------------------------------------------------------

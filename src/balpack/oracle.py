@@ -48,6 +48,7 @@ from .core import (
     Labeling,
     PreconditionViolated,
     Record,
+    _check_bits,
     _check_ints,
     _short,
     interval_labeling,
@@ -80,14 +81,12 @@ class SearchBudget(Record):
 
 OracleResult = namedtuple("OracleResult", "size witness exact nodes")
 
-# The set-up holds every k-subset of [0, v) and a bitset for each subset and
-# each point, so v and C(v, k) above these caps are refused before anything is
-# allocated.  C(24, 6) = 134 596 is within them.
-POINT_CAP, CANDIDATE_CAP = 2**8, 2**18
-# The conflict graph takes C(v, k)^2 bits.  Its rows stop before they pass
-# this budget (256 MiB), which leaves the set-up incomplete, as a spent clock
-# does: C(v, k) <= 46 340 never reaches it.
-GRAPH_BITS = 2**31
+# The set-up holds every k-subset of [0, v), a bitset for each subset and
+# each point, and a conflict graph of C(v, k)^2 bits, so v and C(v, k) above
+# these caps are refused before anything is allocated.  46 340 is the floor
+# of sqrt(2^31): the largest graph takes 256 MiB.  C(24, 5) = 42 504 is
+# within the caps, C(25, 5) = 53 130 is not.
+POINT_CAP, CANDIDATE_CAP = 2**8, 46_340
 BASELINE_POINT_CAP = 2**20  # structured_random's v
 
 
@@ -268,12 +267,12 @@ def _point_holders(blocks, v: int) -> list:
 def _conflict_graph(blocks, holders, t: int, expired=lambda: False) -> list:
     """Adjacency bitsets: two blocks are adjacent when they share < t points.
     The rows stop where ``expired()``, asked every 64 rows, first returns
-    true, or where one more row would take them past ``GRAPH_BITS`` bits."""
+    true."""
     n = len(blocks)
     everyone = (1 << n) - 1
     adj = []
     for i, b in enumerate(blocks):
-        if i % 64 == 0 and expired() or (i + 1) * n > GRAPH_BITS:
+        if i % 64 == 0 and expired():
             break
         adj.append(everyone & ~_sharing_at_least(b, holders, t) & ~(1 << i))
     return adj
@@ -302,8 +301,7 @@ def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
     serves every split; the admissible blocks keep their combinations
     order, and so the search its vertex order.  No step starts once the
     budget is spent (the graph asks at its first row), and a skipped step,
-    or a graph cut short by the clock or by ``GRAPH_BITS``, leaves
-    ``search.complete`` False."""
+    or a graph cut short by the clock, leaves ``search.complete`` False."""
     expired = search._out_of_budget
     search.complete = False
     if expired():
@@ -336,8 +334,7 @@ def max_balanced_packing(
     only when the whole search, and the set-up before it (``_set_up``), ran
     to completion inside the budget; a set-up cut short gives the empty
     family.  v above ``POINT_CAP`` or C(v, k) above ``CANDIDATE_CAP`` is
-    a ``TooManyCandidates``, raised before anything is allocated; a
-    C(v, k)^2 above ``GRAPH_BITS`` cuts the set-up short.
+    a ``TooManyCandidates``, raised before anything is allocated.
 
     ``log`` gets one JSON line per split and block kind (``event``
     "kind", with the split's admissible ``vertices`` and the ``edges``
@@ -440,19 +437,12 @@ def structured_random(
     return tuple(kept), labeling
 
 
-# existence_reference is exact: a numerator or denominator longer than this
-# many bits is refused rather than computed
-REFERENCE_BITS = 2**16
-
-
 def existence_reference(v: int, k: int, t: int):
     """The (v*t/k^2)^t count the baseline is compared against."""
     _check_ints("v, k and t", (v, k, t))
     if k < 1:
         raise PreconditionViolated(f"k must be >= 1, got {_short(k)}")
-    if abs(t) * max(abs(v * t), k * k).bit_length() > REFERENCE_BITS:
-        raise PreconditionViolated(
-            f"(v*t/k^2)^t takes over {REFERENCE_BITS} bits, got v={v}, k={k}, t={t}")
+    _check_bits("(v*t/k^2)^t", abs(t) * max(abs(v * t), k * k).bit_length())
     import fractions
 
     return fractions.Fraction(v * t, k * k) ** t

@@ -9,8 +9,8 @@ from balpack.bounds import (
     theorem1_gap,
     type_lp_bound,
 )
-from balpack.core import PreconditionViolated
-from balpack.oracle import max_balanced_packing
+from balpack.core import VALUE_BITS, PreconditionViolated
+from balpack.oracle import existence_reference, max_balanced_packing
 
 
 def test_lemma1_frozen_values():
@@ -34,6 +34,27 @@ def test_lemma1_small_p_minus_gives_zero():
     # C(p_minus, ceil(t/2)) vanishes when p_minus is too small; the bound
     # is then 0, not an error
     assert lemma1_bound(2, 3, 6, 0) == 0
+
+
+@pytest.mark.parametrize("bound, below, above", [
+    # C(2^4095, 1)^2 at the balanced split of 2^4096 points: 8 192 bits
+    (corollary_bound, (2, 3, 2**4096), (2, 3, 2**4097)),
+    (type_lp_bound, (2, 3, 2**4096), (2, 3, 2**4097)),
+    (lambda *a: steiner_size(*a).size, (2, 3, 2**4095), (2, 3, 2**4096)),
+    # 256 + 256 factors of 16 bits at t = 512, 256 + 257 at t = 513
+    (lemma1_bound, (512, 513, 40000, 40000), (513, 514, 40000, 40000)),
+    (existence_reference, (2**8191, 1, 1), (2**8192, 1, 1)),
+], ids=["corollary", "type-lp", "steiner", "lemma1", "existence-reference"])
+def test_values_stay_within_the_bit_budget(bound, below, above):
+    # A value that could pass VALUE_BITS (at most 2 467 digits, under
+    # Python's 4 300-digit limit on printing an int) is refused before it
+    # is computed; one at the budget is computed and printable.
+    value = bound(*below)
+    assert 0 < value and max(value.numerator.bit_length(),
+                             value.denominator.bit_length()) <= VALUE_BITS
+    assert len(str(value)) <= 2 * 2467 + 1
+    with pytest.raises(PreconditionViolated, match="bits"):
+        bound(*above)
 
 
 def test_corollary_frozen_values():

@@ -845,3 +845,41 @@ def test_installed_entry_point_runs(tmp_path):
     )
     assert done.returncode == 0
     assert "construct" in done.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "100000", "100001", "100000000000"], 2),
+    (["bound", "1000000", "1000001", "1000000000000"], 2),
+    (["compare", "1000", "1001", "100000000"], 2),
+    (["oracle", "2000", "5", "100", "--baseline", "--trials", "1", "--seed", "1"], 2),
+    (["verify", "{wide}"], 0),
+], ids=["bound", "bound-slow", "compare", "baseline-reference", "verify-wide"])
+def test_values_past_the_bit_budget_exit_with_their_code(tmp_path, argv, code):
+    # Each value here has more than 4 300 digits, Python's limit on printing
+    # an int, and once ended in a ValueError traceback (bound-slow ran past
+    # 60 s in comb first).  Now each is refused before it is computed: a
+    # parameter error, or in verify no counting-bound line.  The wide file
+    # is one valid block of 3 001 points over 60 000, whose counting bound
+    # at t = 3 000 has about 5 200 digits.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    v, half = 60_000, 30_000
+    block = tuple(range(1501)) + tuple(range(half, half + 1500))
+    wide = tmp_path / "wide.json"
+    core.save_packing(core.BalancedPacking(
+        v, 3000, 3001, core.Labeling((1,) * half + (-1,) * half), (block,)), wide)
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "balpack.cli",
+                           *(a.format(wide=wide) for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=limit)
+    assert "Traceback" not in done.stderr and "Error" not in done.stderr
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    else:
+        assert "counting bound" not in done.stdout and "result: PASS" in done.stdout

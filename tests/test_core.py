@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from test_validation import Point
 
 from balpack import core
@@ -260,6 +260,27 @@ def test_derive_merges_collapsing_blocks():
     sub = derive_subdesign(p, 0, 2)
     # both blocks contain {0,2} and collapse to distinct singletons
     assert sub.blocks == ((0,), (1,))
+
+
+@given(st.integers(3, 8).flatmap(lambda v: st.tuples(
+    st.just(v),
+    st.lists(st.sampled_from((1, -1)), min_size=v, max_size=v),
+    st.lists(st.sets(st.integers(0, v - 1), min_size=1), max_size=12))))
+# (0, 1, 2, 4) sorts before (0, 1, 4); through 0 and 4 they become (0, 1)
+# and (0,), which sort the other way round
+@example((5, [1, 1, 1, 1, -1], [{0, 1, 4}, {0, 1, 2, 4}]))
+def test_derived_family_is_canonical(case):
+    # Every +/- pair of an irregular family: the derived blocks are the
+    # canonical form (points and blocks sorted, no repeats) of the raw
+    # contraction.
+    v, signs, blocks = case
+    p = make_packing(v, 2, 0, signs, blocks)
+    for e1 in (x for x in range(v) if signs[x] == 1):
+        for e2 in (x for x in range(v) if signs[x] == -1):
+            raw = {frozenset(x - (x > e1) - (x > e2) for x in b if x not in (e1, e2))
+                   for b in p.blocks if {e1, e2} < set(b)}
+            assert derive_subdesign(p, e1, e2).blocks == tuple(
+                sorted(tuple(sorted(b)) for b in raw))
 
 
 # --- serialization ----------------------------------------------------------

@@ -277,23 +277,6 @@ def test_time_cap_stops_the_graph_at_its_next_check(monkeypatch):
     assert len(rows) == 64 < len(list(combinations(range(9), 3)))
 
 
-def test_graph_budget_stops_the_rows(monkeypatch):
-    # The conflict graph's rows stop before they pass GRAPH_BITS bits, as
-    # they stop at the clock: the set-up is incomplete and nothing is
-    # searched.  A budget that holds the whole graph changes nothing.
-    blocks = list(combinations(range(8), 3))
-    n = len(blocks)  # 56 blocks, 56 bits a row
-    holders = oracle._point_holders(blocks, 8)
-    monkeypatch.setattr(oracle, "GRAPH_BITS", 11 * n - 1)
-    assert len(oracle._conflict_graph(blocks, holders, 2)) == 10
-    monkeypatch.setattr(oracle, "GRAPH_BITS", n * n - 1)
-    r = max_balanced_packing(2, 3, 8)
-    assert (r.exact, r.nodes, r.size, r.witness.blocks) == (False, 0, 0, ())
-    monkeypatch.setattr(oracle, "GRAPH_BITS", n * n)
-    r = max_balanced_packing(2, 3, 8)
-    assert (r.size, r.exact) == (8, True)
-
-
 def test_no_log_takes_no_root_bound(monkeypatch):
     # The root colouring bound and the split's vertex and edge counts are
     # read only by the log: a search without one never takes the bound.
@@ -452,13 +435,14 @@ def test_existence_reference_value():
 
 
 def test_candidate_cap():
-    # v and C(v, k) are capped before anything is allocated; C(24, 6) =
-    # 134 596 is within the cap, and k above v has no k-subsets at all.
-    for k, v in [(3, 10**9), (6, 27), (1, oracle.POINT_CAP + 1), (10**9, 10**9)]:
+    # v and C(v, k) are capped before anything is allocated; C(24, 5) =
+    # 42 504 is within the cap, and k above v has no k-subsets at all.
+    for k, v in [(3, 10**9), (6, 27), (1, oracle.POINT_CAP + 1), (10**9, 10**9),
+                 (6, 24), (5, 25)]:
         with pytest.raises(oracle.TooManyCandidates):
             max_balanced_packing(2, k, v)
-    # a budget spent before the set-up: C(24, 6) is let through, not refused
-    assert not max_balanced_packing(2, 6, 24, SearchBudget(time_cap=1e-9)).exact
+    # a budget spent before the set-up: C(24, 5) is let through, not refused
+    assert not max_balanced_packing(2, 5, 24, SearchBudget(time_cap=1e-9)).exact
     assert max_balanced_packing(2, 10**9, 8) == (0, BalancedPacking(
         8, 2, 10**9, Labeling((1,) * 4 + (-1,) * 4), ()), True, 0)
     # no set holds more points than it is given
@@ -475,17 +459,18 @@ def test_candidate_cap():
     (("2", "1000000000", "8"), 0),
     (("1000000000", "5", "100", "--baseline", "--trials", "10", "--seed", "1"), 2),
     (("2", "5", "1000000000", "--baseline", "--trials", "10", "--seed", "1"), 2),
-    (("2", "6", "24", "--time-cap", "1"), 4),
-    (("2", "6", "24"), 4),
+    (("2", "6", "24", "--time-cap", "1"), 2),
+    (("2", "6", "24"), 2),
+    (("2", "5", "24", "--time-cap", "1"), 4),
 ], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "baseline-v-huge",
-        "c-134596-time-capped", "c-134596-graph-budget"])
+        "c-134596-time-capped", "c-134596-graph-budget", "c-42504-time-capped"])
 def test_huge_parameters_exit_with_their_code(argv, code):
     # The first five ran out of memory under a 1.5 GB address limit before
     # the caps and the early returns; now each exits with its documented
-    # code, no traceback, within the timeout.  The last two, C(24, 6) =
-    # 134 596, are within the caps: the first stops at its time cap, and
-    # the second, which ran out of memory in its conflict graph, stops at
-    # the graph's bit budget.
+    # code, no traceback, within the timeout.  C(24, 6) = 134 596 is above
+    # the candidate cap, whose conflict graph would not fit, and is refused
+    # before anything is allocated; C(24, 5) = 42 504 is within it and
+    # stops at its time cap.
     resource = pytest.importorskip("resource")
 
     def limit():
