@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,24 @@ def test_type_lp_bound_never_above_corollary_on_sweep():
                 assert lp <= cb, (t, k, v, lp, cb)
                 tighter += lp < cb
     assert (checked, tighter) == (654, 96)
+
+
+def test_bound_digest_over_the_small_sweep():
+    # Every lemma1_bound value or refusal at every split p+ = 0..v, and
+    # every type_lp_bound, over 1 <= t < k <= v <= 40, pinned as one digest.
+    digest = hashlib.sha256()
+    for v in range(2, 41):
+        for k in range(2, v + 1):
+            for t in range(1, k):
+                row = [type_lp_bound(t, k, v)]
+                for p_plus in range(v + 1):
+                    try:
+                        row.append(lemma1_bound(t, k, p_plus, v - p_plus))
+                    except PreconditionViolated:
+                        row.append(None)
+                digest.update(repr((t, k, v, row)).encode())
+    assert digest.hexdigest() == (
+        "c4ee2b6045bd78b92501b54f8a019aa939a7a8c67f8936d0f9125ca2ff1040b5")
 
 
 @pytest.mark.parametrize(
