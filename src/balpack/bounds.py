@@ -1,10 +1,11 @@
 """Exact counting bounds for balanced families with t-bounded intersections.
 
 Everything here is big-int / Fraction arithmetic; no floats anywhere.
-Every parameter takes the package's integer rule first: a float, a str,
-None or a bool is a ``PreconditionViolated``, so ``True`` is never read
-as 1.  A bound or a count that could pass ``core.VALUE_BITS`` is refused,
-as a ``PreconditionViolated``, before it is computed.
+Every parameter takes the package's integer gate first: a float, a str,
+None, a bool or an int past ``core.VALUE_BITS`` is a
+``PreconditionViolated``, so ``True`` is never read as 1.  A bound or a
+count that could pass ``core.VALUE_BITS`` is refused, as a
+``PreconditionViolated``, before it is computed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,15 @@ def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
         raise PreconditionViolated(
             f"need p_plus >= {2 * ((t + 2) // 2)} for t={t}, got {p_plus}"
         )
+    _check_bits("the counting bound",
+                _comb_bits(p_plus, t // 2) + _comb_bits(p_minus, (t + 1) // 2))
+    return _lemma1(t, k, p_plus, p_minus)
+
+
+def _lemma1(t: int, k: int, p_plus: int, p_minus: int) -> int:
+    """``lemma1_bound``'s quotient, unchecked: 1 <= t < k keeps the
+    denominator positive."""
     t_lo, t_hi = t // 2, (t + 1) // 2
-    _check_bits("the counting bound", _comb_bits(p_plus, t_lo) + _comb_bits(p_minus, t_hi))
     num = comb(p_plus, t_lo) * comb(p_minus, t_hi)
     den = comb((k + 1) // 2, t_lo) * comb(k // 2, t_hi)
     return num // den
@@ -113,15 +121,15 @@ def type_lp_bound(t: int, k: int, v: int) -> int:
         (comb(hi, j) * comb(lo, t - j), comb(lo, j) * comb(hi, t - j))
         for j in range(t + 1)
     ]
-    # Row j0 alone caps x + y on a split at C(p+,j0)*C(p-,t-j0) // cap_den;
-    # for p+ >= ceil(v/2) that cap never grows with p+, so the walk stops
-    # at the first split whose cap cannot beat the best bound so far.
-    j0 = t // 2
-    cap_den = min(kinds[j0])
+    # Row j = t//2 alone caps x + y on a split at Lemma 1's quotient, whose
+    # denominator is the smaller of the row's two yields: for odd k,
+    # C(hi, j)C(lo, t-j) / (C(lo, j)C(hi, t-j)) = (hi - t + j) / (hi - j) <= 1.
+    # For p+ >= ceil(v/2) the cap never grows with p+, so the walk stops at
+    # the first split whose cap cannot beat the best bound so far.
     best = 0
     for p_plus in range((v + 1) // 2, v + 1):
         p_minus = v - p_plus
-        if comb(p_plus, j0) * comb(p_minus, t - j0) // cap_den <= best:
+        if _lemma1(t, k, p_plus, p_minus) <= best:
             break
         rows = [
             (a, b, comb(p_plus, j) * comb(p_minus, t - j))

@@ -100,14 +100,30 @@ class Indivisible(PackingError):
 
 Block = tuple  # tuple[int, ...]; strictly increasing point indices
 
-_SHORT = reprlib.Repr()
+# The package's one bit budget for an int: 2^13 bits, at most 2 467 digits,
+# under Python's 4 300-digit limit on printing an int.  Every int parameter
+# is held to it by ``_check_ints``, and every exact value computed from them
+# by ``_check_bits``, so any of them prints.
+VALUE_BITS = 2**13
+
+
+class _ShortRepr(reprlib.Repr):
+    def repr1(self, x, level):
+        # an int past the budget may be past the print limit: its bit length instead
+        if isinstance(x, int) and x.bit_length() > VALUE_BITS:
+            return f"<int of {x.bit_length()} bits>"
+        return super().repr1(x, level)
+
+
+_SHORT = _ShortRepr()
 _SHORT.maxlevel, _SHORT.maxlist = 3, 4
 _Profile = namedtuple("_Profile", "sizes lo hi columns")  # built by _profile
 
 
 def _short(value) -> str:
     """A repr of a block or a value read from a document, at most 60
-    characters, for error messages."""
+    characters, for error messages; an int past ``VALUE_BITS``, alone or
+    inside, shows as its bit length."""
     text = _SHORT.repr(value)
     return text if len(text) <= 60 else text[:57] + "..."
 
@@ -121,18 +137,18 @@ def _are_ints(values) -> bool:
 
 
 def _check_ints(names: str, values, error=PreconditionViolated) -> None:
-    """The package's one refusal of a parameter that fails ``_are_ints``:
-    raise ``error`` naming ``names``, with the one value or the tuple
-    ``values``.  Callers pick the class their own errors belong to."""
+    """The package's one gate for int parameters: raise ``error`` naming
+    ``names`` when a value fails ``_are_ints``, quoting the one value or the
+    tuple ``values``, or has more than ``VALUE_BITS`` bits, quoting none.
+    Callers pick the class their own errors belong to."""
     if not _are_ints(values):
         if len(values) == 1:
             raise error(f"{names} must be an integer, got {_short(values[0])}")
         raise error(f"{names} must be integers, got {_short(values)}")
-
-
-# The package's one bit budget for an exact value it computes: 2^13 bits,
-# at most 2 467 digits, under Python's 4 300-digit limit on printing an int.
-VALUE_BITS = 2**13
+    for x in values:  # a plain loop: for a few values, cheaper than max(map(...))
+        if x.bit_length() > VALUE_BITS:
+            what = "an integer" if len(values) == 1 else "integers"
+            raise error(f"{names} must be {what} of at most {VALUE_BITS} bits")
 
 
 def _check_bits(what: str, bits: int) -> None:
@@ -289,7 +305,8 @@ def interval_labeling(v: int, k: int) -> Labeling:
     """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest:
     the group labeling of every construction whose points fall into k
     equal groups, and of the oracle's interval baseline."""
-    if not (_are_ints((v, k)) and v >= 1 and k >= 1):
+    _check_ints("v and k", (v, k))
+    if v < 1 or k < 1:
         raise PreconditionViolated(f"need integers v and k >= 1, got {_short((v, k))}")
     if v % k:
         raise Indivisible(f"{k} does not divide {v}")
@@ -375,7 +392,7 @@ def discrepancy(block, labeling: Labeling) -> int:
     total = 0
     for x in block:
         if not 0 <= x < v:
-            raise OutOfRange(f"point {x} outside ground set [0, {v})")
+            raise OutOfRange(f"point {_short(x)} outside ground set [0, {v})")
         total += signs[x]
     return total
 
@@ -514,6 +531,7 @@ def is_packing(t: int, blocks) -> bool:
     the empty set lies in every block, so only families of at most one block
     qualify.
     """
+    _check_ints("t", (t,))
     return _is_packing(t, _canonical(blocks))
 
 
@@ -654,9 +672,12 @@ def derive_subdesign(p: BalancedPacking, e1: int, e2: int) -> BalancedPacking:
     injective, so the derived blocks come out strictly increasing and
     distinct.  Only blocks of one size surely keep the source's order:
     (0, 1, 2, 4) < (0, 1, 4), but through 0 and 4 they become (0, 1) > (0,).
+    A point that fails the integer gate lies outside the ground set: it
+    is an ``OutOfRange``, like one outside [0, v).
     """
+    _check_ints("e1 and e2", (e1, e2), OutOfRange)
     for e in (e1, e2):
-        if not (_are_ints((e,)) and 0 <= e < p.v):
+        if not 0 <= e < p.v:
             raise OutOfRange(f"point {_short(e)} outside ground set [0, {p.v})")
     if p.labeling.signs[e1] != 1:
         raise LabelConstraint(f"point e1={e1} must be labeled +1")
@@ -728,7 +749,7 @@ def _encoder():
 def _class_rows(classes) -> list:
     """The classes as lists of ints for the encoder; BalancedPacking checks
     the blocks, nothing checks the classes, so an entry that is not an int,
-    or is a bool, raises TypeError here."""
+    is a bool or passes ``VALUE_BITS``, raises TypeError here."""
     rows = list(map(list, classes))
     _check_ints("class entries", tuple(chain.from_iterable(rows)), TypeError)
     return rows

@@ -323,6 +323,7 @@ def mds_45_product(m: PartitionablePacking, p_minus: int) -> BalancedPacking:
     both sides have p_plus - 2 classes.  Result: a (4, 5, p_plus+p_minus)
     balanced packing, every discrepancy +1.
     """
+    _check_ints("p_minus", (p_minus,))
     if (m.t_prime, m.k) != (2, 3):
         raise PreconditionViolated("need classes of triples covering pairs")
     p_plus = m.v

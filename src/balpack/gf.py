@@ -190,6 +190,9 @@ def make_field(p: int, m: int = 1) -> FieldSpec:
 
 @lru_cache(maxsize=None, typed=True)  # typed: an int subclass is not its int value
 def _field(p: int, m: int) -> FieldSpec:
+    # before p is factored or raised to m: 2^m passes the cap from m = 17 on
+    if p > SIZE_CAP or (p > 1 and m >= SIZE_CAP.bit_length()):
+        raise TooLarge(f"field size {p}^{m} exceeds cap {SIZE_CAP}")
     if _prime_factors(p) != [p]:
         raise NotPrime(f"characteristic {p} is not prime")
     if m < 1:

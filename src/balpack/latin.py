@@ -16,7 +16,7 @@ sets of size 2p+1.
 from __future__ import annotations
 
 from .core import (BalancedPacking, Labeling, PackingError, PreconditionViolated, Record,
-                   _check_ints)
+                   _check_ints, _short)
 
 
 class SeedInvalid(PackingError):
@@ -56,7 +56,7 @@ class SeedSets(Record):
         covered = []
         for a, b in self.positive_pairs + self.negative_pairs:
             if not (0 <= a < b < p):
-                raise PreconditionViolated(f"bad pair ({a}, {b})")
+                raise PreconditionViolated(f"bad pair {_short((a, b))}")
             covered.extend((a, b))
         if sorted(covered) != list(range(p)):
             raise PreconditionViolated(
@@ -109,7 +109,7 @@ class LatinRectangle(Record):
         for row in self.cells:
             for val, boxed in row:
                 if not (0 <= val < p and isinstance(boxed, bool)):
-                    raise PreconditionViolated(f"bad cell ({val}, {boxed})")
+                    raise PreconditionViolated(f"bad cell {_short((val, boxed))}")
 
     def cell(self, row: int, col: int) -> tuple:
         return self.cells[row][col]

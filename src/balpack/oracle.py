@@ -412,8 +412,9 @@ def structured_random(
     a float, a str or bytes; any other seed is a ``PreconditionViolated``.
     """
     _check_ints("v, k, t and trials", (v, k, t, trials))
-    if k < 1 or v < 1 or t < 0 or trials < 0:
-        raise PreconditionViolated("need k, v >= 1 and t, trials >= 0")
+    _check_baseline(v, k, t)
+    if trials < 0:
+        raise PreconditionViolated(f"need trials >= 0, got {trials}")
     if v > BASELINE_POINT_CAP:  # a sign and a holder bitset for each point
         raise TooManyCandidates(f"need v <= {BASELINE_POINT_CAP} for the baseline, got {v}")
     labeling = interval_labeling(v, k)
@@ -437,12 +438,18 @@ def structured_random(
     return tuple(kept), labeling
 
 
+def _check_baseline(v: int, k: int, t: int) -> None:
+    """The baseline's range rule, which its reference shares: v, k >= 1 and t >= 0."""
+    if v < 1 or k < 1 or t < 0:
+        raise PreconditionViolated(f"need v, k >= 1 and t >= 0, got v={v}, k={k}, t={t}")
+
+
 def existence_reference(v: int, k: int, t: int):
-    """The (v*t/k^2)^t count the baseline is compared against."""
+    """The (v*t/k^2)^t count the baseline is compared against, under
+    ``structured_random``'s parameter rule."""
     _check_ints("v, k and t", (v, k, t))
-    if k < 1:
-        raise PreconditionViolated(f"k must be >= 1, got {_short(k)}")
-    _check_bits("(v*t/k^2)^t", abs(t) * max(abs(v * t), k * k).bit_length())
+    _check_baseline(v, k, t)
+    _check_bits("(v*t/k^2)^t", t * max(v * t, k * k).bit_length())
     import fractions
 
     return fractions.Fraction(v * t, k * k) ** t

@@ -67,7 +67,8 @@ def construct_td_sum(t: int, m: int) -> TransversalDesign:
     coordinate is the sum of the first t.  Exists for every m >= 1,
     unlike the polynomial construction.
     """
-    if not (_are_ints((t, m)) and t >= 1 and m >= 1):
+    _check_ints("t and m", (t, m))
+    if t < 1 or m < 1:
         raise PreconditionViolated(f"need t >= 1 and m >= 1, got t={t}, m={m}")
     blocks = []
     for xs in itertools.product(range(m), repeat=t):
@@ -124,7 +125,8 @@ def augment_34_char2(m: int) -> BalancedPacking:
     family is ``factorization.product`` of those classes with themselves:
     m^2(2m-1) blocks, augment_34's total.
     """
-    if not _are_ints((m,)) or m < 2 or m & (m - 1):
+    _check_ints("m", (m,))
+    if m < 2 or m & (m - 1):
         raise PreconditionViolated(f"m={m} must be a power of two and >= 2")
     sums = factorization.PartitionablePacking(1, 2, 2 * m, tuple(
         tuple((i, i ^ s) for i in range(2 * m) if i < i ^ s)  # i + s in GF(2m)

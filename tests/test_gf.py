@@ -6,6 +6,7 @@ tables for every prime power up to 64.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -138,10 +139,12 @@ def test_not_prime():
 
 
 def test_too_large():
-    with pytest.raises(gf.TooLarge):
-        gf.make_field(2, 17)
-    with pytest.raises(gf.TooLarge):
-        gf.make_field(257, 2)
+    # refused before p is factored or raised to m: quickly, however large
+    for p, m in [(2, 17), (257, 2), (2**61 - 1, 1), (2, 10**9), (3, 10**7), (2**16 + 1, 1)]:
+        start = time.perf_counter()
+        with pytest.raises(gf.TooLarge):
+            gf.make_field(p, m)
+        assert time.perf_counter() - start < 0.01, (p, m)
 
 
 def test_cap_boundary_field_constructs():

@@ -434,6 +434,13 @@ def test_existence_reference_value():
     assert existence_reference(100, 5, 2) == 64
 
 
+def test_existence_reference_takes_the_baseline_rule():
+    # the parameters structured_random refuses, refused alike
+    for v, k, t in [(4, 0, 2), (-3, 3, 2), (4, -2, 2), (100, 5, -1), (0, 5, -1), (-4, 5, 2)]:
+        with pytest.raises(PreconditionViolated, match=r"need v, k >= 1 and t >= 0"):
+            existence_reference(v, k, t)
+
+
 def test_candidate_cap():
     # v and C(v, k) are capped before anything is allocated; C(24, 5) =
     # 42 504 is within the cap, and k above v has no k-subsets at all.
@@ -462,15 +469,19 @@ def test_candidate_cap():
     (("2", "6", "24", "--time-cap", "1"), 2),
     (("2", "6", "24"), 2),
     (("2", "5", "24", "--time-cap", "1"), 4),
+    ((str(10**2500), "3", "8"), 2),
 ], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "baseline-v-huge",
-        "c-134596-time-capped", "c-134596-graph-budget", "c-42504-time-capped"])
+        "c-134596-time-capped", "c-134596-graph-budget", "c-42504-time-capped",
+        "t-past-the-bit-budget"])
 def test_huge_parameters_exit_with_their_code(argv, code):
     # The first five ran out of memory under a 1.5 GB address limit before
     # the caps and the early returns; now each exits with its documented
     # code, no traceback, within the timeout.  C(24, 6) = 134 596 is above
     # the candidate cap, whose conflict graph would not fit, and is refused
     # before anything is allocated; C(24, 5) = 42 504 is within it and
-    # stops at its time cap.
+    # stops at its time cap.  A t of 2 501 digits, which argparse still
+    # reads, is past the bit budget: refused by the integer gate, where it
+    # was once searched and printed whole.  A refusal is one short line.
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -483,3 +494,6 @@ def test_huge_parameters_exit_with_their_code(argv, code):
                           preexec_fn=limit)
     assert "Traceback" not in done.stderr and "Error" not in done.stderr
     assert done.returncode == code, done.stderr
+    if code == 2:
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and len(line) <= 200

@@ -3,6 +3,7 @@ hashing, repr, immutability and the checks each one runs on its fields."""
 
 import functools
 import inspect
+import time
 
 import pytest
 
@@ -220,9 +221,9 @@ def test_post_init_checks_the_fields(call, error):
     (lambda: factorization.triples_from_factorization(4.0, 3),
      "p_plus must be an integer, got 4.0"),
     (lambda: transversal.augment_34(2.0), "m must be an integer, got 2.0"),
-    (lambda: transversal.augment_34_char2(2.0), "m=2.0 must be a power of two and >= 2"),
+    (lambda: transversal.augment_34_char2(2.0), "m must be an integer, got 2.0"),
     (lambda: latin.seed_sets(8.0), "p_plus must be an integer, got 8.0"),
-    (lambda: transversal.construct_td_sum(2, 3.0), "need t >= 1 and m >= 1, got t=2, m=3.0"),
+    (lambda: transversal.construct_td_sum(2, 3.0), "t and m must be integers, got (2, 3.0)"),
     (lambda: latin.LatinRectangle(4.0, 3, ()), "p_plus must be an integer, got 4.0"),
     (lambda: transversal.construct_td(2, 3, 4.0), "t, k and q must be integers, got (2, 3, 4.0)"),
     (lambda: factorization.triples_from_factorization(6, 2.0),
@@ -296,13 +297,13 @@ def test_parameter_errors_are_preconditions():
     (lambda: oracle.interval_labeling(8, -2), core.PreconditionViolated,
      "need integers v and k >= 1, got (8, -2)"),
     (lambda: oracle.interval_labeling(8.0, 2), core.PreconditionViolated,
-     "need integers v and k >= 1, got (8.0, 2)"),
+     "v and k must be integers, got (8.0, 2)"),
     (lambda: core.interval_labeling(0, 3), core.PreconditionViolated,
      "need integers v and k >= 1, got (0, 3)"),
     (lambda: core.interval_labeling(-6, 3), core.PreconditionViolated,
      "need integers v and k >= 1, got (-6, 3)"),
     (lambda: oracle.existence_reference(100, 0, 2), core.PreconditionViolated,
-     "k must be >= 1, got 0"),
+     "need v, k >= 1 and t >= 0, got v=100, k=0, t=2"),
     (lambda: oracle.existence_reference(100, 5, 2.0), core.PreconditionViolated,
      "v, k and t must be integers, got (100, 5, 2.0)"),
     (lambda: sumcode.missing_pair_predicate(0, 1, 2), core.PreconditionViolated,
@@ -424,6 +425,11 @@ INT_ENTRIES = [
     ("seed_sets", latin.seed_sets, {"p_plus": 4}),
     ("latin_dispatch", latin_dispatch, {"v": 8}),
     ("make_field", gf.make_field, {"p": 3, "m": 2}),
+    ("is_packing", functools.partial(core.is_packing, blocks=((0, 1, 2), (0, 3, 4))),
+     {"t": 2}),
+    ("interval_labeling", core.interval_labeling, {"v": 8, "k": 2}),
+    ("mds_45_product", functools.partial(factorization.mds_45_product,
+                                         factorization.large_set_sts(9)), {"p_minus": 8}),
 ]
 INT_PARAMETERS = [pytest.param(call, kwargs, name, id=f"{entry}-{name}")
                   for entry, call, kwargs in INT_ENTRIES for name in kwargs]
@@ -435,6 +441,44 @@ def test_entries_refuse_every_non_integer_parameter(call, kwargs, name, value):
     call(**kwargs)
     with pytest.raises(core.PreconditionViolated):
         call(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("value", [10**5000, -10**5000], ids=["huge", "huge-negative"])
+@pytest.mark.parametrize("call, kwargs, name", INT_PARAMETERS)
+def test_entries_refuse_a_parameter_past_the_bit_budget(call, kwargs, name, value):
+    # core.VALUE_BITS holds for parameters as it does for computed values:
+    # refused at once by the one gate, naming the parameter and quoting
+    # no value, so no message meets Python's 4 300-digit limit on printing
+    start = time.perf_counter()
+    with pytest.raises(core.PackingError, match="bits"):
+        call(**{**kwargs, name: value})
+    assert time.perf_counter() - start < 0.1
+
+
+def _derivable():
+    return core.make_packing(6, 2, 3, (1, 1, 1, -1, -1, -1), [(0, 1, 3), (0, 2, 4)])
+
+
+# an int past the bit budget where a point or a pair belongs: the refusal
+# quotes it by its bit length, in a short message
+@pytest.mark.parametrize("call, error", [
+    (lambda: BalancedPacking(3, 2, 2, Labeling((1, -1, 1)), ((0, 10**5000),)), core.OutOfRange),
+    (lambda: core.discrepancy((0, 10**5000), Labeling((1, -1, 1))), core.OutOfRange),
+    (lambda: latin.SeedSets(4, ((0, 10**5000),), ((1, 2),)), core.PreconditionViolated),
+    (lambda: core.derive_subdesign(_derivable(), 10**5000, 2), core.OutOfRange),
+], ids=["BalancedPacking-point", "discrepancy-point", "SeedSets-pair", "derive_subdesign-e1"])
+def test_values_past_the_bit_budget_are_quoted_by_size(call, error):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and "bits" in str(caught.value)
+    assert len(str(caught.value)) <= 200
+
+
+def test_short_quotes_a_huge_int_by_its_bit_length():
+    assert core._short(10**5000) == "<int of 16610 bits>"
+    assert core._short(-10**5000) == "<int of 16610 bits>"
+    assert core._short(2**8192 - 1) == "109074813561941592...6505665475715792895"  # within it
+    assert len(core._short([10**5000] * 9)) <= 60
 
 
 class Row(tuple):
