@@ -184,14 +184,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.p_plus is None and args.p_minus is None:
+    if args.p_plus is None:
         print(bounds.corollary_bound(args.t, args.k, args.v))
-        return EXIT_OK
-    if args.p_plus is None or args.p_minus is None:
-        return _usage("--p-plus and --p-minus must be given together")
-    if args.p_plus + args.p_minus != args.v:
-        return _usage(f"split {args.p_plus}+{args.p_minus} does not cover v={args.v}")
-    print(bounds.lemma1_bound(args.t, args.k, args.p_plus, args.p_minus))
+    else:
+        print(bounds.lemma1_bound(args.t, args.k, args.p_plus, args.v - args.p_plus))
     return EXIT_OK
 
 
@@ -349,8 +345,7 @@ def _bound_args(p):
     p.add_argument("t", type=int)
     p.add_argument("k", type=int)
     p.add_argument("v", type=int)
-    p.add_argument("--p-plus", type=int)
-    p.add_argument("--p-minus", type=int)
+    p.add_argument("--p-plus", type=int, help="positive points; the other v - P_PLUS are negative")
     p.set_defaults(run=_cmd_bound)
 
 

@@ -313,13 +313,18 @@ def test_verify_reads_a_class_document_once(tmp_path, capsys, monkeypatch):
 def test_bound_output(capsys):
     assert main(["bound", "2", "3", "9"]) == 0
     assert capsys.readouterr().out.strip() == "10"
-    assert main(["bound", "2", "3", "9", "--p-plus", "6", "--p-minus", "3"]) == 0
+    # p- = v - p+ = 3
+    assert main(["bound", "2", "3", "9", "--p-plus", "6"]) == 0
     assert capsys.readouterr().out.strip() == "9"
 
 
-def test_bound_usage_errors():
-    assert main(["bound", "2", "3", "9", "--p-plus", "6"]) == 2
-    assert main(["bound", "2", "3", "9", "--p-plus", "6", "--p-minus", "4"]) == 2
+def test_bound_usage_errors(capsys):
+    # a p+ above v leaves a negative p-, which lemma1_bound refuses
+    assert main(["bound", "2", "3", "9", "--p-plus", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: p_minus must be >= 0\n")
+    # p- is v - p+, never an option
+    assert main(["bound", "2", "3", "9", "--p-plus", "6", "--p-minus", "3"]) == 2
+    assert "unrecognized arguments: --p-minus 3" in capsys.readouterr().err
     assert main(["bound", "3", "3", "9"]) == 2
 
 
@@ -394,6 +399,7 @@ def test_derive_roundtrip(tmp_path):
     ["oracle", "2", "3", "-3", "--baseline", "--trials", "5", "--seed", "1"],
     ["oracle", "2", "-2", "4", "--baseline", "--trials", "5", "--seed", "1"],
     ["oracle", "-1", "5", "100", "--baseline", "--trials", "5", "--seed", "1"],
+    ["oracle", "2", "5", "100", "--baseline", "--trials", "-1", "--seed", "1"],
     ["derive", "{src}", "0", "99", "--out", "{tmp}/x.json"],
     ["derive", "{missing}/src.json", "0", "8", "--out", "{tmp}/x.json"],
     ["construct", "product", "--first", "file:{missing}.json",
@@ -405,7 +411,7 @@ def test_derive_roundtrip(tmp_path):
     "construct-out", "oracle-out", "derive-out", "oracle-log",
     "mds-write-large-set", "budget-nodes-0", "time-cap-nan", "oracle-t0",
     "baseline-indivisible", "baseline-k0", "baseline-v-negative", "baseline-k-negative",
-    "baseline-t-negative",
+    "baseline-t-negative", "baseline-trials-negative",
     "derive-out-of-range", "derive-missing-file", "product-missing-file",
     "bound-t-equals-k", "sum-v0", "sum-k-above-v",
 ])

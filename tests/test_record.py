@@ -340,6 +340,12 @@ def test_parameter_errors_are_preconditions():
      "need q >= 1 and k >= 1, got q=-2, k=3"),
     (lambda: oracle.structured_random(9, 3, 1, 10, (1, 2)), core.PreconditionViolated,
      "rng_seed must be None, an int, a float, a str or bytes, got (1, 2)"),
+    (lambda: oracle.structured_random(100, 5, 2, -1, 1), core.PreconditionViolated,
+     "need trials >= 0, got -1"),
+    (lambda: transversal.construct_td_sum(0, 3), core.PreconditionViolated,
+     "need t >= 1 and m >= 1, got t=0, m=3"),
+    (lambda: transversal.construct_td_sum(2, 0), core.PreconditionViolated,
+     "need t >= 1 and m >= 1, got t=2, m=0"),
     (lambda: bounds.lemma1_bound(2.0, 3, 4, 3), core.PreconditionViolated,
      "t, k, p_plus and p_minus must be integers, got (2.0, 3, 4, 3)"),
     (lambda: bounds.theorem1_gap([2], 3, 9), core.PreconditionViolated,
@@ -383,7 +389,9 @@ def test_parameter_errors_are_preconditions():
         "failure_rate-k8-v6", "sumcode-k9-v4", "latin_dispatch-str", "latin_dispatch-none",
         "latin_dispatch-float", "latin_dispatch-v7", "label_points-float-q", "label_points-bool-q",
         "evaluation_set-float-k", "label_points-zero-k", "label_points-zero-q",
-        "label_points-negative-q", "structured_random-tuple-seed", "lemma1_bound-float-t",
+        "label_points-negative-q", "structured_random-tuple-seed",
+        "structured_random-negative-trials", "construct_td_sum-zero-t", "construct_td_sum-zero-m",
+        "lemma1_bound-float-t",
         "theorem1_gap-unhashable-t", "max_balanced_packing-bool-t", "SearchBudget-str-max_nodes",
         "is_packing-negative-t", "SeedSets-descending-pair", "SeedSets-pair-above-p",
         "LatinRectangle-short", "LatinRectangle-long-rows", "LatinRectangle-int-flag",
