@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
-from .core import PreconditionViolated, _check_bits, _check_ints
+from .core import PreconditionViolated, _check_bits, _check_ints, _kinds, _type_row
 
 __all__ = [
     "lemma1_bound",
@@ -51,20 +51,8 @@ def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
         )
     _check_bits("the counting bound",
                 _comb_bits(p_plus, t // 2) + _comb_bits(p_minus, (t + 1) // 2))
-    a, _, c = _type_row(t, k, p_plus, p_minus, t // 2)
+    a, _, c = _type_row(t, _kinds(k), p_plus, p_minus, t // 2)
     return c // a
-
-
-def _type_row(t: int, k: int, p_plus: int, p_minus: int, j: int) -> tuple[int, int, int]:
-    """Row j of the sign-type LP on the split (p_plus, p_minus), unchecked.
-
-    A row (a, b, c) reads a*x + b*y <= c: a and b are the t-subsets of sign
-    type j in one block of kind (ceil(k/2), floor(k/2)) and of kind
-    (floor(k/2), ceil(k/2)), and c is the split's count of them.
-    """
-    hi, lo = (k + 1) // 2, k // 2
-    return (comb(hi, j) * comb(lo, t - j), comb(lo, j) * comb(hi, t - j),
-            comb(p_plus, j) * comb(p_minus, t - j))
 
 
 def corollary_bound(t: int, k: int, v: int) -> int:
@@ -120,19 +108,19 @@ def type_lp_bound(t: int, k: int, v: int) -> int:
     # the bound is at most the first split's cap below
     _check_bits("the LP bound",
                 _comb_bits((v + 1) // 2, t // 2) + _comb_bits(v // 2, t - t // 2))
+    kinds = _kinds(k)
     # Row j = t//2 alone caps x + y on a split at Lemma 1's quotient c // a,
-    # a being the smaller of the row's two yields: for odd k, with
-    # hi, lo = ceil(k/2), floor(k/2),
+    # a being the smaller of the row's two yields: for odd k, with (hi, lo) = kinds[0],
     # C(hi, j)C(lo, t-j) / (C(lo, j)C(hi, t-j)) = (hi - t + j) / (hi - j) <= 1.
     # For p+ >= ceil(v/2) the cap never grows with p+, so the walk stops at
     # the first split whose cap cannot beat the best bound so far.
     best = 0
     for p_plus in range((v + 1) // 2, v + 1):
         p_minus = v - p_plus
-        a, _, c = first = _type_row(t, k, p_plus, p_minus, t // 2)
+        a, _, c = first = _type_row(t, kinds, p_plus, p_minus, t // 2)
         if c // a <= best:
             break
-        rows = [first] + [_type_row(t, k, p_plus, p_minus, j)
+        rows = [first] + [_type_row(t, kinds, p_plus, p_minus, j)
                           for j in range(t + 1) if j != t // 2]
         best = max(best, _lp_floor([r for r in rows if r[0] or r[1]]))
     return best

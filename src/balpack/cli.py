@@ -39,6 +39,7 @@ from .core import (
     BalancedPacking,
     PackingError,
     _check_ints,
+    _short,
     derive_subdesign,
     load_document,
     load_packing,
@@ -186,8 +187,10 @@ def _cmd_verify(args) -> int:
 def _cmd_bound(args) -> int:
     if args.p_plus is None:
         print(bounds.corollary_bound(args.t, args.k, args.v))
-    else:
+    elif 0 <= args.p_plus <= args.v:
         print(bounds.lemma1_bound(args.t, args.k, args.p_plus, args.v - args.p_plus))
+    else:
+        return _usage(f"need 0 <= --p-plus <= v = {_short(args.v)}, got {_short(args.p_plus)}")
     return EXIT_OK
 
 

@@ -301,6 +301,24 @@ class Labeling(Record):
         return Labeling(tuple(-s for s in self.signs))
 
 
+def _split_labeling(p_plus: int, p_minus: int) -> Labeling:
+    """The split (p_plus, p_minus): +1 on [0, p_plus), -1 on the p_minus points after it."""
+    return Labeling((1,) * p_plus + (-1,) * p_minus)
+
+
+def _kinds(k: int) -> tuple:
+    """A balanced k-block's two (positive, negative) counts, ceil(k/2) positive first."""
+    return ((k + 1) // 2, k // 2), (k // 2, (k + 1) // 2)
+
+
+def _type_row(s: int, kinds, p_plus: int, p_minus: int, j: int) -> tuple[int, int, int]:
+    """Row j of the sign-type count of s-subsets: the yield C(pos, j)*C(neg, s-j) of a block
+    of each (pos, neg) kind in ``kinds``, then the split's C(p_plus, j)*C(p_minus, s-j)."""
+    (a, b), (c, d) = kinds
+    return (comb(a, j) * comb(b, s - j), comb(c, j) * comb(d, s - j),
+            comb(p_plus, j) * comb(p_minus, s - j))
+
+
 def interval_labeling(v: int, k: int) -> Labeling:
     """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest:
     the group labeling of every construction whose points fall into k
@@ -311,7 +329,7 @@ def interval_labeling(v: int, k: int) -> Labeling:
     if v % k:
         raise Indivisible(f"{k} does not divide {v}")
     cut = (k + 1) // 2 * (v // k)
-    return Labeling((1,) * cut + (-1,) * (v - cut))
+    return _split_labeling(cut, v - cut)
 
 
 class BalancedPacking(Record):

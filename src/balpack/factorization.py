@@ -20,7 +20,6 @@ from operator import lt
 
 from .core import (
     BalancedPacking,
-    Labeling,
     PackingError,
     PreconditionViolated,
     Record,
@@ -29,6 +28,7 @@ from .core import (
     _check_ints,
     _is_packing,
     _short,
+    _split_labeling,
     load_document,
     save_packing,
 )
@@ -213,9 +213,8 @@ def product(
         shifted = [tuple(x + p1.v for x in d) for d in c2]
         blocks.extend(b + d for b in c1 for d in shifted)
     t_out = max(p2.k + p1.t_prime, p1.k + p2.t_prime)
-    signs = (1,) * p1.v + (-1,) * p2.v
-    return BalancedPacking(
-        p1.v + p2.v, t_out, p1.k + p2.k, Labeling(signs), tuple(sorted(blocks)))
+    return BalancedPacking(p1.v + p2.v, t_out, p1.k + p2.k, _split_labeling(p1.v, p2.v),
+                           tuple(sorted(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +352,7 @@ def save_large_set(m: PartitionablePacking, path) -> None:
     index = {b: i for i, b in enumerate(blocks)}
     classes = tuple(tuple(sorted(index[b] for b in cls)) for cls in m.classes)
     half = (m.v + 1) // 2
-    signs = (1,) * half + (-1,) * (m.v - half)
-    packing = BalancedPacking(m.v, m.t_prime, m.k, Labeling(signs), blocks)
+    packing = BalancedPacking(m.v, m.t_prime, m.k, _split_labeling(half, m.v - half), blocks)
     save_packing(packing, path, classes)
 
 

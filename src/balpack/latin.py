@@ -15,8 +15,8 @@ sets of size 2p+1.
 
 from __future__ import annotations
 
-from .core import (BalancedPacking, Labeling, PackingError, PreconditionViolated, Record,
-                   _check_ints, _short)
+from .core import (BalancedPacking, PackingError, PreconditionViolated, Record,
+                   _check_ints, _short, _split_labeling)
 
 
 class SeedInvalid(PackingError):
@@ -205,11 +205,6 @@ def extract_triples(r: LatinRectangle) -> BalancedPacking:
             f"{len(triples)} triples from {p}x{cols} cells; "
             "cells did not pair up two-to-one"
         )
-    if cols == p:
-        signs = (1,) * p + (-1,) * cols
-    else:
-        signs = (-1,) * p + (1,) * cols
-    return BalancedPacking(
-        p + cols, 2, 3, Labeling(signs), tuple(sorted(triples))
-    )
+    labeling = _split_labeling(p, cols) if cols == p else _split_labeling(p, cols).flipped()
+    return BalancedPacking(p + cols, 2, 3, labeling, tuple(sorted(triples)))
 

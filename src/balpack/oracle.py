@@ -50,7 +50,9 @@ from .core import (
     Record,
     _check_bits,
     _check_ints,
+    _kinds,
     _short,
+    _split_labeling,
     interval_labeling,
 )
 
@@ -279,14 +281,13 @@ def _conflict_graph(blocks, holders, t: int, expired=lambda: False) -> list:
 
 
 def _split_kinds(holders, k: int, p_plus: int) -> list:
-    """The admissible blocks of the split p+ by kind: (a, bitset of the
-    blocks with exactly a points in [0, p+)) for each a in
-    {floor(k/2), ceil(k/2)}, ascending.  A k-block holds exactly a
-    positive points when it holds at least a of them and k - a others."""
+    """The admissible blocks of the split p+ by kind: (a, bitset of the blocks holding at
+    least a points of [0, p+) and b of the rest, so exactly a) for each distinct kind (a, b)
+    of ``core._kinds(k)``, ascending in a."""
     positive, negative = range(p_plus), range(p_plus, len(holders))
     return [(a, _sharing_at_least(positive, holders, a)
-             & _sharing_at_least(negative, holders, k - a))
-            for a in sorted({k // 2, (k + 1) // 2})]
+             & _sharing_at_least(negative, holders, b))
+            for a, b in sorted(set(_kinds(k)))]
 
 
 def _k_subsets(items, k: int):
@@ -391,8 +392,7 @@ def max_balanced_packing(
                 break
         if not search.complete:
             break
-    signs = (1,) * best_p_plus + (-1,) * (v - best_p_plus)
-    witness = BalancedPacking(v, t, k, Labeling(signs), best_blocks)
+    witness = BalancedPacking(v, t, k, _split_labeling(best_p_plus, v - best_p_plus), best_blocks)
     return OracleResult(search.best_size, witness, search.complete, search.nodes)
 
 

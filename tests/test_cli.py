@@ -319,9 +319,11 @@ def test_bound_output(capsys):
 
 
 def test_bound_usage_errors(capsys):
-    # a p+ above v leaves a negative p-, which lemma1_bound refuses
+    # p+ lies in [0, v]: p- is v - p+
     assert main(["bound", "2", "3", "9", "--p-plus", "10"]) == 2
-    assert capsys.readouterr() == ("", "error: p_minus must be >= 0\n")
+    assert capsys.readouterr() == ("", "error: need 0 <= --p-plus <= v = 9, got 10\n")
+    assert main(["bound", "2", "3", "9", "--p-plus", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: need 0 <= --p-plus <= v = 9, got -1\n")
     # p- is v - p+, never an option
     assert main(["bound", "2", "3", "9", "--p-plus", "6", "--p-minus", "3"]) == 2
     assert "unrecognized arguments: --p-minus 3" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -44,6 +45,62 @@ def test_labeling_counts_and_flip():
 def test_labeling_rejects_bad_signs():
     with pytest.raises(LabelConstraint):
         Labeling((1, 0, -1))
+
+
+@pytest.mark.parametrize("p_plus, p_minus, signs", [
+    (0, 0, ()),
+    (1, 0, (1,)),
+    (3, 0, (1, 1, 1)),
+    (0, 2, (-1, -1)),
+    (1, 1, (1, -1)),
+    (2, 3, (1, 1, -1, -1, -1)),
+    (4, 4, (1, 1, 1, 1, -1, -1, -1, -1)),
+])
+def test_split_labeling_is_plus_then_minus(p_plus, p_minus, signs):
+    lab = core._split_labeling(p_plus, p_minus)
+    assert lab == Labeling(signs)
+    assert (lab.p_plus, lab.p_minus) == (p_plus, p_minus)
+
+
+@pytest.mark.parametrize("k, kinds", [
+    (1, ((1, 0), (0, 1))),
+    (2, ((1, 1), (1, 1))),
+    (3, ((2, 1), (1, 2))),
+    (4, ((2, 2), (2, 2))),
+    (5, ((3, 2), (2, 3))),
+    (6, ((3, 3), (3, 3))),
+    (7, ((4, 3), (3, 4))),
+    (8, ((4, 4), (4, 4))),
+    (9, ((5, 4), (4, 5))),
+])
+def test_kinds_of_a_balanced_block(k, kinds):
+    assert core._kinds(k) == kinds
+
+
+@pytest.mark.parametrize("v", range(4, 13))
+def test_type_row_over_the_complement_kinds(v):
+    # On the split (p+, p-), the complement of a k-block of kind (a, b) is a
+    # (v - k)-block of kind (p+ - a, p- - b), and two complements share at
+    # most T - 1 points, T = t + v - 2k.  Every row of T-subsets over those
+    # two kinds, at each split p+ >= ceil(v/2) where both kinds exist.
+    rows = 0
+    for k in range(2, v):
+        hi, lo = (k + 1) // 2, k // 2
+        for t in range(1, k):
+            s = t + v - 2 * k
+            for p_plus in range((v + 1) // 2, v + 1) if s >= 1 else ():
+                p_minus = v - p_plus
+                if p_minus < hi:
+                    continue
+                kinds = ((p_plus - hi, p_minus - lo), (p_plus - lo, p_minus - hi))
+                for j in range(s + 1):
+                    assert core._type_row(s, kinds, p_plus, p_minus, j) == (
+                        comb(p_plus - hi, j) * comb(p_minus - lo, s - j),
+                        comb(p_plus - lo, j) * comb(p_minus - hi, s - j),
+                        comb(p_plus, j) * comb(p_minus, s - j),
+                    ), (t, k, v, p_plus, j)
+                    rows += 1
+    assert rows
 
 
 # --- structural validation ---------------------------------------------------
