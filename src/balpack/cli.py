@@ -82,25 +82,21 @@ def _save_verified(packing: BalancedPacking, out_path: str) -> int:
 
 
 def latin_dispatch(v: int) -> BalancedPacking:
-    """Route an A(2,3,v) request to the construction for v mod 4.
+    """Route an A(2,3,v) request by v mod 4, with h = 2 floor(v/4).
 
-    4m -> square fixed-point-free rectangle; 4m+1 -> rectangle plus an
-    appended column; 4m+2 -> matching triples at the off-by-two split;
-    4m+3 -> matching triples at the near-balanced split.  Every route
-    emits exactly floor(floor(v/2) * ceil(v/2) / 2) triples.
+    4m, 4m+1 -> the fixed-point-free square on h symbols, for 4m+1 with
+    an appended column; 4m+2, 4m+3 -> matching triples at the split
+    (h + 2, v - h - 2).  Every route emits exactly
+    floor(floor(v/2) * ceil(v/2) / 2) triples.
     """
     _check_ints("v", (v,))
     if v < 8:
         raise PackingError(f"dispatcher covers v >= 8, got {v}")
-    residue = v % 4
-    if residue == 0:
-        return latin.extract_triples(latin.fill(latin.seed_sets(v // 2)))
-    if residue == 1:
-        rect = latin.fill(latin.seed_sets((v - 1) // 2))
-        return latin.extract_triples(latin.augment_column(rect))
-    if residue == 2:
-        return factorization.triples_from_factorization(v // 2 + 1, v // 2 - 1)
-    return factorization.triples_from_factorization((v + 1) // 2, (v - 1) // 2)
+    h = 2 * (v // 4)
+    if v % 4 < 2:
+        square = latin.fill(latin.seed_sets(h))
+        return latin.extract_triples(latin.augment_column(square) if v % 2 else square)
+    return factorization.triples_from_factorization(h + 2, v - h - 2)
 
 
 def _load_partitionable(spec: str) -> factorization.PartitionablePacking:

@@ -142,18 +142,15 @@ class PartitionablePacking(Record):
         _check_ints("t_prime, k and v", (self.t_prime, self.k, self.v))
         if not (isinstance(classes, tuple) and all(isinstance(c, tuple) for c in classes)):
             raise PreconditionViolated(f"classes must be a tuple of tuples, got {_short(classes)}")
-        # whole-class passes decide; only when one fails does the loop below
-        # run, to name the first bad block or class
+        # whole-family passes decide whether the per-block loop runs, to name
+        # the first bad block; each class is then checked as a packing in turn
         blocks = tuple(itertools.chain.from_iterable(classes))
         profile = _canonical_profile(blocks, self.v)
-        if (profile is not None and profile.sizes.keys() <= {self.k}
-                and len(set(blocks)) == len(blocks)):
-            if not all(_is_packing(self.t_prime, cls) for cls in classes):
-                raise PreconditionViolated(f"a class is not a {self.t_prime}-packing")
-            return
+        canonical = (profile is not None and profile.sizes.keys() <= {self.k}
+                     and len(set(blocks)) == len(blocks))
         seen = set()
         for c, cls in enumerate(classes):
-            for i, b in enumerate(cls):
+            for i, b in enumerate(() if canonical else cls):
                 where = f"class {c} block {i}"
                 if not (isinstance(b, tuple) and _are_ints(b) and len(b) == self.k
                         and all(map(lt, b, b[1:]))):

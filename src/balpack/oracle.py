@@ -118,6 +118,7 @@ class _CliqueSearch:
         self.complete = True
         self.best = []
         self.best_size = 0
+        self.best_labeling = None  # the incumbent's split, recorded with it by _improve
         self.adj = []
         self.masks = []
         self.orbits = 0
@@ -127,10 +128,10 @@ class _CliqueSearch:
         self.stack = []
 
     def _out_of_budget(self) -> bool:
-        return (
-            self.nodes >= self.budget.max_nodes
-            or time.monotonic() - self.t0 > self.budget.time_cap
-        )
+        # the only writer of complete: False for good once either cap is spent
+        self.complete = (self.complete and self.nodes < self.budget.max_nodes
+                         and time.monotonic() - self.t0 <= self.budget.time_cap)
+        return not self.complete
 
     def _color_order(self, cand: int):
         """The first-fit colouring in vertex order as sorted (colour,
@@ -189,13 +190,13 @@ class _CliqueSearch:
     def _improve(self):
         self.best_size = len(self.stack)
         self.best = list(self.stack)
+        self.best_labeling = self.labeling
         self.emit("incumbent")
 
     def _expand(self, depth: int, cand: int, cells):
         """Search one node; each child node to search is yielded as its
         (depth, cand, cells), and this resumes once that child is done."""
         if self._out_of_budget():
-            self.complete = False
             return
         self.nodes += 1
         if self.nodes % HEARTBEAT_NODES == 0:
@@ -301,10 +302,9 @@ def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
     of [0, v), and return the subsets and their point holders.  One graph
     serves every split; the admissible blocks keep their combinations
     order, and so the search its vertex order.  No step starts once the
-    budget is spent (the graph asks at its first row), and a skipped step,
-    or a graph cut short by the clock, leaves ``search.complete`` False."""
+    budget is spent (the graph asks at its first row); ``expired()`` alone
+    skips a step or cuts the graph short, and it leaves ``complete`` False."""
     expired = search._out_of_budget
-    search.complete = False
     if expired():
         return [], []
     blocks = list(_k_subsets(range(v), k))
@@ -315,7 +315,6 @@ def _set_up(search: _CliqueSearch, t: int, k: int, v: int):
         return blocks, holders
     search.masks = list(map(sum, _k_subsets([1 << x for x in range(v)], k)))
     search.adj = _conflict_graph(blocks, holders, t, expired)
-    search.complete = len(search.adj) == len(blocks)
     return blocks, holders
 
 
@@ -354,10 +353,12 @@ def max_balanced_packing(
         raise TooManyCandidates(f"need v <= {POINT_CAP} and C(v, k) <= {CANDIDATE_CAP}, "
                                 f"got k={k}, v={v}")
     search = _CliqueSearch(budget or SearchBudget(), log)
+    search.best_labeling = (v + 1) // 2  # the split of the empty family
     blocks, holders = _set_up(search, t, k, v)
     adj = search.adj
-    best_blocks: tuple = ()
-    best_p_plus = (v + 1) // 2
+
+    def incumbent():  # its blocks, in order
+        return tuple(sorted(blocks[i] for i in search.best))
     for p_plus in range((v + 1) // 2, v + 1) if search.complete else ():
         kinds = _split_kinds(holders, k, p_plus)
         allowed = admissible = kinds[0][1] | kinds[-1][1]
@@ -371,7 +372,6 @@ def max_balanced_packing(
             # The root orbit is the kind; its representative, the first block.
             search.kind = a
             search.bound = search.orbits = 0
-            before = search.best_size
             if kind:
                 rep = (kind & -kind).bit_length() - 1
                 cand = allowed & adj[rep]
@@ -380,19 +380,18 @@ def max_balanced_packing(
                 cells = _refine([positive, (1 << v) - 1 - positive], search.masks[rep])
                 search.run([rep], cand, cells)
                 allowed &= ~kind
-            if search.best_size > before:
-                best_blocks = tuple(sorted(blocks[i] for i in search.best))
-                best_p_plus = p_plus
             if log is not None:
                 search.emit(
                     "kind", vertices=n, edges=edges, orbits=search.orbits,
-                    complete=search.complete, best=best_blocks, best_labeling=best_p_plus,
+                    complete=search.complete, best=incumbent(),
+                    best_labeling=search.best_labeling,
                 )
             if not search.complete:
                 break
         if not search.complete:
             break
-    witness = BalancedPacking(v, t, k, _split_labeling(best_p_plus, v - best_p_plus), best_blocks)
+    p_plus = search.best_labeling
+    witness = BalancedPacking(v, t, k, _split_labeling(p_plus, v - p_plus), incumbent())
     return OracleResult(search.best_size, witness, search.complete, search.nodes)
 
 
