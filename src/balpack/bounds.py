@@ -17,6 +17,7 @@ from math import comb
 from .core import PreconditionViolated, _check_bits, _check_ints, _kinds, _type_row
 
 __all__ = [
+    "lemma1_min_p_plus",
     "lemma1_bound",
     "corollary_bound",
     "type_lp_bound",
@@ -33,6 +34,15 @@ def _comb_bits(n: int, r: int) -> int:
     return min(r, n - r) * n.bit_length() if r <= n else 0
 
 
+def lemma1_min_p_plus(t: int, k: int) -> int:
+    """The least p+ Lemma 1 takes at strength t, 2 * floor(t/2) + 2, once
+    t and k meet its rule 1 <= t < k."""
+    _check_ints("t and k", (t, k))
+    if t < 1 or t >= k:
+        raise PreconditionViolated(f"need 1 <= t < k, got t={t}, k={k}")
+    return 2 * ((t + 2) // 2)
+
+
 def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
     """Counting bound for a balanced family with blocks of size k over a
     ground set with p_plus positive and p_minus negative points.
@@ -41,14 +51,11 @@ def lemma1_bound(t: int, k: int, p_plus: int, p_minus: int) -> int:
            / (C(ceil(k/2), floor(t/2)) * C(floor(k/2), ceil(t/2))) )
     """
     _check_ints("t, k, p_plus and p_minus", (t, k, p_plus, p_minus))
-    if t < 1 or t >= k:
-        raise PreconditionViolated(f"need 1 <= t < k, got t={t}, k={k}")
+    least = lemma1_min_p_plus(t, k)
     if p_minus < 0:
         raise PreconditionViolated("p_minus must be >= 0")
-    if p_plus < 2 * ((t + 2) // 2):
-        raise PreconditionViolated(
-            f"need p_plus >= {2 * ((t + 2) // 2)} for t={t}, got {p_plus}"
-        )
+    if p_plus < least:
+        raise PreconditionViolated(f"need p_plus >= {least} for t={t}, got {p_plus}")
     _check_bits("the counting bound",
                 _comb_bits(p_plus, t // 2) + _comb_bits(p_minus, (t + 1) // 2))
     a, _, c = _type_row(t, _kinds(k), p_plus, p_minus, t // 2)

@@ -38,6 +38,7 @@ from . import oracle as oracle_mod
 from .core import (
     BalancedPacking,
     PackingError,
+    _check_incidences,
     _check_ints,
     _short,
     derive_subdesign,
@@ -92,6 +93,7 @@ def latin_dispatch(v: int) -> BalancedPacking:
     _check_ints("v", (v,))
     if v < 8:
         raise PackingError(f"dispatcher covers v >= 8, got {v}")
+    _check_incidences(v // 2 * ((v + 1) // 2) // 2, 3, v=v)
     h = 2 * (v // 4)
     if v % 4 < 2:
         square = latin.fill(latin.seed_sets(h))
@@ -181,12 +183,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.p_plus is None:
-        print(bounds.corollary_bound(args.t, args.k, args.v))
-    elif 0 <= args.p_plus <= args.v:
-        print(bounds.lemma1_bound(args.t, args.k, args.p_plus, args.v - args.p_plus))
-    else:
-        return _usage(f"need 0 <= --p-plus <= v = {_short(args.v)}, got {_short(args.p_plus)}")
+    t, k, v, p_plus = args.t, args.k, args.v, args.p_plus
+    if p_plus is None:
+        print(bounds.corollary_bound(t, k, v))
+        return EXIT_OK
+    least = bounds.lemma1_min_p_plus(t, k)  # its t and k errors first
+    if not least <= p_plus <= v:
+        return _usage(f"need {least} <= --p-plus <= {_short(v)} for t={t}, got {_short(p_plus)}")
+    print(bounds.lemma1_bound(t, k, p_plus, v - p_plus))
     return EXIT_OK
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "TooFewBlocks",
     "LabelConstraint",
     "PreconditionViolated",
+    "TooManyIncidences",
     "FormatError",
     "Indivisible",
     "Block",
@@ -106,6 +107,13 @@ Block = tuple  # tuple[int, ...]; strictly increasing point indices
 # by ``_check_bits``, so any of them prints.
 VALUE_BITS = 2**13
 
+# The most incidences, points counted once for each block that holds them, that
+# a construction route builds: 2^20 blocks of 4 points (``construct
+# td-augment34 --v 320``, 1 017 600 of them, peaks at about 540 MiB).  Each
+# route counts them from its parameters and refuses more
+# (``_check_incidences``) before it allocates anything.
+INCIDENCE_CAP = 2**22
+
 
 class _ShortRepr(reprlib.Repr):
     def repr1(self, x, level):
@@ -157,6 +165,22 @@ def _check_bits(what: str, bits: int) -> None:
     the parameters' bit lengths before the value is computed."""
     if bits > VALUE_BITS:
         raise PreconditionViolated(f"{what} could take over {VALUE_BITS} bits")
+
+
+class TooManyIncidences(PreconditionViolated):
+    """A construction route would build more than ``INCIDENCE_CAP`` incidences."""
+
+
+def _check_incidences(blocks: int, k: int, /, **params) -> None:
+    """The construction routes' one size rule: ``blocks`` blocks of ``k``
+    points, counted from the route's ``params`` before anything is built,
+    are refused as a ``TooManyIncidences`` naming the params when they hold
+    more than ``INCIDENCE_CAP`` points in all.  A count too costly to take
+    exactly may be passed as any smaller one that is still over the cap."""
+    if blocks * k > INCIDENCE_CAP:
+        named = ", ".join(f"{name}={_short(x)}" for name, x in params.items())
+        raise TooManyIncidences(
+            f"{named} would give blocks holding over {INCIDENCE_CAP} points in all")
 
 
 def _canonical_profile(blocks, v):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from operator import lt
+from operator import lt, mul
 
 from .core import (
     BalancedPacking,
@@ -25,6 +25,7 @@ from .core import (
     Record,
     _are_ints,
     _canonical_profile,
+    _check_incidences,
     _check_ints,
     _is_packing,
     _short,
@@ -94,6 +95,7 @@ def one_factorization(n: int) -> OneFactorization:
     the rest rotate around a circle; deterministic.
     """
     _check_even_order("n", n)
+    _check_incidences(n * (n - 1) // 2, 2, n=n)
     m = n - 1
     classes = []
     for r in range(m):
@@ -183,6 +185,7 @@ def singleton_classes(n: int) -> PartitionablePacking:
     _check_ints("n", (n,))
     if n < 1:
         raise PreconditionViolated("need at least one class")
+    _check_incidences(n, 1, n=n)
     return PartitionablePacking(0, 1, n, tuple(((i,),) for i in range(n)))
 
 
@@ -205,6 +208,9 @@ def product(
             f"{len(p1.classes)} classes vs {len(p2.classes)}; "
             "pass allow_prefix to zip the shorter prefix"
         )
+    pairs = min(len(p1.classes), len(p2.classes))
+    _check_incidences(sum(map(mul, map(len, p1.classes), map(len, p2.classes))),
+                      p1.k + p2.k, classes=pairs)
     blocks = []
     for c1, c2 in zip(p1.classes, p2.classes):
         shifted = [tuple(x + p1.v for x in d) for d in c2]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .core import PreconditionViolated, Record, _check_ints
+from .core import INCIDENCE_CAP, PreconditionViolated, Record, _check_incidences, _check_ints
 
 __all__ = [
     "FieldError",
@@ -224,7 +224,8 @@ make_field.cache_info = _field.cache_info
 
 
 def _code_field(t: int, k: int, q: int) -> FieldSpec:
-    """GF(q) for the code of degree < t at k points: ints, q <= cap, q = p^m, 1 <= t <= k <= q."""
+    """GF(q) for the code of degree < t at k points: ints, q <= cap, q = p^m, 1 <= t <= k <= q,
+    and its q^t words of k points within the routes' incidence cap."""
     _check_ints("t, k and q", (t, k, q))
     if q > SIZE_CAP:
         raise PreconditionViolated(f"q={q} exceeds the field size cap {SIZE_CAP}")
@@ -233,6 +234,8 @@ def _code_field(t: int, k: int, q: int) -> FieldSpec:
         raise PreconditionViolated(f"q={q} is not a prime power")
     if not 1 <= t <= k <= q:
         raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
+    # for q >= 2 the cap's bit length as the exponent is already over the cap
+    _check_incidences(q ** min(t, INCIDENCE_CAP.bit_length()), k, q=q, t=t, k=k)
     p = factors[0]
     return make_field(p, next(m for m in itertools.count(1) if p**m == q))
 

@@ -16,7 +16,7 @@ sets of size 2p+1.
 from __future__ import annotations
 
 from .core import (BalancedPacking, PackingError, PreconditionViolated, Record,
-                   _check_ints, _short, _split_labeling)
+                   _check_incidences, _check_ints, _short, _split_labeling)
 
 
 class SeedInvalid(PackingError):
@@ -33,10 +33,13 @@ class InvariantViolation(PackingError):
 
 
 def _check_p_plus(p) -> None:
-    """The order rule of the seed sets: p_plus is an int, even and >= 4."""
+    """The order rule of the seed sets: p_plus is an int, even and >= 4, and
+    the p_plus^2 / 2 triples of the square they grow are within the routes'
+    incidence cap."""
     _check_ints("p_plus", (p,))
     if p < 4 or p % 2:
         raise PreconditionViolated(f"p_plus={p} must be even and >= 4")
+    _check_incidences(p * p // 2, 3, p_plus=p)
 
 
 class SeedSets(Record):

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from math import comb, prod
 
 from .core import (
+    INCIDENCE_CAP,
     BalancedPacking,
     Labeling,
     PackingError,
     PreconditionViolated,
     Record,
+    _check_incidences,
     _check_ints,
     _short,
     max_pairwise_intersection,
@@ -73,6 +76,11 @@ def _completions(params: SumCodeParams):
     """For each seed choice, its block (unsorted) with the forced element
     added, or None when that element repeats a chosen one."""
     v, target = params.v, params.target
+    # the seed choices: C(half, r) >= 2^min(r, half - r), so a side past the
+    # cap's bit length is over the cap by itself and counted no further
+    half, most = v // 2, INCIDENCE_CAP.bit_length()
+    seeds = prod(comb(half, min(r, half - r, most)) for r in (params.n_even, params.n_odd))
+    _check_incidences(seeds, params.k, v=v, k=params.k)
     for es, os_ in itertools.product(
         itertools.combinations(range(0, v, 2), params.n_even),
         itertools.combinations(range(1, v, 2), params.n_odd),

@@ -16,8 +16,8 @@ import itertools
 from operator import lt
 
 from . import factorization, gf
-from .core import (BalancedPacking, Labeling, PreconditionViolated, Record, _are_ints,
-                   _check_ints, _short, interval_labeling)
+from .core import (INCIDENCE_CAP, BalancedPacking, Labeling, PreconditionViolated, Record,
+                   _are_ints, _check_incidences, _check_ints, _short, interval_labeling)
 
 
 class TransversalDesign(Record):
@@ -70,6 +70,8 @@ def construct_td_sum(t: int, m: int) -> TransversalDesign:
     _check_ints("t and m", (t, m))
     if t < 1 or m < 1:
         raise PreconditionViolated(f"need t >= 1 and m >= 1, got t={t}, m={m}")
+    # for m >= 2 the cap's bit length as the exponent is already over the cap
+    _check_incidences(m ** min(t, INCIDENCE_CAP.bit_length()), t + 1, t=t, m=m)
     blocks = []
     for xs in itertools.product(range(m), repeat=t):
         coords = xs + (sum(xs) % m,)
@@ -99,6 +101,7 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
     optimum.
     """
     factorization._check_even_order("m", m)
+    _check_incidences(m * m * (2 * m - 1), 4, m=m)
     if td is None:
         td = construct_td_sum(3, m)
     if (td.t, td.k, td.q) != (3, 4, m):
@@ -128,6 +131,7 @@ def augment_34_char2(m: int) -> BalancedPacking:
     _check_ints("m", (m,))
     if m < 2 or m & (m - 1):
         raise PreconditionViolated(f"m={m} must be a power of two and >= 2")
+    _check_incidences(m * m * (2 * m - 1), 4, m=m)
     sums = factorization.PartitionablePacking(1, 2, 2 * m, tuple(
         tuple((i, i ^ s) for i in range(2 * m) if i < i ^ s)  # i + s in GF(2m)
         for s in range(1, 2 * m)))

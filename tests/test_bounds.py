@@ -6,6 +6,7 @@ import pytest
 from balpack.bounds import (
     corollary_bound,
     lemma1_bound,
+    lemma1_min_p_plus,
     steiner_size,
     theorem1_gap,
     type_lp_bound,
@@ -29,6 +30,19 @@ def test_lemma1_preconditions():
         lemma1_bound(3, 4, 3, 8)  # p_plus below 2*ceil((t+1)/2) = 4
     with pytest.raises(PreconditionViolated):
         lemma1_bound(2, 3, 4, -1)
+
+
+def test_lemma1_min_p_plus_is_the_floor_lemma1_bound_takes():
+    for t in range(1, 12):
+        for k in range(t + 1, 14):
+            least = lemma1_min_p_plus(t, k)
+            assert least == 2 * (t // 2) + 2
+            lemma1_bound(t, k, least, 0)
+            with pytest.raises(PreconditionViolated, match=f"^need p_plus >= {least} for t={t}"):
+                lemma1_bound(t, k, least - 1, 0)
+    for t, k in [(3, 3), (0, 3), (4, 2)]:
+        with pytest.raises(PreconditionViolated, match="^need 1 <= t < k"):
+            lemma1_min_p_plus(t, k)
 
 
 def test_lemma1_small_p_minus_gives_zero():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -47,6 +48,16 @@ def test_latin_dispatcher_counts(tmp_path, v):
     if v % 4 == 2:
         # Off-by-two split: the even-side rectangle does not exist here.
         assert p.labeling.p_plus == v // 2 + 1
+
+
+def test_latin_dispatch_digest():
+    # Every triple the dispatcher writes for 8 <= v <= 64, pinned as one
+    # digest before its four branches became two routes.
+    digest = hashlib.sha256()
+    for v in range(8, 65):
+        digest.update(core.to_json(cli.latin_dispatch(v)).encode())
+    assert digest.hexdigest() == (
+        "3b2e226523fb22744aa65deeac7b718f54f8b4716e57732dcef727196b87dda8")
 
 
 def test_latin_small_v_is_usage_error(tmp_path, capsys):
@@ -319,11 +330,16 @@ def test_bound_output(capsys):
 
 
 def test_bound_usage_errors(capsys):
-    # p+ lies in [0, v]: p- is v - p+
+    # p+ lies in [Lemma 1's least p+, v]: p- is v - p+
     assert main(["bound", "2", "3", "9", "--p-plus", "10"]) == 2
-    assert capsys.readouterr() == ("", "error: need 0 <= --p-plus <= v = 9, got 10\n")
+    assert capsys.readouterr() == ("", "error: need 4 <= --p-plus <= 9 for t=2, got 10\n")
     assert main(["bound", "2", "3", "9", "--p-plus", "-1"]) == 2
-    assert capsys.readouterr() == ("", "error: need 0 <= --p-plus <= v = 9, got -1\n")
+    assert capsys.readouterr() == ("", "error: need 4 <= --p-plus <= 9 for t=2, got -1\n")
+    assert main(["bound", "5", "6", "9", "--p-plus", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: need 6 <= --p-plus <= 9 for t=5, got 5\n")
+    # the errors about t and k keep their text, and come first
+    assert main(["bound", "3", "3", "9", "--p-plus", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: need 1 <= t < k, got t=3, k=3\n")
     # p- is v - p+, never an option
     assert main(["bound", "2", "3", "9", "--p-plus", "6", "--p-minus", "3"]) == 2
     assert "unrecognized arguments: --p-minus 3" in capsys.readouterr().err
@@ -509,6 +525,9 @@ USAGE_ERROR_ARGVS = [
     ["--", "verify", "x.json"],
     ["construct", "--", "latin", "--v", "8", "--out", "x.json"],
     ["derive", "verify", "0", "1"],
+    # inside [0, v] but below Lemma 1's floor: named as the option, not as
+    # lemma1_bound's p_plus
+    ["bound", "2", "3", "9", "--p-plus", "1"],
 ]
 
 
@@ -683,6 +702,7 @@ layers = ("babai_frankl", "bounds", "factorization", "gf", "latin", "oracle",
           "sumcode", "transversal")
 ran = [name for name in layers if type(sys.modules[f"balpack.{name}"]) is types.ModuleType]
 loaded = {name: name in sys.modules for name in ("fractions", "json")}
+import hashlib
 import json
 print(json.dumps({"code": code, "ran": ran, **loaded}))
 """
@@ -891,3 +911,45 @@ def test_values_past_the_bit_budget_exit_with_their_code(tmp_path, argv, code):
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     else:
         assert "counting bound" not in done.stdout and "result: PASS" in done.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["latin", "--v", "1000000000"],
+    ["sum", "--v", "1000000000", "--k", "4"],
+    ["td-augment34", "--v", "1000000000"],
+    ["td-augment34", "--char2", "--v", str(2**30)],
+    ["factorization", "--p-plus", "1000000000", "--p-minus", "1"],
+    ["product", "--first", "onefact:1000000000", "--second", "singletons:3"],
+    ["mds", "--source", "onefact:100000"],
+    ["td", "--t", "3", "--k", "5", "--q", "65521"],
+    ["babai-frankl", "--q", "65521", "--k", "5", "--t", "3"],
+    ["product", "--first", "singletons:3", "--second", "singletons:1000000000",
+     "--allow-prefix"],
+    ["td", "--t", "1", "--k", "65536", "--q", "65536"],
+    ["sum", "--v", str(2**21), "--k", str(2**21)],
+], ids=["latin", "sum", "td-augment34", "td-augment34-char2", "factorization",
+        "product-onefact", "mds-onefact", "td", "babai-frankl", "product-singletons",
+        "td-wide", "sum-wide"])
+def test_routes_past_the_incidence_cap_exit_2(tmp_path, argv):
+    # The first seven ended in a MemoryError traceback under a 1.5 GB address
+    # limit, and the next three ran past 10 s.  The last two build few
+    # blocks, 2^16 and 2^20, but of 2^16 and 2^21 points each, which is why
+    # the rule counts points in blocks, not blocks.  Now each route counts
+    # them from its parameters and refuses, before it allocates anything.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-m", "balpack.cli", "construct", *argv,
+                           "--out", str(tmp_path / "x.json")],
+                          capture_output=True, text=True, env=env, timeout=5,
+                          preexec_fn=limit)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2, done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(
+        f"would give blocks holding over {core.INCIDENCE_CAP} points in all")
+    assert not (tmp_path / "x.json").exists()

@@ -410,6 +410,7 @@ def test_helpers_refuse_parameters_they_cannot_use(call, error, message):
 # point that is not an int lies outside the ground set (OutOfRange).
 HOSTILE = {"float": 2.0, "str": "3", "none": None, "list": [2], "bool": True}
 INT_ENTRIES = [
+    ("lemma1_min_p_plus", bounds.lemma1_min_p_plus, {"t": 2, "k": 3}),
     ("lemma1_bound", bounds.lemma1_bound, {"t": 2, "k": 3, "p_plus": 4, "p_minus": 3}),
     ("corollary_bound", bounds.corollary_bound, {"t": 2, "k": 3, "v": 9}),
     ("type_lp_bound", bounds.type_lp_bound, {"t": 2, "k": 3, "v": 9}),
@@ -480,6 +481,103 @@ def test_values_past_the_bit_budget_are_quoted_by_size(call, error):
         call()
     assert type(caught.value) is error and "bits" in str(caught.value)
     assert len(str(caught.value)) <= 200
+
+
+def _singletons_in_one_class(n):
+    return factorization.PartitionablePacking(1, 1, n, (tuple((i,) for i in range(n)),))
+
+
+# Each route just past core.INCIDENCE_CAP (2^22 points in all blocks), or far
+# past it, with the count that route takes; the first of each pair of
+# latin, seed_sets, one_factorization, augment_34 and augment_34_char2 rows
+# is the largest that builds.
+PAST_THE_CAP = [
+    ("latin_dispatch", lambda: latin_dispatch(3345)),  # 3344: 1 397 792 triples
+    ("seed_sets", lambda: latin.seed_sets(1674)),  # 1672: a square of 1 397 792
+    ("one_factorization", lambda: factorization.one_factorization(2050)),  # 2048
+    ("singleton_classes", lambda: factorization.singleton_classes(core.INCIDENCE_CAP + 1)),
+    ("triples_from_factorization", lambda: factorization.triples_from_factorization(10**9, 1)),
+    ("product", lambda: factorization.product(_singletons_in_one_class(2100),
+                                              _singletons_in_one_class(2100))),
+    ("augment_34", lambda: transversal.augment_34(82)),  # 80: 1 017 600 blocks
+    ("augment_34_char2", lambda: transversal.augment_34_char2(128)),  # 64
+    ("construct_td", lambda: transversal.construct_td(2, 5, 1024)),
+    ("construct_td-wide", lambda: transversal.construct_td(1, 65536, 65536)),
+    ("construct_td_sum", lambda: transversal.construct_td_sum(3, 102)),  # 101 builds
+    ("construct_td_sum-huge-t", lambda: transversal.construct_td_sum(10**9, 2)),
+    ("babai_frankl.construct", lambda: babai_frankl.construct(1024, 5, 2)),
+    ("sumcode.construct", lambda: sumcode.construct(10**9, 3)),
+    ("sumcode.construct-wide", lambda: sumcode.construct(2**21, 2**21)),
+    ("sumcode.construct-huge-k", lambda: sumcode.construct(10**9, 10**8)),
+    ("failure_rate", lambda: sumcode.failure_rate(10**9, 4)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in PAST_THE_CAP], ids=[n for n, _ in PAST_THE_CAP])
+def test_routes_past_the_incidence_cap_are_refused_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(core.TooManyIncidences) as caught:
+        call()
+    assert time.perf_counter() - start < 0.5
+    assert str(caught.value).endswith(
+        f"would give blocks holding over {core.INCIDENCE_CAP} points in all")
+    assert len(str(caught.value)) <= 200
+
+
+def test_the_incidence_rule_counts_points_in_blocks():
+    core._check_incidences(core.INCIDENCE_CAP, 1, n=1)
+    core._check_incidences(core.INCIDENCE_CAP // 4, 4, n=1)
+    with pytest.raises(core.TooManyIncidences, match="^n=1, k=3 would give"):
+        core._check_incidences(core.INCIDENCE_CAP // 3 + 1, 3, n=1, k=3)
+    with pytest.raises(core.TooManyIncidences, match=r"^v=1090748135.*\.\.\..* would give") as caught:
+        core._check_incidences(2**8191, 3, v=2**8192 - 1)
+    assert len(str(caught.value)) <= 200
+    assert issubclass(core.TooManyIncidences, core.PreconditionViolated)
+
+
+def _recorded_incidence_checks(monkeypatch) -> list:
+    """Record each route's (blocks, k) as it asks the incidence rule."""
+    calls = []
+    check = core._check_incidences
+
+    def record(blocks, k, /, **params):
+        calls.append((blocks, k))
+        check(blocks, k, **params)
+
+    import balpack.cli
+
+    for module in (balpack.cli, gf, latin, factorization, transversal, sumcode):
+        monkeypatch.setattr(module, "_check_incidences", record)
+    return calls
+
+
+def _classes(p):
+    return sum(map(len, p.classes)), p.k
+
+
+@pytest.mark.parametrize("build, count", [
+    *((lambda v=v: latin_dispatch(v), lambda p: (p.n_blocks, 3)) for v in range(8, 14)),
+    (lambda: latin.fill(latin.seed_sets(8)), lambda r: (len(latin.extract_triples(r).blocks), 3)),
+    (lambda: transversal.construct_td(2, 4, 5), lambda td: (len(td.blocks), td.k)),
+    (lambda: transversal.construct_td_sum(3, 4), lambda td: (len(td.blocks), td.k)),
+    (lambda: babai_frankl.construct(5, 3, 2), lambda p: (p.n_blocks, p.k)),
+    (lambda: transversal.augment_34(4), lambda p: (p.n_blocks, p.k)),
+    (lambda: transversal.augment_34_char2(4), lambda p: (p.n_blocks, p.k)),
+    (lambda: factorization.one_factorization(8), lambda f: (sum(map(len, f.classes)), 2)),
+    (lambda: factorization.singleton_classes(5), _classes),
+    (lambda: factorization.product(_singletons_in_one_class(5), _singletons_in_one_class(3)),
+     lambda p: (p.n_blocks, p.k)),
+    (lambda: sumcode.construct(12, 4),
+     lambda p: (sum(1 for _ in sumcode._completions(sumcode.SumCodeParams(12, 4))), 4)),
+], ids=[*(f"latin_dispatch-{v}" for v in range(8, 14)), "seed_sets", "construct_td",
+        "construct_td_sum", "babai_frankl", "augment_34", "augment_34_char2",
+        "one_factorization", "singleton_classes", "product", "sumcode-seed-choices"])
+def test_each_route_asks_the_rule_for_what_it_builds(monkeypatch, build, count):
+    # The first count a route gives the rule is the family it then builds
+    # (for sumcode, the seed choices it then walks).
+    calls = _recorded_incidence_checks(monkeypatch)
+    built = build()
+    assert calls[0] == count(built)
 
 
 def test_short_quotes_a_huge_int_by_its_bit_length():
