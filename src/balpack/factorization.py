@@ -208,9 +208,8 @@ def product(
             f"{len(p1.classes)} classes vs {len(p2.classes)}; "
             "pass allow_prefix to zip the shorter prefix"
         )
-    pairs = min(len(p1.classes), len(p2.classes))
     _check_incidences(sum(map(mul, map(len, p1.classes), map(len, p2.classes))),
-                      p1.k + p2.k, classes=pairs)
+                      p1.k + p2.k, classes=min(len(p1.classes), len(p2.classes)))
     blocks = []
     for c1, c2 in zip(p1.classes, p2.classes):
         shifted = [tuple(x + p1.v for x in d) for d in c2]

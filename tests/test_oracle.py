@@ -190,51 +190,45 @@ def test_search_log_kind_lines_are_frozen(t, k, v):
         assert rec["best_labeling"] == frozen["best_labeling"]
 
 
-def _thinned_splits(monkeypatch, second=None):
-    """Leave the first split p+ = ceil(v/2) with no admissible block and,
-    given ``second``, keep only the blocks of that bitset in each kind of
-    the split after it."""
-    split_kinds = oracle._split_kinds
-
-    def thinned(holders, k, p_plus):
-        kinds = split_kinds(holders, k, p_plus)
-        first = (len(holders) + 1) // 2
-        if p_plus == first:
-            return [(a, 0) for a, _ in kinds]
-        if p_plus == first + 1 and second is not None:
-            return [(a, kind & second(kind)) for a, kind in kinds]
-        return kinds
-
-    monkeypatch.setattr(oracle, "_split_kinds", thinned)
-
-
 def _lowest_two(kind):
     low = kind & -kind
     return low | (kind & ~low) & -(kind & ~low)
 
 
-@pytest.mark.parametrize("second, size, p_plus, best_labelings", [
+@pytest.mark.parametrize("keep, size, p_plus, best_labelings", [
     (None, 7, 5, [4, 4, 5, 5, 5, 5, 5, 5, 5, 5]),
-    # the split after it keeps two blocks a kind: the incumbent found there
-    # is beaten at the split after that, and the record moves with it
+    # the next split keeps two blocks a kind: the incumbent found there is
+    # beaten at the split after it, and the record moves with it
     (_lowest_two, 6, 6, [4, 4, 5, 5, 6, 6, 6, 6, 6, 6]),
 ], ids=["first-split-empty", "record-moves-to-a-later-split"])
-def test_the_incumbent_records_its_split_above_ceil_half(monkeypatch, second, size,
+def test_the_incumbent_records_its_split_above_ceil_half(monkeypatch, keep, size,
                                                           p_plus, best_labelings):
     # Every witness the unpatched search finds for v <= 12 lies on the split
-    # ceil(v/2), so a witness's split is pinned here with that split emptied.
-    _thinned_splits(monkeypatch, second)
+    # ceil(v/2), so a witness's split is pinned here with that split left
+    # with no admissible block (and, given ``keep``, the next split's kinds
+    # cut to the blocks it keeps).
+    split_kinds = oracle._split_kinds
+
+    def thinned(holders, k, split):
+        kinds = split_kinds(holders, k, split)
+        first = (len(holders) + 1) // 2
+        if split == first:
+            return [(a, 0) for a, _ in kinds]
+        if split == first + 1 and keep is not None:
+            return [(a, keep(kind)) for a, kind in kinds]
+        return kinds
+
+    monkeypatch.setattr(oracle, "_split_kinds", thinned)
     sink = io.StringIO()
     r = max_balanced_packing(2, 3, 8, log=sink)
     assert (r.size, r.exact) == (size, True)
     assert r.witness.labeling.p_plus == p_plus
-    assert r.witness.labeling == Labeling((1,) * p_plus + (-1,) * (8 - p_plus))
     assert verify(r.witness).passed
     kinds = [rec for rec in map(json.loads, sink.getvalue().splitlines())
              if rec["event"] == "kind"]
     assert [rec["best_labeling"] for rec in kinds] == best_labelings
-    assert kinds[-1]["best"] == [list(b) for b in r.witness.blocks]
     assert kinds[0]["best"] == []
+    assert kinds[-1]["best"] == [list(b) for b in r.witness.blocks]
 
 
 def test_search_log_heartbeat(monkeypatch):

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from balpack import (babai_frankl, bounds, core, factorization, gf, latin, oracle, sumcode,
-                     transversal)
+from balpack import (babai_frankl, bounds, cli, core, factorization, gf, latin, oracle,
+                     sumcode, transversal)
 from balpack.cli import latin_dispatch
 from balpack.core import BalancedPacking, Labeling, VerificationReport
 
@@ -488,19 +488,17 @@ def _singletons_in_one_class(n):
 
 
 # Each route just past core.INCIDENCE_CAP (2^22 points in all blocks), or far
-# past it, with the count that route takes; the first of each pair of
-# latin, seed_sets, one_factorization, augment_34 and augment_34_char2 rows
-# is the largest that builds.
+# past it; a trailing comment names the largest parameter that still builds.
 PAST_THE_CAP = [
     ("latin_dispatch", lambda: latin_dispatch(3345)),  # 3344: 1 397 792 triples
     ("seed_sets", lambda: latin.seed_sets(1674)),  # 1672: a square of 1 397 792
-    ("one_factorization", lambda: factorization.one_factorization(2050)),  # 2048
+    ("one_factorization", lambda: factorization.one_factorization(2050)),  # 2048 builds
     ("singleton_classes", lambda: factorization.singleton_classes(core.INCIDENCE_CAP + 1)),
     ("triples_from_factorization", lambda: factorization.triples_from_factorization(10**9, 1)),
     ("product", lambda: factorization.product(_singletons_in_one_class(2100),
                                               _singletons_in_one_class(2100))),
     ("augment_34", lambda: transversal.augment_34(82)),  # 80: 1 017 600 blocks
-    ("augment_34_char2", lambda: transversal.augment_34_char2(128)),  # 64
+    ("augment_34_char2", lambda: transversal.augment_34_char2(128)),  # 64 builds
     ("construct_td", lambda: transversal.construct_td(2, 5, 1024)),
     ("construct_td-wide", lambda: transversal.construct_td(1, 65536, 65536)),
     ("construct_td_sum", lambda: transversal.construct_td_sum(3, 102)),  # 101 builds
@@ -529,7 +527,7 @@ def test_the_incidence_rule_counts_points_in_blocks():
     core._check_incidences(core.INCIDENCE_CAP // 4, 4, n=1)
     with pytest.raises(core.TooManyIncidences, match="^n=1, k=3 would give"):
         core._check_incidences(core.INCIDENCE_CAP // 3 + 1, 3, n=1, k=3)
-    with pytest.raises(core.TooManyIncidences, match=r"^v=1090748135.*\.\.\..* would give") as caught:
+    with pytest.raises(core.TooManyIncidences, match=r"^v=1090748135.*\.\.\..* would") as caught:
         core._check_incidences(2**8191, 3, v=2**8192 - 1)
     assert len(str(caught.value)) <= 200
     assert issubclass(core.TooManyIncidences, core.PreconditionViolated)
@@ -544,15 +542,9 @@ def _recorded_incidence_checks(monkeypatch) -> list:
         calls.append((blocks, k))
         check(blocks, k, **params)
 
-    import balpack.cli
-
-    for module in (balpack.cli, gf, latin, factorization, transversal, sumcode):
+    for module in (cli, gf, latin, factorization, transversal, sumcode):
         monkeypatch.setattr(module, "_check_incidences", record)
     return calls
-
-
-def _classes(p):
-    return sum(map(len, p.classes)), p.k
 
 
 @pytest.mark.parametrize("build, count", [
@@ -564,7 +556,7 @@ def _classes(p):
     (lambda: transversal.augment_34(4), lambda p: (p.n_blocks, p.k)),
     (lambda: transversal.augment_34_char2(4), lambda p: (p.n_blocks, p.k)),
     (lambda: factorization.one_factorization(8), lambda f: (sum(map(len, f.classes)), 2)),
-    (lambda: factorization.singleton_classes(5), _classes),
+    (lambda: factorization.singleton_classes(5), lambda p: (sum(map(len, p.classes)), 1)),
     (lambda: factorization.product(_singletons_in_one_class(5), _singletons_in_one_class(3)),
      lambda p: (p.n_blocks, p.k)),
     (lambda: sumcode.construct(12, 4),
