@@ -29,13 +29,16 @@ arguments of only the subcommand and the route its command line names
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from contextlib import nullcontext
+from operator import mul
 
 from . import babai_frankl, bounds, factorization, latin, sumcode, transversal
 from . import oracle as oracle_mod
 from .core import (
+    INCIDENCE_CAP,
     BalancedPacking,
     PackingError,
     _check_incidences,
@@ -101,24 +104,45 @@ def latin_dispatch(v: int) -> BalancedPacking:
     return factorization.triples_from_factorization(h + 2, v - h - 2)
 
 
-def _load_partitionable(spec: str) -> factorization.PartitionablePacking:
-    unknown = PackingError(f"unknown source {spec!r}; use {SOURCE_SPECS}")
+# Each built-in source: its builder, and its classes counted from its
+# parameter n as (number of classes, blocks in each, points in a block).
+# The builders are looked up when called, so that the table loads no layer.
+_SOURCES = {
+    "onefact": (lambda n: factorization.from_one_factorization(
+        factorization.one_factorization(n)), lambda n: (n - 1, n // 2, 2)),
+    "singletons": (lambda n: factorization.singleton_classes(n), lambda n: (n, 1, 1)),
+    "lts": (lambda n: factorization.large_set_sts(n), lambda n: (7, 12, 3)),
+}
+
+
+def _source(spec: str):
+    """The source ``spec`` names, unbuilt: a function that builds it, its
+    class sizes and its block size.  A file is read here, so its sizes are
+    its own; a built-in source's are counted from its parameter, and past
+    ``INCIDENCE_CAP`` classes, each of one block or more, no pairing can
+    stay within the cap, so they are counted no further."""
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        return factorization.load_large_set(rest)
+        family = factorization.load_large_set(rest)
+        return (lambda: family), map(len, family.classes), family.k
     try:
         n = int(rest)
     except ValueError:
-        raise unknown from None
-    if kind == "onefact":
-        return factorization.from_one_factorization(
-            factorization.one_factorization(n)
-        )
-    if kind == "singletons":
-        return factorization.singleton_classes(n)
-    if kind == "lts":
-        return factorization.large_set_sts(n)
-    raise unknown
+        n = None
+    if n is None or kind not in _SOURCES:
+        raise PackingError(f"unknown source {spec!r}; use {SOURCE_SPECS}")
+    build, shape = _SOURCES[kind]
+    classes, size, k = shape(n)
+    return (lambda: build(n)), itertools.repeat(size, min(classes, INCIDENCE_CAP)), k
+
+
+def _build_product(args) -> BalancedPacking:
+    """``factorization.product`` of the two sources, whose pairing, zipped to
+    the shorter class list, is counted for the size rule before either is built."""
+    (build1, sizes1, k1), (build2, sizes2, k2) = _source(args.first), _source(args.second)
+    _check_incidences(sum(map(mul, sizes1, sizes2)), k1 + k2,
+                      first=args.first, second=args.second)
+    return factorization.product(build1(), build2(), allow_prefix=args.allow_prefix)
 
 
 def _build_td(args) -> BalancedPacking:
@@ -139,7 +163,7 @@ def _build_td_augment34(args) -> BalancedPacking:
 
 
 def _build_mds(args) -> BalancedPacking:
-    source = _load_partitionable(args.source)
+    source = _source(args.source)[0]()
     if args.write_large_set:
         factorization.save_large_set(source, args.write_large_set)
     if args.variant == "45":
@@ -322,9 +346,7 @@ def _product_args(p):
     p.add_argument("--allow-prefix", action="store_true",
                    help="pair a prefix of the longer class list")
     _add_out(p)
-    p.set_defaults(build=lambda a: factorization.product(
-        _load_partitionable(a.first), _load_partitionable(a.second),
-        allow_prefix=a.allow_prefix))
+    p.set_defaults(build=_build_product)
 
 
 @_declares(_ROUTES, "mds", "paired-classes product of a large set")

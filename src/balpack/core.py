@@ -346,10 +346,12 @@ def _type_row(s: int, kinds, p_plus: int, p_minus: int, j: int) -> tuple[int, in
 def interval_labeling(v: int, k: int) -> Labeling:
     """+1 on the first ceil(k/2) intervals of size v/k, -1 on the rest:
     the group labeling of every construction whose points fall into k
-    equal groups, and of the oracle's interval baseline."""
+    equal groups, and of the oracle's interval baseline.  Its v signs take
+    the routes' size rule, as v blocks of one point."""
     _check_ints("v and k", (v, k))
     if v < 1 or k < 1:
         raise PreconditionViolated(f"need integers v and k >= 1, got {_short((v, k))}")
+    _check_incidences(v, 1, v=v, k=k)
     if v % k:
         raise Indivisible(f"{k} does not divide {v}")
     cut = (k + 1) // 2 * (v // k)

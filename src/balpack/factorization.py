@@ -8,7 +8,8 @@ preconditions and is then one call to it: ``triples_from_factorization``
 (round-robin matchings against singleton classes), ``mds_product`` (a
 large set of Steiner systems with itself), ``mds_45_product`` (a large
 set of STS with matchings), and ``transversal.augment_34`` (the added
-blocks) and ``transversal.augment_34_char2`` (the whole family).
+blocks) and ``transversal.augment_34_char2`` (the whole family).  The
+matching routes build only the rounds they pair (``_rounds``), checked once.
 A one-factorization is checked as the 1-partitionable family of pairs it is.
 """
 
@@ -90,20 +91,22 @@ def _check_even_order(name: str, n) -> None:
         raise OddOrder(f"{name}={n} must be even and >= 2")
 
 
+def _rounds(n: int, count: int) -> tuple:
+    """The first ``count`` rounds of the round-robin factorization of K_n,
+    each a sorted tuple of edges: vertex n-1 sits at the hub and the rest
+    rotate around a circle."""
+    m = n - 1
+    return tuple(
+        tuple(sorted([(r, m), *(tuple(sorted(((r + i) % m, (r - i) % m)))
+                                for i in range(1, n // 2))]))
+        for r in range(count))
+
+
 def one_factorization(n: int) -> OneFactorization:
-    """Round-robin factorization of K_n: vertex n-1 sits at the hub and
-    the rest rotate around a circle; deterministic.
-    """
+    """Round-robin factorization of K_n, all n-1 rounds; deterministic."""
     _check_even_order("n", n)
     _check_incidences(n * (n - 1) // 2, 2, n=n)
-    m = n - 1
-    classes = []
-    for r in range(m):
-        edges = [(r, m)]
-        for i in range(1, n // 2):
-            edges.append(tuple(sorted(((r + i) % m, (r - i) % m))))
-        classes.append(tuple(sorted(edges)))
-    return OneFactorization(n, tuple(classes))
+    return OneFactorization(n, _rounds(n, n - 1))
 
 
 def triples_from_factorization(p_plus: int, p_minus: int) -> BalancedPacking:
@@ -111,16 +114,18 @@ def triples_from_factorization(p_plus: int, p_minus: int) -> BalancedPacking:
     point indexing its round.
 
     Positive points [0, p_plus) carry the matchings; negative points
-    p_plus + j for j < p_minus each absorb one whole matching.  Gives
-    p_plus * p_minus / 2 triples forming a (2, 3, p_plus + p_minus)
-    balanced packing, every discrepancy +1.
+    p_plus + j for j < p_minus each absorb one whole matching, so only
+    the first p_minus rounds are built.  Gives p_plus * p_minus / 2
+    triples forming a (2, 3, p_plus + p_minus) balanced packing, every
+    discrepancy +1.
     """
     _check_even_order("p_plus", p_plus)
     _check_ints("p_minus", (p_minus,))
     if not 1 <= p_minus < p_plus:
         raise PreconditionViolated(f"need 1 <= p_minus < p_plus, got {p_minus}")
-    return product(from_one_factorization(one_factorization(p_plus)),
-                   singleton_classes(p_minus), allow_prefix=True)
+    _check_incidences(p_plus // 2 * p_minus, 3, p_plus=p_plus, p_minus=p_minus)
+    return product(PartitionablePacking(1, 2, p_plus, _rounds(p_plus, p_minus)),
+                   singleton_classes(p_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def mds_45_product(m: PartitionablePacking, p_minus: int) -> BalancedPacking:
             f"need {p_plus - 2} classes, got {len(m.classes)}"
         )
     _check_steiner_classes(m)
-    return product(m, from_one_factorization(one_factorization(p_minus)))
+    return product(m, PartitionablePacking(1, 2, p_minus, _rounds(p_minus, p_minus - 1)))
 
 
 # ---------------------------------------------------------------------------

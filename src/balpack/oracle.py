@@ -89,7 +89,9 @@ OracleResult = namedtuple("OracleResult", "size witness exact nodes")
 # of sqrt(2^31): the largest graph takes 256 MiB.  C(24, 5) = 42 504 is
 # within the caps, C(25, 5) = 53 130 is not.
 POINT_CAP, CANDIDATE_CAP = 2**8, 46_340
-BASELINE_POINT_CAP = 2**20  # structured_random's v
+# structured_random's v, and its v * trials: a holder bitset of up to one bit
+# a trial for each point, held to the 256 MiB the largest graph takes
+BASELINE_POINT_CAP, BASELINE_BIT_CAP = 2**20, 2**31
 
 
 class TooManyCandidates(PreconditionViolated):
@@ -409,6 +411,8 @@ def structured_random(
     v, k, t and trials take the package's integer rule; ``rng_seed`` is
     handed to ``random.Random`` as it is, which seeds from None, an int,
     a float, a str or bytes; any other seed is a ``PreconditionViolated``.
+    v above ``BASELINE_POINT_CAP`` or v * trials above ``BASELINE_BIT_CAP``
+    is a ``TooManyCandidates``, raised before the first draw.
     """
     _check_ints("v, k, t and trials", (v, k, t, trials))
     _check_baseline(v, k, t)
@@ -416,6 +420,9 @@ def structured_random(
         raise PreconditionViolated(f"need trials >= 0, got {trials}")
     if v > BASELINE_POINT_CAP:  # a sign and a holder bitset for each point
         raise TooManyCandidates(f"need v <= {BASELINE_POINT_CAP} for the baseline, got {v}")
+    if v * trials > BASELINE_BIT_CAP:
+        raise TooManyCandidates(f"need v * trials <= {BASELINE_BIT_CAP} for the baseline, "
+                                f"got v={v}, trials={_short(trials)}")
     labeling = interval_labeling(v, k)
     width = v // k
     try:

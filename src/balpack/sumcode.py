@@ -21,7 +21,6 @@ from .core import (
     Labeling,
     PackingError,
     PreconditionViolated,
-    Record,
     _check_incidences,
     _check_ints,
     _short,
@@ -33,57 +32,38 @@ class OddGroundSet(PackingError):
     """The parity split needs an even ground set."""
 
 
-class SumCodeParams(Record):
-    """Case data for the construction, keyed on k mod 4.
+def _case(v: int, k: int) -> tuple[int, int, int]:
+    """The case table, keyed on k mod 4: (n_even, n_odd, target).
 
     n_even/n_odd are the seed-choice sizes; the forced completion then
-    has the parity that keeps the block's discrepancy in {-1, 0, +1}.
-    The target sum is 0 except in the k = 4m+2 case, where an odd
-    element must complete the block and the target must be odd too.
+    has the parity that keeps the block's discrepancy in {-1, 0, +1}:
+    even for k = 0, 1 (mod 4), odd for k = 2, 3.  The target sum is 0
+    except in the k = 4m+2 case, where an odd element must complete the
+    block and the target must be odd too.
     """
-
-    _fields = ("v", "k")
-
-    def __post_init__(self):
-        _check_ints("v and k", (self.v, self.k))
-        if self.v < 2 or self.v % 2:
-            raise OddGroundSet(f"v={self.v} must be even and >= 2")
-        if self.k < 3:
-            raise PreconditionViolated(f"k={self.k} must be at least 3")
-        if self.k > self.v:
-            raise PreconditionViolated(f"k={self.k} must be at most v={self.v}")
-
-    @property
-    def residue_class(self) -> int:
-        return self.k % 4
-
-    @property
-    def n_even(self) -> int:
-        m = self.k // 4
-        return (2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 1)[self.residue_class]
-
-    @property
-    def n_odd(self) -> int:
-        m = self.k // 4
-        return (2 * m, 2 * m, 2 * m, 2 * m + 1)[self.residue_class]
-
-    @property
-    def target(self) -> int:
-        return 1 if self.residue_class == 2 else 0
+    _check_ints("v and k", (v, k))
+    if v < 2 or v % 2:
+        raise OddGroundSet(f"v={v} must be even and >= 2")
+    if k < 3:
+        raise PreconditionViolated(f"k={k} must be at least 3")
+    if k > v:
+        raise PreconditionViolated(f"k={k} must be at most v={v}")
+    m, r = divmod(k, 4)
+    return (2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 1)[r], 2 * m + (r == 3), int(r == 2)
 
 
-def _completions(params: SumCodeParams):
+def _completions(v: int, k: int):
     """For each seed choice, its block (unsorted) with the forced element
     added, or None when that element repeats a chosen one."""
-    v, target = params.v, params.target
+    n_even, n_odd, target = _case(v, k)
     # the seed choices: C(half, r) >= 2^min(r, half - r), so a side past the
     # cap's bit length is over the cap by itself and counted no further
     half, most = v // 2, INCIDENCE_CAP.bit_length()
-    seeds = prod(comb(half, min(r, half - r, most)) for r in (params.n_even, params.n_odd))
-    _check_incidences(seeds, params.k, v=v, k=params.k)
+    seeds = prod(comb(half, min(r, half - r, most)) for r in (n_even, n_odd))
+    _check_incidences(seeds, k, v=v, k=k)
     for es, os_ in itertools.product(
-        itertools.combinations(range(0, v, 2), params.n_even),
-        itertools.combinations(range(1, v, 2), params.n_odd),
+        itertools.combinations(range(0, v, 2), n_even),
+        itertools.combinations(range(1, v, 2), n_odd),
     ):
         x = (target - sum(es) - sum(os_)) % v
         yield None if x in es or x in os_ else es + os_ + (x,)
@@ -97,7 +77,7 @@ def construct(v: int, k: int) -> BalancedPacking:
     pins the third element); otherwise it is measured as the largest
     pairwise intersection plus one.
     """
-    blocks = {tuple(sorted(b)) for b in _completions(SumCodeParams(v, k)) if b is not None}
+    blocks = {tuple(sorted(b)) for b in _completions(v, k) if b is not None}
     family = tuple(sorted(blocks))
     if k == 3:
         t = 2
@@ -136,12 +116,12 @@ def failure_rate(v: int, k: int) -> FailureRate:
     """
     import fractions
 
-    params = SumCodeParams(v, k)
+    n_even, n_odd, _ = _case(v, k)
     total = failures = 0
-    for block in _completions(params):
+    for block in _completions(v, k):
         total += 1
         failures += block is None
-    forced_parity_chosen = params.n_odd if params.residue_class >= 2 else params.n_even
+    forced_parity_chosen = n_odd if k % 4 >= 2 else n_even
     return FailureRate(
         fractions.Fraction(failures, total),
         fractions.Fraction(forced_parity_chosen, v // 2),

@@ -108,9 +108,8 @@ def augment_34(m: int, td: TransversalDesign | None = None) -> BalancedPacking:
         raise PreconditionViolated(
             f"need a TD(3,4,{m}), got TD({td.t},{td.k},{td.q})"
         )
-    rounds = factorization.one_factorization(m).classes
-    pairs = factorization.PartitionablePacking(
-        1, 2, 2 * m, tuple(r + tuple((a + m, b + m) for a, b in r) for r in rounds))
+    pairs = factorization.PartitionablePacking(1, 2, 2 * m, tuple(
+        r + tuple((a + m, b + m) for a, b in r) for r in factorization._rounds(m, m - 1)))
     blocks = tuple(sorted([*td.blocks, *factorization.product(pairs, pairs).blocks]))
     assert len(blocks) == m**3 + m * m * (m - 1)
     return BalancedPacking(4 * m, 3, 4, label_groups(td), blocks)

@@ -146,6 +146,26 @@ def test_construct_product(tmp_path):
     assert (p.v, p.t, p.k, p.n_blocks) == (7, 2, 3, 6)
 
 
+@pytest.mark.parametrize("first, second", [
+    ("onefact:8", "singletons:3"),  # the built-in sources' classes, from their specs
+    ("file:{large}", "onefact:8"),  # a file's own classes, 7 of 12 triples
+])
+def test_construct_product_counts_its_pairing_before_building(tmp_path, monkeypatch,
+                                                              first, second):
+    # the size rule's first count, before either source counts its own, is
+    # the pairing zipped to the shorter class list: the family then built
+    large = tmp_path / "large.json"
+    factorization.save_large_set(factorization.large_set_sts(9), large)
+    counts = []
+    for module in (cli, factorization):
+        monkeypatch.setattr(module, "_check_incidences",
+                            lambda blocks, k, /, **params: counts.append((blocks, k)))
+    code, out = construct(tmp_path, "p.json", "product", "--first", first.format(large=large),
+                          "--second", second, "--allow-prefix")
+    p = load_packing(out)
+    assert code == 0 and counts[0] == (p.n_blocks, p.k)
+
+
 def test_construct_product_class_mismatch(tmp_path):
     args = ["product", "--first", "onefact:8", "--second", "singletons:3"]
     assert construct(tmp_path, "p.json", *args)[0] == 2
@@ -927,15 +947,18 @@ def test_values_past_the_bit_budget_exit_with_their_code(tmp_path, argv, code):
      "--allow-prefix"],
     ["td", "--t", "1", "--k", "65536", "--q", "65536"],
     ["sum", "--v", str(2**21), "--k", str(2**21)],
+    ["product", "--first", "onefact:2048", "--second", "onefact:2048"],
 ], ids=["latin", "sum", "td-augment34", "td-augment34-char2", "factorization",
         "product-onefact", "mds-onefact", "td", "babai-frankl", "product-singletons",
-        "td-wide", "sum-wide"])
+        "td-wide", "sum-wide", "product-paired"])
 def test_routes_past_the_incidence_cap_exit_2(tmp_path, argv):
     # The first seven ended in a MemoryError traceback under a 1.5 GB address
     # limit, and the next three ran past 10 s.  The last two build few
     # blocks, 2^16 and 2^20, but of 2^16 and 2^21 points each, which is why
     # the rule counts points in blocks, not blocks.  Now each route counts
     # them from its parameters and refuses, before it allocates anything.
+    # product-paired pairs two sources each within the cap: it exited 2 only
+    # after building both (about 14 s), and now counts the pairing first.
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -943,10 +966,12 @@ def test_routes_past_the_incidence_cap_exit_2(tmp_path, argv):
 
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "balpack.cli", "construct", *argv,
                            "--out", str(tmp_path / "x.json")],
                           capture_output=True, text=True, env=env, timeout=5,
                           preexec_fn=limit)
+    assert time.perf_counter() - start < 1
     assert "Traceback" not in done.stderr
     assert done.returncode == 2, done.stderr
     (line,) = done.stderr.splitlines()

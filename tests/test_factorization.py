@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -101,6 +102,16 @@ def test_triples_count_and_verify(p_plus, p_minus):
 def test_triples_six_three_meets_bound():
     p = triples_from_factorization(6, 3)
     assert p.n_blocks == 9 == lemma1_bound(2, 3, 6, 3)
+
+
+def test_triples_build_only_the_rounds_they_pair():
+    # one round each: the route built all p_plus - 1 rounds of K_2048 (about
+    # 7 s), and refused (2050, 1) on the count of K_2050's edges
+    start = time.perf_counter()
+    assert triples_from_factorization(2048, 1).n_blocks == 1024
+    assert time.perf_counter() - start < 0.1
+    p = triples_from_factorization(2050, 1)
+    assert p.n_blocks == 1025 and verify(p).passed
 
 
 def test_triples_preconditions():

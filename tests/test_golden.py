@@ -11,7 +11,9 @@ import hashlib
 
 import pytest
 
-from balpack.cli import main
+from balpack import factorization, sumcode, transversal
+from balpack.cli import latin_dispatch, main
+from balpack.core import to_json
 
 GOLDEN = [
     (("babai-frankl", "--q", "5", "--k", "3", "--t", "2"),
@@ -97,3 +99,26 @@ def test_derive_output_is_byte_identical(tmp_path, capsys, argv, e1, e2, digest)
     assert main(["construct", *argv, "--out", str(src)]) == 0
     assert main(["derive", str(src), e1, e2, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_matching_and_sum_routes_are_byte_identical_over_a_grid():
+    # One digest over the sum code and its failure rates, every matching
+    # route (the triples at every split, augment_34, mds_45_product) and the
+    # Latin dispatcher, which reaches the triples at v = 2, 3 (mod 4).
+    digest = hashlib.sha256()
+    for v in range(8, 41, 2):
+        for k in range(3, 7):
+            digest.update(to_json(sumcode.construct(v, k)).encode())
+            digest.update(repr(sumcode.failure_rate(v, k)).encode())
+    for p_plus in range(2, 41, 2):
+        for p_minus in range(1, p_plus):
+            packing = factorization.triples_from_factorization(p_plus, p_minus)
+            digest.update(to_json(packing).encode())
+    for m in range(2, 13, 2):
+        digest.update(to_json(transversal.augment_34(m)).encode())
+    packing = factorization.mds_45_product(factorization.large_set_sts(9), 8)
+    digest.update(to_json(packing).encode())
+    for v in range(8, 80):
+        digest.update(to_json(latin_dispatch(v)).encode())
+    assert digest.hexdigest() == (
+        "04887dcce1812b98446206df27657a9aba90a66ad454b2ab862a2e6608133810")

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from balpack import oracle
+from balpack.bounds import lemma1_bound, lemma1_min_p_plus
 from balpack.core import (
     BalancedPacking,
     Indivisible,
@@ -229,6 +230,36 @@ def test_the_incumbent_records_its_split_above_ceil_half(monkeypatch, keep, size
     assert [rec["best_labeling"] for rec in kinds] == best_labelings
     assert kinds[0]["best"] == []
     assert kinds[-1]["best"] == [list(b) for b in r.witness.blocks]
+
+
+def test_each_split_searched_alone_is_exact_and_lemma1_holds_there(monkeypatch):
+    # ROADMAP item 10: every split p+ >= ceil(v/2) of every point v <= 10 but
+    # (4,5,10), searched on its own by emptying every other split's kinds.
+    # lemma1_bound at that split may never fall below the split's maximum.
+    split_kinds = oracle._split_kinds
+    only = None
+
+    def alone(holders, k, split):
+        return [(a, kind if split == only else 0)
+                for a, kind in split_kinds(holders, k, split)]
+
+    monkeypatch.setattr(oracle, "_split_kinds", alone)
+    points = [(t, k, v) for v in range(3, 11) for k in range(2, v) for t in range(1, k)
+              if (t, k, v) != (4, 5, 10)]
+    pairs = applicable = tight = 0
+    for t, k, v in points:
+        for only in range((v + 1) // 2, v + 1):
+            r = max_balanced_packing(t, k, v)
+            assert r.exact and verify(r.witness).passed
+            assert r.witness.labeling.p_plus == only or r.size == 0
+            pairs += 1
+            if only < lemma1_min_p_plus(t, k):
+                continue
+            bound = lemma1_bound(t, k, only, v - only)
+            assert bound >= r.size, (t, k, v, only)
+            applicable += 1
+            tight += bound == r.size
+    assert (pairs, applicable, tight) == (584, 507, 397)
 
 
 def test_search_log_heartbeat(monkeypatch):
@@ -499,6 +530,9 @@ def test_candidate_cap():
         existence_reference(100, 5, 10**9)
     with pytest.raises(oracle.TooManyCandidates):
         structured_random(oracle.BASELINE_POINT_CAP + 1, 1, 1, 1, rng_seed=0)
+    # v * trials holder bits past the cap: refused before the first draw
+    with pytest.raises(oracle.TooManyCandidates, match=r"^need v \* trials <= 2147483648"):
+        structured_random(9, 3, 1, 10**9, rng_seed=0)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -511,9 +545,10 @@ def test_candidate_cap():
     (("2", "6", "24"), 2),
     (("2", "5", "24", "--time-cap", "1"), 4),
     ((str(10**2500), "3", "8"), 2),
+    (("1", "3", "9", "--baseline", "--trials", "1000000000", "--seed", "0"), 2),
 ], ids=["t-huge", "v-huge", "k-huge", "baseline-t-huge", "baseline-v-huge",
         "c-134596-time-capped", "c-134596-graph-budget", "c-42504-time-capped",
-        "t-past-the-bit-budget"])
+        "t-past-the-bit-budget", "baseline-trials-huge"])
 def test_huge_parameters_exit_with_their_code(argv, code):
     # The first five ran out of memory under a 1.5 GB address limit before
     # the caps and the early returns; now each exits with its documented
@@ -522,7 +557,9 @@ def test_huge_parameters_exit_with_their_code(argv, code):
     # before anything is allocated; C(24, 5) = 42 504 is within it and
     # stops at its time cap.  A t of 2 501 digits, which argparse still
     # reads, is past the bit budget: refused by the integer gate, where it
-    # was once searched and printed whole.  A refusal is one short line.
+    # was once searched and printed whole.  10^9 baseline trials were drawn,
+    # one by one, and are now refused by the holder bits they would take.  A
+    # refusal is one short line.
     resource = pytest.importorskip("resource")
 
     def limit():

@@ -3,7 +3,11 @@ hashing, repr, immutability and the checks each one runs on its fields."""
 
 import functools
 import inspect
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +42,6 @@ RECORDS = [
      ("p_plus", "cols", "cells")),
     (oracle.SearchBudget, lambda: oracle.SearchBudget(max_nodes=50, time_cap=2.5),
      ("max_nodes", "time_cap")),
-    (sumcode.SumCodeParams, lambda: sumcode.SumCodeParams(6, 3), ("v", "k")),
     (transversal.TransversalDesign, lambda: transversal.construct_td(2, 3, 3),
      ("t", "k", "q", "blocks")),
 ]
@@ -72,7 +75,6 @@ def test_repr_names_every_field(cls, make, fields):
 def test_repr_text():
     assert repr(Labeling((1, -1))) == "Labeling(signs=(1, -1))"
     assert repr(oracle.SearchBudget()) == "SearchBudget(max_nodes=100000000, time_cap=600.0)"
-    assert repr(sumcode.SumCodeParams(v=6, k=3)) == "SumCodeParams(v=6, k=3)"
 
 
 @pytest.mark.parametrize("cls, make, fields", RECORDS, ids=IDS)
@@ -104,16 +106,10 @@ def test_keywords_and_defaults():
 @pytest.mark.parametrize("call, message", [
     (lambda: oracle.SearchBudget(1, 2, 3),
      "SearchBudget.__init__() takes from 1 to 3 positional arguments but 4 were given"),
-    (lambda: sumcode.SumCodeParams(1, 2, 3),
-     "SumCodeParams.__init__() takes 3 positional arguments but 4 were given"),
     (lambda: oracle.SearchBudget(nodes=5),
      "SearchBudget.__init__() got an unexpected keyword argument 'nodes'"),
     (lambda: oracle.SearchBudget(5, max_nodes=5),
      "SearchBudget.__init__() got multiple values for argument 'max_nodes'"),
-    (lambda: sumcode.SumCodeParams(k=3),
-     "SumCodeParams.__init__() missing 1 required positional argument: 'v'"),
-    (lambda: sumcode.SumCodeParams(),
-     "SumCodeParams.__init__() missing 2 required positional arguments: 'v' and 'k'"),
     (lambda: gf.FieldSpec(m=1),
      "FieldSpec.__init__() missing 3 required positional arguments: "
      "'p', 'modulus', and 'xi_index'"),
@@ -154,7 +150,6 @@ def test_one_positional_argument_too_many(cls, make, fields):
     (lambda: latin.SeedSets(5, (), ()), core.PreconditionViolated),
     (lambda: latin.LatinRectangle(4, 3, ()), core.PreconditionViolated),
     (lambda: oracle.SearchBudget(max_nodes=0), core.PreconditionViolated),
-    (lambda: sumcode.SumCodeParams(5, 3), sumcode.OddGroundSet),
     (lambda: transversal.TransversalDesign(0, 3, 3, ()), core.PreconditionViolated),
     # a list where a tuple belongs: the record's own error, not "unhashable type"
     (lambda: Labeling([1, -1, 1]), core.LabelConstraint),
@@ -193,7 +188,7 @@ def test_one_positional_argument_too_many(cls, make, fields):
     (lambda: BalancedPacking(3.0, 2, 2, Labeling((1, -1, 1)), ((0, 1),)), core.PackingError),
     (lambda: BalancedPacking(3, True, 2, Labeling((1, -1, 1)), ((0, 1),)), core.PackingError),
 ], ids=["Labeling", "BalancedPacking", "OneFactorization", "PartitionablePacking",
-        "SeedSets", "LatinRectangle", "SearchBudget", "SumCodeParams",
+        "SeedSets", "LatinRectangle", "SearchBudget",
         "TransversalDesign", "Labeling-list-signs", "BalancedPacking-list-blocks",
         "PartitionablePacking-list-block", "PartitionablePacking-list-class",
         "PartitionablePacking-list-classes", "OneFactorization-list-classes",
@@ -310,7 +305,7 @@ def test_parameter_errors_are_preconditions():
      "v must be >= 1, got 0"),
     (lambda: sumcode.missing_pair_predicate(12, 1.0, 2), core.PreconditionViolated,
      "v, x and y must be integers, got (12, 1.0, 2)"),
-    # SumCodeParams checks v and k for construct and failure_rate alike
+    # sumcode._case checks v and k for construct and failure_rate alike
     (lambda: sumcode.construct(8.0, 3), core.PreconditionViolated,
      "v and k must be integers, got (8.0, 3)"),
     (lambda: sumcode.construct("8", 3), core.PreconditionViolated,
@@ -464,6 +459,47 @@ def test_entries_refuse_a_parameter_past_the_bit_budget(call, kwargs, name, valu
     assert time.perf_counter() - start < 0.1
 
 
+# Run in a child process under a 1.5 GB address limit: each call prints its
+# name before it starts and its time once it returns or raises a PackingError,
+# so a call that allocates past the limit or runs on names itself.
+_SIZES_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+sys.path.insert(0, sys.argv[1])
+from balpack.core import PackingError
+from test_record import INT_ENTRIES
+for entry, call, kwargs in INT_ENTRIES:
+    for name in kwargs:
+        for value in (-1, 0, 10**9):
+            print(entry, name, value, flush=True)
+            start = time.perf_counter()
+            try:
+                call(**{**kwargs, name: value})
+            except PackingError:
+                pass
+            print(time.perf_counter() - start, flush=True)
+"""
+
+
+def test_entries_take_every_size_at_once():
+    # ROADMAP item 13's table: every int parameter of every public entry at
+    # -1, 0 and 10^9 returns, or raises a PackingError, within 0.5 s, with no
+    # other exception (a MemoryError, say) and no run past the timeout.
+    pytest.importorskip("resource")
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
+    try:
+        done = subprocess.run([sys.executable, "-c", _SIZES_CHILD, str(here)],
+                              capture_output=True, text=True, env=env, timeout=30)
+    except subprocess.TimeoutExpired as exc:  # the last line names the call
+        pytest.fail(f"still running after 30 s: {exc.stdout[-200:]!r}")
+    assert done.returncode == 0 and not done.stderr, done.stdout[-200:] + done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    calls = dict(zip(lines[::2], map(float, lines[1::2])))
+    assert len(calls) == 3 * sum(len(kwargs) for _, _, kwargs in INT_ENTRIES)
+    assert {call: s for call, s in calls.items() if s >= 0.5} == {}
+
+
 def _derivable():
     return core.make_packing(6, 2, 3, (1, 1, 1, -1, -1, -1), [(0, 1, 3), (0, 2, 4)])
 
@@ -508,6 +544,7 @@ PAST_THE_CAP = [
     ("sumcode.construct-wide", lambda: sumcode.construct(2**21, 2**21)),
     ("sumcode.construct-huge-k", lambda: sumcode.construct(10**9, 10**8)),
     ("failure_rate", lambda: sumcode.failure_rate(10**9, 4)),
+    ("interval_labeling", lambda: core.interval_labeling(core.INCIDENCE_CAP + 2, 2)),
 ]
 
 
@@ -560,10 +597,14 @@ def _recorded_incidence_checks(monkeypatch) -> list:
     (lambda: factorization.product(_singletons_in_one_class(5), _singletons_in_one_class(3)),
      lambda p: (p.n_blocks, p.k)),
     (lambda: sumcode.construct(12, 4),
-     lambda p: (sum(1 for _ in sumcode._completions(sumcode.SumCodeParams(12, 4))), 4)),
+     lambda p: (sum(1 for _ in sumcode._completions(12, 4)), 4)),
+    # 20 triples, where K_8's 28 edges were counted before the route built
+    # only the rounds it pairs
+    (lambda: factorization.triples_from_factorization(8, 5), lambda p: (p.n_blocks, p.k)),
 ], ids=[*(f"latin_dispatch-{v}" for v in range(8, 14)), "seed_sets", "construct_td",
         "construct_td_sum", "babai_frankl", "augment_34", "augment_34_char2",
-        "one_factorization", "singleton_classes", "product", "sumcode-seed-choices"])
+        "one_factorization", "singleton_classes", "product", "sumcode-seed-choices",
+        "triples_from_factorization"])
 def test_each_route_asks_the_rule_for_what_it_builds(monkeypatch, build, count):
     # The first count a route gives the rule is the family it then builds
     # (for sumcode, the seed choices it then walks).

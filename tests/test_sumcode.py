@@ -8,7 +8,7 @@ from balpack.core import PreconditionViolated, discrepancy, verify
 from balpack.sumcode import (
     FailureRate,
     OddGroundSet,
-    SumCodeParams,
+    _case,
     construct,
     failure_rate,
     missing_pair_predicate,
@@ -91,28 +91,26 @@ def test_discrepancy_by_residue_class(v, k, expected_disc):
 
 @pytest.mark.parametrize("v,k", [(16, 4), (16, 5), (16, 6), (12, 7)])
 def test_block_sums_hit_target(v, k):
-    params = SumCodeParams(v, k)
+    n_even, _, target = _case(v, k)
     p = construct(v, k)
     for b in p.blocks:
-        assert sum(b) % v == params.target
+        assert sum(b) % v == target
         evens = sum(1 for x in b if x % 2 == 0)
-        assert evens == params.n_even + (1 if k % 4 in (0, 1) else 0)
+        assert evens == n_even + (1 if k % 4 in (0, 1) else 0)
 
 
 def test_seed_counts_by_residue():
-    assert (SumCodeParams(20, 8).n_even, SumCodeParams(20, 8).n_odd) == (3, 4)
-    assert (SumCodeParams(20, 9).n_even, SumCodeParams(20, 9).n_odd) == (4, 4)
-    assert (SumCodeParams(20, 10).n_even, SumCodeParams(20, 10).n_odd) == (5, 4)
-    assert (SumCodeParams(20, 11).n_even, SumCodeParams(20, 11).n_odd) == (5, 5)
-    assert SumCodeParams(20, 10).target == 1
-    assert SumCodeParams(20, 8).target == 0
+    assert _case(20, 8) == (3, 4, 0)
+    assert _case(20, 9) == (4, 4, 0)
+    assert _case(20, 10) == (5, 4, 1)
+    assert _case(20, 11) == (5, 5, 0)
 
 
 def test_odd_ground_set_rejected():
     with pytest.raises(OddGroundSet, match=r"^v=11 must be even and >= 2$"):
         construct(11, 3)
     with pytest.raises(OddGroundSet, match=r"^v=0 must be even and >= 2$"):
-        SumCodeParams(0, 3)
+        _case(0, 3)
 
 
 def test_small_k_rejected():
