@@ -50,9 +50,6 @@ def construct(q: int, k: int, t: int) -> BalancedPacking:
     # row r, and value b sits at position index(b) in it, so (a, b) is
     # point q * index(a) + index(b) and a block's points come out in
     # increasing order
-    code = [[q * r + field.discrete_index(b) for b in range(q)] for r in range(k)]
-    blocks = [
-        tuple(row[b] for row, b in zip(code, values))
-        for values in gf._poly_values(field, t, evaluation_set(field, k))
-    ]
-    return BalancedPacking(k * q, t, k, label_points(q, k), tuple(sorted(blocks)))
+    index = [field.discrete_index(b) for b in range(q)]
+    blocks = gf._code_blocks(field, t, evaluation_set(field, k), index)
+    return BalancedPacking(k * q, t, k, label_points(q, k), blocks)

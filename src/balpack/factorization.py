@@ -65,9 +65,10 @@ class OneFactorization(Record):
     """A partition of the complete graph K_n into n-1 perfect matchings.
 
     ``classes`` is a tuple of matchings, each matching a tuple of (a, b)
-    pairs: a 1-partitionable family of pairs, checked as one by
-    ``from_one_factorization``, whose faults raise ``PreconditionViolated``.
-    n - 1 matchings of n/2 distinct edges then cover every edge.
+    pairs: a 1-partitionable family of pairs, checked once as a
+    ``PartitionablePacking``, whose faults raise ``PreconditionViolated``,
+    and kept as ``_pairs`` for ``from_one_factorization``.  n - 1 matchings
+    of n/2 distinct edges then cover every edge.
     """
 
     _fields = ("n", "classes")
@@ -76,12 +77,13 @@ class OneFactorization(Record):
         n, classes = self.n, self.classes
         _check_even_order("n", n)
         try:
-            from_one_factorization(self)
+            pairs = PartitionablePacking(1, 2, n, classes)
         except PackingError as exc:
             raise PreconditionViolated(str(exc)) from exc
         if len(classes) != n - 1 or set(map(len, classes)) != {n // 2}:
             raise PreconditionViolated(
                 f"expected {n - 1} matchings of {n // 2} edges, got {_short(classes)}")
+        object.__setattr__(self, "_pairs", pairs)  # not a field: unseen by ==, hash, repr
 
 
 def _check_even_order(name: str, n) -> None:
@@ -181,8 +183,9 @@ class PartitionablePacking(Record):
 
 
 def from_one_factorization(factors: OneFactorization) -> PartitionablePacking:
-    """View the matchings as a 1-partitionable family of pairs."""
-    return PartitionablePacking(1, 2, factors.n, factors.classes)
+    """View the matchings as a 1-partitionable family of pairs, the one
+    their check built."""
+    return factors._pairs
 
 
 def singleton_classes(n: int) -> PartitionablePacking:

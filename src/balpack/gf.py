@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from math import comb
 
-from .core import INCIDENCE_CAP, PreconditionViolated, Record, _check_incidences, _check_ints
+from .core import (INCIDENCE_CAP, PreconditionViolated, Record, TooManyIncidences,
+                   _check_incidences, _check_ints)
 
 __all__ = [
     "FieldError",
@@ -225,7 +227,8 @@ make_field.cache_info = _field.cache_info
 
 def _code_field(t: int, k: int, q: int) -> FieldSpec:
     """GF(q) for the code of degree < t at k points: ints, q <= cap, q = p^m, 1 <= t <= k <= q,
-    and its q^t words of k points within the routes' incidence cap."""
+    its q^t words of k points within the routes' incidence cap, and their q^t * C(k, t)
+    t-subsets, which a self-check of the family holds at once, within twice that cap."""
     _check_ints("t, k and q", (t, k, q))
     if q > SIZE_CAP:
         raise PreconditionViolated(f"q={q} exceeds the field size cap {SIZE_CAP}")
@@ -236,6 +239,9 @@ def _code_field(t: int, k: int, q: int) -> FieldSpec:
         raise PreconditionViolated(f"need 1 <= t <= k <= q, got t={t}, k={k}, q={q}")
     # for q >= 2 the cap's bit length as the exponent is already over the cap
     _check_incidences(q ** min(t, INCIDENCE_CAP.bit_length()), k, q=q, t=t, k=k)
+    if q**t * comb(k, t) > 2 * INCIDENCE_CAP:  # 2^t <= INCIDENCE_CAP once the incidences pass
+        raise TooManyIncidences(f"q={q}, t={t}, k={k} would give over {2 * INCIDENCE_CAP} "
+                                f"t-subsets of blocks to check")
     p = factors[0]
     return make_field(p, next(m for m in itertools.count(1) if p**m == q))
 
@@ -271,20 +277,17 @@ def _power(a: list[int], e: int, p: int, modulus) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_values(field: FieldSpec, t: int, points) -> list[tuple[int, ...]]:
-    """The values at ``points`` of every polynomial of degree < t.
-
-    One tuple per polynomial c0 + c1*x + ... + c_{t-1}*x^(t-1), in
-    ``itertools.product(range(q), repeat=t)`` order of (c0, ..., c_{t-1}).
-    """
-    q, add = field.q, field.add
-
-    def horner(row, coeffs):  # row[v] == v * a
-        acc = 0
-        for c in reversed(coeffs):
-            acc = add(row[acc], c)
-        return acc
-
-    times = [[field.mul(v, a) for v in range(q)] for a in points]
-    return [tuple(horner(row, coeffs) for row in times)
-            for coeffs in itertools.product(range(q), repeat=t)]
+def _code_blocks(field: FieldSpec, t: int, points, index) -> tuple[tuple[int, ...], ...]:
+    """The sorted blocks of every polynomial c0 + c1*x + ... + c_{t-1}*x^(t-1):
+    its point in row r is r*q + index[b], for b its value at ``points[r]``.
+    A row's q^t values are built at once by Horner's rule, one coefficient at
+    a time, in ``itertools.product`` order of (c0, ..., c_{t-1}), and map
+    through one list of the row's point ints, which the blocks then share."""
+    q, add, columns = field.q, field.add, []
+    for r, a in enumerate(points):
+        times, values = [field.mul(x, a) for x in range(q)], [0]
+        for _ in range(t):  # the coefficient added last varies slowest
+            values = [add(times[x], c) for c in range(q) for x in values]
+        row = [r * q + i for i in index]
+        columns.append(list(map(row.__getitem__, values)))
+    return tuple(sorted(zip(*columns)))

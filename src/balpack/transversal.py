@@ -55,11 +55,7 @@ def construct_td(t: int, k: int, q: int) -> TransversalDesign:
     requires 1 <= t <= k <= q with q a prime power.
     """
     field = gf._code_field(t, k, q)
-    blocks = [
-        tuple(g * q + value for g, value in enumerate(values))
-        for values in gf._poly_values(field, t, range(k))
-    ]
-    return TransversalDesign(t, k, q, tuple(sorted(blocks)))
+    return TransversalDesign(t, k, q, gf._code_blocks(field, t, range(k), range(q)))
 
 
 def construct_td_sum(t: int, m: int) -> TransversalDesign:

@@ -13,6 +13,7 @@ import pytest
 from balpack import cli, core, factorization
 from balpack.cli import main
 from balpack.core import load_packing, verify
+from conftest import POINTS_ENDING, SUBSETS_ENDING, run_limited
 
 
 def construct(tmp_path, name, *argv):
@@ -909,22 +910,12 @@ def test_values_past_the_bit_budget_exit_with_their_code(tmp_path, argv, code):
     # parameter error, or in verify no counting-bound line.  The wide file
     # is one valid block of 3 001 points over 60 000, whose counting bound
     # at t = 3 000 has about 5 200 digits.
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
-
     v, half = 60_000, 30_000
     block = tuple(range(1501)) + tuple(range(half, half + 1500))
     wide = tmp_path / "wide.json"
     core.save_packing(core.BalancedPacking(
         v, 3000, 3001, core.Labeling((1,) * half + (-1,) * half), (block,)), wide)
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-m", "balpack.cli",
-                           *(a.format(wide=wide) for a in argv)],
-                          capture_output=True, text=True, env=env, timeout=30,
-                          preexec_fn=limit)
+    done = run_limited("-m", "balpack.cli", *(a.format(wide=wide) for a in argv), timeout=30)
     assert "Traceback" not in done.stderr and "Error" not in done.stderr
     assert done.returncode == code, done.stderr
     if code == 2:
@@ -933,48 +924,46 @@ def test_values_past_the_bit_budget_exit_with_their_code(tmp_path, argv, code):
         assert "counting bound" not in done.stdout and "result: PASS" in done.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ["latin", "--v", "1000000000"],
-    ["sum", "--v", "1000000000", "--k", "4"],
-    ["td-augment34", "--v", "1000000000"],
-    ["td-augment34", "--char2", "--v", str(2**30)],
-    ["factorization", "--p-plus", "1000000000", "--p-minus", "1"],
-    ["product", "--first", "onefact:1000000000", "--second", "singletons:3"],
-    ["mds", "--source", "onefact:100000"],
-    ["td", "--t", "3", "--k", "5", "--q", "65521"],
-    ["babai-frankl", "--q", "65521", "--k", "5", "--t", "3"],
-    ["product", "--first", "singletons:3", "--second", "singletons:1000000000",
-     "--allow-prefix"],
-    ["td", "--t", "1", "--k", "65536", "--q", "65536"],
-    ["sum", "--v", str(2**21), "--k", str(2**21)],
-    ["product", "--first", "onefact:2048", "--second", "onefact:2048"],
+@pytest.mark.parametrize("argv, ending", [
+    (["latin", "--v", "1000000000"], POINTS_ENDING),
+    (["sum", "--v", "1000000000", "--k", "4"], POINTS_ENDING),
+    (["td-augment34", "--v", "1000000000"], POINTS_ENDING),
+    (["td-augment34", "--char2", "--v", str(2**30)], POINTS_ENDING),
+    (["factorization", "--p-plus", "1000000000", "--p-minus", "1"], POINTS_ENDING),
+    (["product", "--first", "onefact:1000000000", "--second", "singletons:3"], POINTS_ENDING),
+    (["mds", "--source", "onefact:100000"], POINTS_ENDING),
+    (["td", "--t", "3", "--k", "5", "--q", "65521"], POINTS_ENDING),
+    (["babai-frankl", "--q", "65521", "--k", "5", "--t", "3"], POINTS_ENDING),
+    (["product", "--first", "singletons:3", "--second", "singletons:1000000000",
+      "--allow-prefix"], POINTS_ENDING),
+    (["td", "--t", "1", "--k", "65536", "--q", "65536"], POINTS_ENDING),
+    (["sum", "--v", str(2**21), "--k", str(2**21)], POINTS_ENDING),
+    (["product", "--first", "onefact:2048", "--second", "onefact:2048"], POINTS_ENDING),
+    (["td", "--t", "3", "--k", "8", "--q", "64"], SUBSETS_ENDING),
+    (["babai-frankl", "--q", "64", "--k", "8", "--t", "3"], SUBSETS_ENDING),
+    (["td", "--t", "3", "--k", "16", "--q", "64"], SUBSETS_ENDING),
+    (["td", "--t", "4", "--k", "16", "--q", "16"], SUBSETS_ENDING),
 ], ids=["latin", "sum", "td-augment34", "td-augment34-char2", "factorization",
         "product-onefact", "mds-onefact", "td", "babai-frankl", "product-singletons",
-        "td-wide", "sum-wide", "product-paired"])
-def test_routes_past_the_incidence_cap_exit_2(tmp_path, argv):
+        "td-wide", "sum-wide", "product-paired", "td-t-subsets", "babai-frankl-t-subsets",
+        "td-t-subsets-k16", "td-t-subsets-t4"])
+def test_routes_past_the_incidence_cap_exit_2(tmp_path, argv, ending):
     # The first seven ended in a MemoryError traceback under a 1.5 GB address
-    # limit, and the next three ran past 10 s.  The last two build few
+    # limit, and the next three ran past 10 s.  The next two build few
     # blocks, 2^16 and 2^20, but of 2^16 and 2^21 points each, which is why
     # the rule counts points in blocks, not blocks.  Now each route counts
     # them from its parameters and refuses, before it allocates anything.
     # product-paired pairs two sources each within the cap: it exited 2 only
     # after building both (about 14 s), and now counts the pairing first.
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
-
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    # The last four are within the cap, but their self-check held q^t * C(k, t)
+    # t-subsets, 14.7 M and more, and ended in a MemoryError after 8-11 s;
+    # the field routes now refuse past 2 * INCIDENCE_CAP of them.
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "balpack.cli", "construct", *argv,
-                           "--out", str(tmp_path / "x.json")],
-                          capture_output=True, text=True, env=env, timeout=5,
-                          preexec_fn=limit)
+    done = run_limited("-m", "balpack.cli", "construct", *argv,
+                       "--out", str(tmp_path / "x.json"), timeout=5)
     assert time.perf_counter() - start < 1
     assert "Traceback" not in done.stderr
     assert done.returncode == 2, done.stderr
     (line,) = done.stderr.splitlines()
-    assert line.startswith("error: ") and line.endswith(
-        f"would give blocks holding over {core.INCIDENCE_CAP} points in all")
+    assert line.startswith("error: ") and line.endswith(ending)
     assert not (tmp_path / "x.json").exists()

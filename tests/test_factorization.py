@@ -224,6 +224,18 @@ def test_product_families_count_formulas(m):
     assert verify(squared).passed
 
 
+def test_a_one_factorization_is_checked_once(monkeypatch):
+    # one_factorization checks its matchings as a PartitionablePacking, and
+    # from_one_factorization hands that family on rather than checking it again
+    checks = []
+    check = PartitionablePacking.__post_init__
+    monkeypatch.setattr(PartitionablePacking, "__post_init__",
+                        lambda self: (checks.append(self), check(self)))
+    f = from_one_factorization(one_factorization(8))
+    assert checks == [f]
+    assert f.classes == one_factorization(8).classes and (f.t_prime, f.k, f.v) == (1, 2, 8)
+
+
 def test_product_class_count_mismatch():
     f = from_one_factorization(one_factorization(4))
     with pytest.raises(ClassCountMismatch):

@@ -238,23 +238,41 @@ def test_discrete_index_examples():
         a = field8.mul(a, field8.xi_index)
 
 
+def _horner_blocks(field, t, points, index):
+    """The reference for ``gf._code_blocks``: each polynomial's value at each
+    point by Horner's rule, one field operation at a time."""
+    q, blocks = field.q, []
+    for coeffs in itertools.product(range(q), repeat=t):
+        values = []
+        for a in points:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = field.add(field.mul(acc, a), c)
+            values.append(acc)
+        blocks.append(tuple(r * q + index[b] for r, b in enumerate(values)))
+    return tuple(sorted(blocks))
+
+
 def test_eval_poly_matches_direct_sum():
-    for p, m, q in prime_powers(9):
-        field = gf.make_field(p, m)
-        points = tuple(range(q))
-        # c0 + c1*x for every (c0, c1), c1 varying fastest
-        direct = [
-            tuple(field.add(c0, field.mul(c1, x)) for x in points)
-            for c0 in range(q)
-            for c1 in range(q)
-        ]
-        assert gf._poly_values(field, 2, points) == direct
+    # every polynomial of degree < t at up to four points, with the points in
+    # field order and the values placed by the routes' two indices
+    fields = [(p, m) for p, m, _ in prime_powers(9)] + [(5, 2), (3, 3)]
+    for field in itertools.starmap(gf.make_field, fields):
+        q = field.q
+        points = tuple(range(min(q, 4)))
+        discrete = [field.discrete_index(b) for b in range(q)]
+        for t in range(1, 4 if q <= 9 else 3):
+            for index in (range(q), discrete):
+                assert gf._code_blocks(field, t, points, index) == _horner_blocks(
+                    field, t, points, index), (field.q, t)
 
 
 def test_eval_poly_quadratic():
+    # 1 + x^2 over GF(8) at 0, 1, xi and xi^2: one of the 512 blocks of degree < 3
     field = gf.make_field(2, 3)
     x = field.xi_index
-    # 1 + x^2 has coefficient tuple (1, 0, 1), number 1*64 + 0*8 + 1 in
-    # product order
-    (value,) = gf._poly_values(field, 3, (x,))[1 * 64 + 0 * 8 + 1]
-    assert value == field.add(1, field.mul(x, x))
+    x2 = field.mul(x, x)
+    points = (0, 1, x, x2)
+    blocks = gf._code_blocks(field, 3, points, range(8))
+    assert len(blocks) == len(set(blocks)) == 512
+    assert (1, 8 + 0, 16 + field.add(1, x2), 24 + field.add(1, field.mul(x2, x2))) in blocks

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from balpack import factorization, sumcode, transversal
+from balpack import babai_frankl, factorization, sumcode, transversal
 from balpack.cli import latin_dispatch, main
 from balpack.core import to_json
 
@@ -122,3 +122,17 @@ def test_matching_and_sum_routes_are_byte_identical_over_a_grid():
         digest.update(to_json(latin_dispatch(v)).encode())
     assert digest.hexdigest() == (
         "04887dcce1812b98446206df27657a9aba90a66ad454b2ab862a2e6608133810")
+
+
+def test_field_routes_are_byte_identical_over_a_grid():
+    # One digest over both polynomial-code routes at 163 points: every
+    # 1 <= t <= k <= min(q, 6) with q^t <= 4096, for prime and prime-power q.
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32):
+        for k in range(1, min(q, 6) + 1):
+            for t in range(1, k + 1):
+                if q**t <= 4096:
+                    digest.update(to_json(babai_frankl.construct(q, k, t)).encode())
+                    digest.update(repr(transversal.construct_td(t, k, q).blocks).encode())
+    assert digest.hexdigest() == (
+        "cc69373558304971b22db5175ae69252ba12dfa4db4ddd8c632fe5cffc937079")

@@ -1,11 +1,8 @@
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +24,7 @@ from balpack.oracle import (
     max_balanced_packing,
     structured_random,
 )
+from conftest import run_limited
 
 
 def unbroken_search(t, k, v):
@@ -560,16 +558,7 @@ def test_huge_parameters_exit_with_their_code(argv, code):
     # was once searched and printed whole.  10^9 baseline trials were drawn,
     # one by one, and are now refused by the holder bits they would take.  A
     # refusal is one short line.
-    resource = pytest.importorskip("resource")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
-
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-m", "balpack.cli", "oracle", *argv],
-                          capture_output=True, text=True, env=env, timeout=30,
-                          preexec_fn=limit)
+    done = run_limited("-m", "balpack.cli", "oracle", *argv, timeout=30)
     assert "Traceback" not in done.stderr and "Error" not in done.stderr
     assert done.returncode == code, done.stderr
     if code == 2:

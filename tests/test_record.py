@@ -3,9 +3,8 @@ hashing, repr, immutability and the checks each one runs on its fields."""
 
 import functools
 import inspect
-import os
+import json
 import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from balpack import (babai_frankl, bounds, cli, core, factorization, gf, latin, 
                      sumcode, transversal)
 from balpack.cli import latin_dispatch
 from balpack.core import BalancedPacking, Labeling, VerificationReport
+from conftest import POINTS_ENDING, SUBSETS_ENDING, run_limited
 
 
 def _packing():
@@ -463,8 +463,7 @@ def test_entries_refuse_a_parameter_past_the_bit_budget(call, kwargs, name, valu
 # name before it starts and its time once it returns or raises a PackingError,
 # so a call that allocates past the limit or runs on names itself.
 _SIZES_CHILD = """
-import resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+import sys, time
 sys.path.insert(0, sys.argv[1])
 from balpack.core import PackingError
 from test_record import INT_ENTRIES
@@ -485,12 +484,8 @@ def test_entries_take_every_size_at_once():
     # ROADMAP item 13's table: every int parameter of every public entry at
     # -1, 0 and 10^9 returns, or raises a PackingError, within 0.5 s, with no
     # other exception (a MemoryError, say) and no run past the timeout.
-    pytest.importorskip("resource")
-    here = Path(__file__).resolve().parent
-    env = {**os.environ, "PYTHONPATH": str(here.parent / "src")}
     try:
-        done = subprocess.run([sys.executable, "-c", _SIZES_CHILD, str(here)],
-                              capture_output=True, text=True, env=env, timeout=30)
+        done = run_limited("-c", _SIZES_CHILD, str(Path(__file__).resolve().parent), timeout=30)
     except subprocess.TimeoutExpired as exc:  # the last line names the call
         pytest.fail(f"still running after 30 s: {exc.stdout[-200:]!r}")
     assert done.returncode == 0 and not done.stderr, done.stdout[-200:] + done.stderr[-2000:]
@@ -524,39 +519,81 @@ def _singletons_in_one_class(n):
 
 
 # Each route just past core.INCIDENCE_CAP (2^22 points in all blocks), or far
-# past it; a trailing comment names the largest parameter that still builds.
+# past it, with the ending of its refusal; a trailing comment names the
+# largest parameter that still builds.
 PAST_THE_CAP = [
-    ("latin_dispatch", lambda: latin_dispatch(3345)),  # 3344: 1 397 792 triples
-    ("seed_sets", lambda: latin.seed_sets(1674)),  # 1672: a square of 1 397 792
-    ("one_factorization", lambda: factorization.one_factorization(2050)),  # 2048 builds
-    ("singleton_classes", lambda: factorization.singleton_classes(core.INCIDENCE_CAP + 1)),
-    ("triples_from_factorization", lambda: factorization.triples_from_factorization(10**9, 1)),
+    ("latin_dispatch", lambda: latin_dispatch(3345), POINTS_ENDING),  # 3344: 1 397 792 triples
+    ("seed_sets", lambda: latin.seed_sets(1674), POINTS_ENDING),  # 1672: a square of 1 397 792
+    ("one_factorization", lambda: factorization.one_factorization(2050),
+     POINTS_ENDING),  # 2048 builds
+    ("singleton_classes", lambda: factorization.singleton_classes(core.INCIDENCE_CAP + 1),
+     POINTS_ENDING),
+    ("triples_from_factorization", lambda: factorization.triples_from_factorization(10**9, 1),
+     POINTS_ENDING),
     ("product", lambda: factorization.product(_singletons_in_one_class(2100),
-                                              _singletons_in_one_class(2100))),
-    ("augment_34", lambda: transversal.augment_34(82)),  # 80: 1 017 600 blocks
-    ("augment_34_char2", lambda: transversal.augment_34_char2(128)),  # 64 builds
-    ("construct_td", lambda: transversal.construct_td(2, 5, 1024)),
-    ("construct_td-wide", lambda: transversal.construct_td(1, 65536, 65536)),
-    ("construct_td_sum", lambda: transversal.construct_td_sum(3, 102)),  # 101 builds
-    ("construct_td_sum-huge-t", lambda: transversal.construct_td_sum(10**9, 2)),
-    ("babai_frankl.construct", lambda: babai_frankl.construct(1024, 5, 2)),
-    ("sumcode.construct", lambda: sumcode.construct(10**9, 3)),
-    ("sumcode.construct-wide", lambda: sumcode.construct(2**21, 2**21)),
-    ("sumcode.construct-huge-k", lambda: sumcode.construct(10**9, 10**8)),
-    ("failure_rate", lambda: sumcode.failure_rate(10**9, 4)),
-    ("interval_labeling", lambda: core.interval_labeling(core.INCIDENCE_CAP + 2, 2)),
+                                              _singletons_in_one_class(2100)), POINTS_ENDING),
+    ("augment_34", lambda: transversal.augment_34(82), POINTS_ENDING),  # 80: 1 017 600 blocks
+    ("augment_34_char2", lambda: transversal.augment_34_char2(128), POINTS_ENDING),  # 64 builds
+    ("construct_td", lambda: transversal.construct_td(2, 5, 1024), POINTS_ENDING),
+    ("construct_td-wide", lambda: transversal.construct_td(1, 65536, 65536), POINTS_ENDING),
+    # within the incidence cap, but 64^3 * C(8, 3) = 14 680 064 t-subsets; (3, 6, 64) builds
+    ("construct_td-t-subsets", lambda: transversal.construct_td(3, 8, 64), SUBSETS_ENDING),
+    ("construct_td_sum", lambda: transversal.construct_td_sum(3, 102), POINTS_ENDING),  # 101 builds
+    ("construct_td_sum-huge-t", lambda: transversal.construct_td_sum(10**9, 2), POINTS_ENDING),
+    ("babai_frankl.construct", lambda: babai_frankl.construct(1024, 5, 2), POINTS_ENDING),
+    ("babai_frankl.construct-t-subsets", lambda: babai_frankl.construct(64, 8, 3), SUBSETS_ENDING),
+    ("sumcode.construct", lambda: sumcode.construct(10**9, 3), POINTS_ENDING),
+    ("sumcode.construct-wide", lambda: sumcode.construct(2**21, 2**21), POINTS_ENDING),
+    ("sumcode.construct-huge-k", lambda: sumcode.construct(10**9, 10**8), POINTS_ENDING),
+    ("failure_rate", lambda: sumcode.failure_rate(10**9, 4), POINTS_ENDING),
+    ("interval_labeling", lambda: core.interval_labeling(core.INCIDENCE_CAP + 2, 2), POINTS_ENDING),
 ]
 
-
-@pytest.mark.parametrize("call", [c for _, c in PAST_THE_CAP], ids=[n for n, _ in PAST_THE_CAP])
-def test_routes_past_the_incidence_cap_are_refused_at_once(call):
+# Run in one child process under a 1.5 GB address limit, as _SIZES_CHILD is:
+# each row prints its name before it starts, then its time, the class of
+# what it raised and the message, so a row that allocates past the limit
+# fails alone and one whose size rule is gone cannot take the test run down.
+_CAP_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from test_record import PAST_THE_CAP
+for name, call, _ in PAST_THE_CAP:
+    print(name, flush=True)
     start = time.perf_counter()
-    with pytest.raises(core.TooManyIncidences) as caught:
+    try:
         call()
-    assert time.perf_counter() - start < 0.5
-    assert str(caught.value).endswith(
-        f"would give blocks holding over {core.INCIDENCE_CAP} points in all")
-    assert len(str(caught.value)) <= 200
+        raised = [None, None]
+    except Exception as exc:
+        raised = [type(exc).__name__, str(exc)]
+    print(json.dumps([time.perf_counter() - start, *raised]), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def past_the_cap():
+    """Each PAST_THE_CAP row's [seconds, error class name, message] as the
+    child reported it, and the tail of what else the child wrote."""
+    try:
+        done = run_limited("-c", _CAP_CHILD, str(Path(__file__).resolve().parent), timeout=30)
+        out, tail = done.stdout, done.stderr[-2000:]
+    except subprocess.TimeoutExpired as exc:  # the last name printed is the row still running
+        out, tail = (exc.stdout or b"").decode(), "still running after 30 s"
+    lines = out.splitlines()
+    if len(lines) % 2:  # a name with no outcome: the row the child stopped in
+        tail = f"the child stopped in {lines[-1]}: {tail}"
+    return {name: json.loads(row) for name, row in zip(lines[::2], lines[1::2])}, tail
+
+
+@pytest.mark.parametrize("name, ending", [(n, e) for n, _, e in PAST_THE_CAP],
+                         ids=[n for n, _, _ in PAST_THE_CAP])
+def test_routes_past_the_incidence_cap_are_refused_at_once(past_the_cap, name, ending):
+    rows, tail = past_the_cap
+    assert name in rows, f"no outcome for this row: {tail}"
+    seconds, error, message = rows[name]
+    assert error == "TooManyIncidences", (error, message)
+    assert seconds < 0.5
+    assert message.endswith(ending)
+    assert len(message) <= 200
 
 
 def test_the_incidence_rule_counts_points_in_blocks():
